@@ -19,6 +19,7 @@
 #include "regress/runner.h"
 #include "stba/analyzer.h"
 #include "stba/triage.h"
+#include "vcd/recorder.h"
 #include "verif/tests.h"
 
 namespace {
@@ -151,6 +152,75 @@ void BM_Triage(benchmark::State& state) {
 }
 
 BENCHMARK(BM_Triage)->Arg(50)->Arg(200)->Unit(benchmark::kMillisecond);
+
+// One C2 sign-off pair end to end: both views simulated with their trace
+// sink attached, then aligned. The recorded path is what the regression
+// runner does; the round trip is the path it replaced (each view dumped as
+// VCD text, parsed back, then compared). The gap between the two is the
+// sink + parse cost per pair, at the same simulation work.
+std::vector<std::string> pair_ports() {
+  std::vector<std::string> ports;
+  for (int i = 0; i < 3; ++i) ports.push_back("tb.init" + std::to_string(i));
+  for (int t = 0; t < 2; ++t) ports.push_back("tb.targ" + std::to_string(t));
+  return ports;
+}
+
+verif::TestbenchOptions pair_view(int m) {
+  verif::TestbenchOptions opts;
+  opts.model = m == 0 ? verif::ModelKind::kRtl : verif::ModelKind::kBca;
+  opts.seed = 19;
+  return opts;
+}
+
+void BM_AlignPairRecorded(benchmark::State& state) {
+  verif::TestSpec spec = verif::t02_random_all_opcodes();
+  spec.n_transactions = static_cast<int>(state.range(0));
+  const auto ports = pair_ports();
+  double min_rate = 0.0;
+  for (auto _ : state) {
+    vcd::Trace traces[2];
+    for (int m = 0; m < 2; ++m) {
+      vcd::Recorder rec;
+      verif::TestbenchOptions opts = pair_view(m);
+      opts.recorder = &rec;
+      {
+        verif::Testbench tb(cfg4(), spec, opts);
+        tb.run();
+      }
+      traces[m] = rec.take();
+    }
+    min_rate = stba::Analyzer::compare(traces[0], traces[1], ports).min_rate();
+    benchmark::DoNotOptimize(min_rate);
+  }
+  state.counters["min_rate"] = min_rate;
+}
+
+void BM_AlignPairVcdRoundTrip(benchmark::State& state) {
+  verif::TestSpec spec = verif::t02_random_all_opcodes();
+  spec.n_transactions = static_cast<int>(state.range(0));
+  const auto ports = pair_ports();
+  double min_rate = 0.0;
+  for (auto _ : state) {
+    vcd::Trace traces[2];
+    for (int m = 0; m < 2; ++m) {
+      std::ostringstream os;
+      verif::TestbenchOptions opts = pair_view(m);
+      opts.vcd_stream = &os;
+      {
+        verif::Testbench tb(cfg4(), spec, opts);
+        tb.run();
+      }
+      std::istringstream is(std::move(os).str());
+      traces[m] = vcd::Trace::parse(is);
+    }
+    min_rate = stba::Analyzer::compare(traces[0], traces[1], ports).min_rate();
+    benchmark::DoNotOptimize(min_rate);
+  }
+  state.counters["min_rate"] = min_rate;
+}
+
+BENCHMARK(BM_AlignPairRecorded)->Arg(100)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AlignPairVcdRoundTrip)->Arg(100)->Unit(benchmark::kMillisecond);
 
 // Long sparse trace: many cycles, few changes. This is the shape the
 // change-driven merge is built for — the per-cycle scan it replaced walked

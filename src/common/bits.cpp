@@ -125,10 +125,14 @@ std::string Bits::to_bin_string() const {
 }
 
 void Bits::append_bin(std::string& out) const {
+  // Hot in every trace sink (one call per changed vector signal), so it
+  // reads the words directly instead of going through the checked bit().
   const std::size_t base = out.size();
-  out.resize(base + static_cast<std::size_t>(width_), '0');
+  out.resize(base + static_cast<std::size_t>(width_));
+  char* msb_first = out.data() + base + width_;
   for (int i = 0; i < width_; ++i) {
-    if (bit(i)) out[base + static_cast<std::size_t>(width_ - 1 - i)] = '1';
+    const std::uint64_t word = w_[static_cast<std::size_t>(i / 64)];
+    *--msb_first = static_cast<char>('0' + ((word >> (i % 64)) & 1u));
   }
 }
 

@@ -1,11 +1,13 @@
 #include "regress/runner.h"
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "cache/cache.h"
@@ -21,6 +23,7 @@
 #include "regress/progress.h"
 #include "stba/triage.h"
 #include "vcd/excerpt.h"
+#include "vcd/recorder.h"
 
 namespace crve::regress {
 
@@ -101,38 +104,43 @@ std::string run_report(const TestOutcome& o) {
 // Pair p = test_index * n_seeds + seed_index and unit u = 2*p + view
 // (view 0 = RTL, 1 = BCA) — exactly the serial visit order. Every job
 // writes into its own pre-sized slot, so the reduction reads results in
-// serial order no matter which worker ran what.
+// serial order no matter which worker ran what. A pair's alignment is no
+// separate job: whichever view job finishes the pair second runs it
+// (run_job), then frees both recordings.
 struct Campaign {
   RunPlan plan;
   std::vector<TestSpec> tests;
   std::size_t n_pairs = 0;
   std::vector<TestOutcome> outcomes;    // one slot per unit
-  std::vector<std::string> waves;       // in-memory VCD text per unit
-  std::vector<std::string> wave_paths;  // on-disk VCD path per unit
+  std::vector<vcd::Trace> traces;       // recorded trace per unit, until
+                                        // its pair is aligned
   std::vector<AlignmentOutcome> aligns;  // one slot per pair
+  // Views of each pair still running. The acq_rel decrement that reaches
+  // zero makes both views' slots visible to the job that aligns the pair.
+  std::unique_ptr<std::atomic<int>[]> views_pending;
   // Cache planning state: pair_cached[p] marks a pair the planner replayed
-  // from the cache (its slots are already filled); missing_units and
-  // missing_pairs are the jobs that still have to run. Without a cache the
-  // missing lists cover the whole campaign.
+  // from the cache (its slots are already filled); missing_units are the
+  // view jobs that still have to run. Without a cache the list covers the
+  // whole campaign.
   std::vector<char> pair_cached;
   std::vector<std::size_t> missing_units;
-  std::vector<std::size_t> missing_pairs;
   std::string cache_build_json;  // originating build of the replayed pairs
 
   void prepare() {
     tests = plan.tests.empty() ? verif::catg_test_suite() : plan.tests;
     n_pairs = tests.size() * plan.seeds.size();
     outcomes.resize(2 * n_pairs);
-    waves.resize(2 * n_pairs);
-    wave_paths.resize(2 * n_pairs);
-    if (plan.run_alignment) aligns.resize(n_pairs);
+    if (plan.run_alignment) {
+      traces.resize(2 * n_pairs);
+      aligns.resize(n_pairs);
+    }
+    views_pending = std::make_unique<std::atomic<int>[]>(n_pairs);
+    for (std::size_t p = 0; p < n_pairs; ++p) views_pending[p] = 2;
     pair_cached.assign(n_pairs, 0);
     missing_units.clear();
-    missing_pairs.clear();
     for (std::size_t p = 0; p < n_pairs; ++p) {
       missing_units.push_back(2 * p);
       missing_units.push_back(2 * p + 1);
-      if (plan.run_alignment) missing_pairs.push_back(p);
     }
     if (!plan.out_dir.empty()) {
       std::filesystem::create_directories(plan.out_dir);
@@ -144,6 +152,17 @@ struct Campaign {
   }
   std::uint64_t seed_of(std::size_t pair) const {
     return plan.seeds[pair % plan.seeds.size()];
+  }
+
+  // Runs one view job; when it is the pair's second view to finish (and
+  // the campaign aligns), aligns the pair right away.
+  void run_job(std::size_t unit) {
+    run_unit(unit);
+    if (!plan.run_alignment) return;
+    const std::size_t pair = unit / 2;
+    if (views_pending[pair].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      run_alignment(pair);
+    }
   }
 
   // Runs one (test, seed, view) job into its slot.
@@ -172,14 +191,12 @@ struct Campaign {
     opts.profile = !plan.profile_out.empty();
     opts.txn_trace = !plan.txn_trace_out.empty();
     if (model != ModelKind::kRtl) opts.faults = plan.faults;
-    std::ostringstream wave;
-    if (plan.run_alignment || to_disk) {
-      if (to_disk) {
-        wave_paths[unit] = plan.out_dir + "/" + stem + "_" + view + ".vcd";
-        opts.vcd_path = wave_paths[unit];
-      } else {
-        opts.vcd_stream = &wave;
-      }
+    // Alignment reads the in-process recording; the full VCD is written
+    // only as an on-disk artifact.
+    vcd::Recorder recorder;
+    if (plan.run_alignment) opts.recorder = &recorder;
+    if (to_disk) {
+      opts.vcd_path = plan.out_dir + "/" + stem + "_" + view + ".vcd";
     }
     TestSpec s = spec;
     if (plan.n_transactions > 0) s.n_transactions = plan.n_transactions;
@@ -210,7 +227,8 @@ struct Campaign {
       }
       throw;
     }
-    tb.reset();  // closes the VCD before alignment may read it
+    tb.reset();  // detaches the recorder and closes the VCD artifact
+    if (plan.run_alignment) traces[unit] = recorder.take();
     log_info() << plan.cfg.name << ": " << spec.name << " seed " << seed
                << " " << to_string(model) << " -> "
                << (r.passed() ? "pass" : "FAIL") << " (" << r.cycles
@@ -245,8 +263,6 @@ struct Campaign {
               plan.out_dir + "/txn_" + stem + "_" + view + ".trace.json",
               obs::txn_chrome_trace(r.txn));
         }
-      } else if (plan.run_alignment) {
-        waves[unit] = wave.str();
       }
     }
     if (plan.progress) {
@@ -298,19 +314,11 @@ struct Campaign {
     }
     const auto t0 = Clock::now();
     stba::AlignmentReport rep;
-    // Parse the traces explicitly (instead of compare_files) so a failing
-    // pair can reuse them for the triage deep-dive without a second parse.
-    vcd::Trace ta, tb;
+    // The pair's recordings, released once the comparison (and triage)
+    // is done with them.
+    const vcd::Trace ta = std::move(traces[2 * pair]);
+    const vcd::Trace tb = std::move(traces[2 * pair + 1]);
     try {
-      if (to_disk) {
-        ta = vcd::Trace::parse_file(wave_paths[2 * pair]);
-        tb = vcd::Trace::parse_file(wave_paths[2 * pair + 1]);
-      } else {
-        std::istringstream a(waves[2 * pair]);
-        std::istringstream b(waves[2 * pair + 1]);
-        ta = vcd::Trace::parse(a);
-        tb = vcd::Trace::parse(b);
-      }
       rep = stba::Analyzer::compare(ta, tb, ports);
       if (to_disk) {
         write_text(plan.out_dir + "/alignment_" +
@@ -318,8 +326,9 @@ struct Campaign {
                        std::to_string(seed) + ".txt",
                    rep.summary());
         if (plan.run_triage && !rep.signed_off(plan.alignment_threshold)) {
-          // The alignment pool runs strictly after the unit pool, so both
-          // views' outcome slots (and their txn span data) are final here.
+          // This job finished the pair's second view, and the acq_rel
+          // countdown in run_job ordered the other view's slot writes before
+          // it: both outcome slots (and their txn span data) are final.
           run_triage(spec.name, seed, ta, tb, ports,
                      outcomes[2 * pair].result.txn,
                      outcomes[2 * pair + 1].result.txn);
@@ -327,7 +336,8 @@ struct Campaign {
       }
     } catch (...) {
       // Same forensics contract as run_unit: a comparison that throws
-      // (unreadable wave, parse error) still dumps the flight recorder.
+      // (a port missing from a trace, an artifact write) still dumps the
+      // flight recorder.
       dump_flight_recorder(spec.name, seed, "align");
       if (plan.progress) {
         plan.progress->job_finish(plan.cfg.name, spec.name, seed, "align",
@@ -455,12 +465,12 @@ struct Campaign {
 };
 
 // Names the artifacts one pair job may have written to its out_dir. The
-// full waves are deliberately absent: they are bulk intermediates the
-// alignment already consumed, not results worth a cache's budget (the
-// windowed excerpts around a divergence are what triage reads). The
-// profile_* and txn_* artifacts are absent too: their knobs are excluded
-// from the JobSpec hash, so caching them would leak instrumentation files
-// into later uninstrumented replays of the same key.
+// full waves are deliberately absent: they are bulk viewer artifacts (the
+// alignment itself reads the in-process recordings), not results worth a
+// cache's budget — the windowed excerpts around a divergence are what
+// triage reads. The profile_* and txn_* artifacts are absent too: their
+// knobs are excluded from the JobSpec hash, so caching them would leak
+// instrumentation files into later uninstrumented replays of the same key.
 std::vector<std::string> pair_artifact_names(const std::string& test,
                                              std::uint64_t seed) {
   const std::string stem =
@@ -510,7 +520,6 @@ struct CachePlanner {
     std::vector<JobSpec> missing_specs;
     if (!active()) return missing_specs;
     camp.missing_units.clear();
-    camp.missing_pairs.clear();
     for (std::size_t p = 0; p < camp.n_pairs; ++p) {
       const TestSpec& spec = camp.spec_of(p);
       bool hit = false;
@@ -527,7 +536,6 @@ struct CachePlanner {
       } else {
         camp.missing_units.push_back(2 * p);
         camp.missing_units.push_back(2 * p + 1);
-        if (camp.plan.run_alignment) camp.missing_pairs.push_back(p);
       }
     }
     return missing_specs;
@@ -655,6 +663,26 @@ std::size_t campaign_cached_jobs(const Campaign& camp) {
   return cached_pairs * (camp.plan.run_alignment ? 3u : 2u);
 }
 
+// The one job loop behind Regression::run, run_matrix and run_worker: the
+// missing view jobs of every campaign go onto the pool as one flat list, so
+// a slow configuration keeps all workers busy instead of gating the batch,
+// and each pair is aligned by the job that finishes its second view — no
+// barrier between simulation and alignment, and at most a few pairs'
+// recordings alive at once.
+void run_campaigns(ThreadPool& pool, std::span<Campaign> camps) {
+  struct Ref {
+    Campaign* camp;
+    std::size_t unit;
+  };
+  std::vector<Ref> units;
+  for (Campaign& camp : camps) {
+    for (const std::size_t u : camp.missing_units) units.push_back({&camp, u});
+  }
+  pool.parallel_for(units.size(), [&](std::size_t k) {
+    units[k].camp->run_job(units[k].unit);
+  });
+}
+
 // Cache hits never enter the pool, so their lifecycle events are emitted
 // here, straight after the probe: one job_finish per replayed unit with
 // cached=true and the original run's wall clock from the payload.
@@ -700,14 +728,7 @@ RegressionResult Regression::run(const RunPlan& plan) {
   }
 
   ThreadPool pool(resolve_jobs(plan.jobs));
-  pool.parallel_for(camp.missing_units.size(), [&](std::size_t k) {
-    camp.run_unit(camp.missing_units[k]);
-  });
-  if (plan.run_alignment) {
-    pool.parallel_for(camp.missing_pairs.size(), [&](std::size_t k) {
-      camp.run_alignment(camp.missing_pairs[k]);
-    });
-  }
+  run_campaigns(pool, std::span<Campaign>(&camp, 1));
   planner.store_results(camp);
   if (plan.progress && planner.active()) {
     plan.progress->evictions(planner.store->stats().evictions);
@@ -771,26 +792,8 @@ MatrixResult Regression::run_matrix(
     for (const auto& camp : camps) emit_cached_finishes(camp, base.progress);
   }
 
-  // Flatten every campaign's missing units into one global job list so a
-  // slow configuration keeps all workers busy instead of gating the batch.
-  struct Ref {
-    std::size_t camp;
-    std::size_t idx;
-  };
-  std::vector<Ref> units;
-  std::vector<Ref> pairs;
-  for (std::size_t i = 0; i < camps.size(); ++i) {
-    for (std::size_t u : camps[i].missing_units) units.push_back({i, u});
-    for (std::size_t p : camps[i].missing_pairs) pairs.push_back({i, p});
-  }
-
   ThreadPool pool(mres.jobs);
-  pool.parallel_for(units.size(), [&](std::size_t k) {
-    camps[units[k].camp].run_unit(units[k].idx);
-  });
-  pool.parallel_for(pairs.size(), [&](std::size_t k) {
-    camps[pairs[k].camp].run_alignment(pairs[k].idx);
-  });
+  run_campaigns(pool, camps);
   for (const auto& camp : camps) planner.store_results(camp);
   if (planner.active()) {
     mres.cache_stats_json = planner.store->stats().json(
@@ -901,9 +904,12 @@ std::vector<WorkerOutcome> Regression::run_worker(
     copts.sanitize = build_info().sanitize;
     store = std::make_unique<cache::Cache>(copts);
   }
+  // Every spec becomes a one-pair campaign; all of them then run through
+  // the shared job loop, so pairs overlap across the pool.
   const std::vector<TestSpec> suite = verif::catg_test_suite();
-  ThreadPool pool(resolve_jobs(opts.jobs));
-  for (const JobSpec& js : specs) {
+  std::vector<Campaign> camps(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const JobSpec& js = specs[i];
     const TestSpec* spec = nullptr;
     for (const auto& t : suite) {
       if (t.name == js.test) {
@@ -917,7 +923,7 @@ std::vector<WorkerOutcome> Regression::run_worker(
                  << " was planned for build " << js.git_hash
                  << ", executing with " << build_info().git_hash;
     }
-    RunPlan plan;
+    RunPlan& plan = camps[i].plan;
     {
       std::istringstream is(js.config_text);
       plan.cfg = parse_config(is, "jobspec");
@@ -933,26 +939,22 @@ std::vector<WorkerOutcome> Regression::run_worker(
     plan.kernel = js.kernel == "interp" ? sim::KernelKind::kInterp
                                         : sim::KernelKind::kCompiled;
     plan.faults = faults_from_names(js.faults);
-    const std::string key = js.hash();
     if (!opts.out_dir.empty()) {
-      plan.out_dir = opts.out_dir + "/" + key.substr(0, 12);
+      plan.out_dir = opts.out_dir + "/" + js.hash().substr(0, 12);
     }
+    camps[i].prepare();
+  }
+  ThreadPool pool(resolve_jobs(opts.jobs));
+  run_campaigns(pool, camps);
+  pool.wait();
 
-    Campaign camp;
-    camp.plan = plan;
-    camp.prepare();
-    pool.parallel_for(2 * camp.n_pairs,
-                      [&](std::size_t u) { camp.run_unit(u); });
-    if (plan.run_alignment) {
-      pool.parallel_for(camp.n_pairs,
-                        [&](std::size_t p) { camp.run_alignment(p); });
-    }
-    pool.wait();
-
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const JobSpec& js = specs[i];
+    const Campaign& camp = camps[i];
     PairResult pr;
     pr.rtl = camp.outcomes[0];
     pr.bca = camp.outcomes[1];
-    pr.has_alignment = plan.run_alignment;
+    pr.has_alignment = camp.plan.run_alignment;
     if (pr.has_alignment) pr.alignment = camp.aligns[0];
     const BuildInfo& bi = build_info();
     pr.git_hash = bi.git_hash;
@@ -961,23 +963,22 @@ std::vector<WorkerOutcome> Regression::run_worker(
     pr.sanitize = bi.sanitize;
 
     WorkerOutcome wo;
-    wo.hash = key;
-    wo.payload = encode_pair_result(pr, key);
+    wo.hash = js.hash();
+    wo.payload = encode_pair_result(pr, wo.hash);
     wo.passed = pr.rtl.result.passed() && pr.bca.result.passed();
     if (store) {
       std::vector<std::pair<std::string, std::string>> files;
-      if (!plan.out_dir.empty()) {
-        for (const std::string& name :
-             pair_artifact_names(spec->name, js.seed)) {
-          const std::string path = plan.out_dir + "/" + name;
+      if (!camp.plan.out_dir.empty()) {
+        for (const std::string& name : pair_artifact_names(js.test, js.seed)) {
+          const std::string path = camp.plan.out_dir + "/" + name;
           if (std::filesystem::exists(path)) files.push_back({name, path});
         }
       }
       try {
-        store->store(key, wo.payload, files);
+        store->store(wo.hash, wo.payload, files);
       } catch (const std::exception& e) {
-        log_warn() << "worker: cache store failed for " << key.substr(0, 12)
-                   << ": " << e.what();
+        log_warn() << "worker: cache store failed for "
+                   << wo.hash.substr(0, 12) << ": " << e.what();
       }
     }
     out.push_back(std::move(wo));

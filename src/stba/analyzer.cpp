@@ -34,9 +34,11 @@ std::vector<int> Analyzer::resolve_port_fields(const vcd::Trace& t,
 
 namespace {
 
-std::vector<int> resolve_port(const vcd::Trace& t, const std::string& port) {
-  return Analyzer::resolve_port_fields(t, port);
-}
+// Field order mirrors port_fields().
+enum Field {
+  kReq, kGnt, kOpc, kAdd, kData, kBe, kEop, kLck, kSrc, kTid,
+  kRReq, kRGnt, kROpc, kRData, kREop, kRSrc, kRTid
+};
 
 std::vector<vcd::Trace::Cursor> port_cursors(const vcd::Trace& t,
                                              const std::vector<int>& idx) {
@@ -62,12 +64,11 @@ bool port_has_activity(const vcd::Trace& t, const std::vector<int>& idx) {
   return false;
 }
 
-}  // namespace
-
-std::string Analyzer::activity_note(const vcd::Trace& a, const vcd::Trace& b,
-                                    const std::string& port) {
-  const bool a_active = port_has_activity(a, resolve_port(a, port));
-  const bool b_active = port_has_activity(b, resolve_port(b, port));
+std::string activity_note_of(const vcd::Trace& a, const std::vector<int>& ia,
+                             const vcd::Trace& b,
+                             const std::vector<int>& ib) {
+  const bool a_active = port_has_activity(a, ia);
+  const bool b_active = port_has_activity(b, ib);
   if (!a_active && !b_active) {
     return "no activity on this port in either dump; rate is vacuous";
   }
@@ -82,69 +83,154 @@ std::string Analyzer::activity_note(const vcd::Trace& a, const vcd::Trace& b,
   return "";
 }
 
+// One granted cell as views into the trace's value storage.
+struct CellView {
+  std::uint64_t cycle = 0;
+  bool response = false;
+  std::string_view opc, add, data, be;
+  bool eop = false;
+  bool lck = false;
+  std::string_view src, tid;
+
+  bool same_content(const CellView& o) const {
+    return response == o.response && opc == o.opc && add == o.add &&
+           data == o.data && be == o.be && eop == o.eop && lck == o.lck &&
+           src == o.src && tid == o.tid;
+  }
+};
+
+// Walks one port's granted-cell stream in cycle order, the request cell
+// before the response cell of the same cycle. A merge over the field
+// change lists: between events every field is constant, so the granted
+// state and the cell content hold for the whole run and only the cycle
+// stamp varies. The single decode path behind extract() and compare().
+class CellCursor {
+ public:
+  CellCursor(const vcd::Trace& t, const std::vector<int>& idx)
+      : cur_(port_cursors(t, idx)), end_(t.max_time() + 1) {}
+
+  // Advances to the next granted cell; false once the stream is exhausted.
+  bool next() {
+    for (;;) {
+      if (cyc_ < run_end_) {
+        while (slot_ < 2) {
+          const int s = slot_++;
+          if (granted_[s]) {
+            cells_[s].cycle = cyc_;
+            cell_ = &cells_[s];
+            return true;
+          }
+        }
+        ++cyc_;
+        slot_ = 0;
+        continue;
+      }
+      if (run_end_ >= end_) return false;
+      start_run(run_end_);
+    }
+  }
+
+  // The cell next() stopped on; views stay valid while the trace lives.
+  const CellView& cell() const { return *cell_; }
+
+ private:
+  void start_run(std::uint64_t c) {
+    for (auto& f : cur_) f.value_at(c);  // settle so next_event looks past c
+    run_end_ = std::min(next_event(cur_), end_);
+    granted_[0] = field(kReq, c) == "1" && field(kGnt, c) == "1";
+    granted_[1] = field(kRReq, c) == "1" && field(kRGnt, c) == "1";
+    if (granted_[0]) {
+      CellView& req = cells_[0];
+      req.opc = field(kOpc, c);
+      req.add = field(kAdd, c);
+      req.data = field(kData, c);
+      req.be = field(kBe, c);
+      req.eop = field(kEop, c) == "1";
+      req.lck = field(kLck, c) == "1";
+      req.src = field(kSrc, c);
+      req.tid = field(kTid, c);
+    }
+    if (granted_[1]) {
+      CellView& rsp = cells_[1];
+      rsp.response = true;
+      rsp.opc = field(kROpc, c);
+      rsp.data = field(kRData, c);
+      rsp.eop = field(kREop, c) == "1";
+      rsp.src = field(kRSrc, c);
+      rsp.tid = field(kRTid, c);
+    }
+    cyc_ = granted_[0] || granted_[1] ? c : run_end_;
+    slot_ = 0;
+  }
+
+  std::string_view field(int f, std::uint64_t c) {
+    return cur_[static_cast<std::size_t>(f)].value_at(c);
+  }
+
+  std::vector<vcd::Trace::Cursor> cur_;
+  std::uint64_t end_;          // one past the trace's last cycle
+  std::uint64_t run_end_ = 0;  // exclusive end of the current run
+  std::uint64_t cyc_ = 0;      // cycle being emitted within the run
+  // Per cycle of a run: slot 0 is the request cell, slot 1 the response
+  // cell; slot_ is the next slot of cycle cyc_ to emit.
+  CellView cells_[2];
+  bool granted_[2] = {false, false};
+  int slot_ = 0;
+  const CellView* cell_ = nullptr;
+};
+
+// Cell-stream accounting shared by extract() and compare(): compare()
+// walks both streams of a port, so it counts as two extractions.
+void count_extracts(std::uint64_t streams, std::uint64_t cells) {
+  obs::counter("stba.extracts").add(streams);
+  obs::counter("stba.cells_extracted").add(cells);
+}
+
+// Content-wise diff of the two granted-cell streams: cells at the same
+// stream position are compared field by field, cycle stamps ignored.
+void diff_cells(const vcd::Trace& a, const std::vector<int>& ia,
+                const vcd::Trace& b, const std::vector<int>& ib,
+                PortAlignment& pa) {
+  CellCursor xa(a, ia);
+  CellCursor xb(b, ib);
+  bool ha = xa.next();
+  bool hb = xb.next();
+  for (; ha && hb; ha = xa.next(), hb = xb.next()) {
+    ++pa.cells_a;
+    ++pa.cells_b;
+    if (xa.cell().same_content(xb.cell())) ++pa.cells_matching;
+  }
+  for (; ha; ha = xa.next()) ++pa.cells_a;
+  for (; hb; hb = xb.next()) ++pa.cells_b;
+}
+
+}  // namespace
+
+std::string Analyzer::activity_note(const vcd::Trace& a, const vcd::Trace& b,
+                                    const std::string& port) {
+  return activity_note_of(a, resolve_port_fields(a, port), b,
+                          resolve_port_fields(b, port));
+}
+
 std::vector<ExtractedCell> Analyzer::extract(const vcd::Trace& t,
                                              const std::string& port) {
-  const std::vector<int> idx = resolve_port(t, port);
-  // Field order mirrors port_fields().
-  enum {
-    kReq, kGnt, kOpc, kAdd, kData, kBe, kEop, kLck, kSrc, kTid,
-    kRReq, kRGnt, kROpc, kRData, kREop, kRSrc, kRTid, kNumFields
-  };
-  std::vector<vcd::Trace::Cursor> cur = port_cursors(t, idx);
-  auto field = [&](int f, std::uint64_t cyc) -> const std::string& {
-    return cur[static_cast<std::size_t>(f)].value_at(cyc);
-  };
   std::vector<ExtractedCell> cells;
-  const bool metrics = obs::metrics_enabled();
-  const std::uint64_t end = t.max_time() + 1;
-  std::uint64_t c = 0;
-  // Merge over the field change lists: between events every field is
-  // constant, so the granted state and cell content hold for the whole run
-  // and only the cycle stamp varies.
-  while (c < end) {
-    const bool req_granted = field(kReq, c) == "1" && field(kGnt, c) == "1";
-    const bool rsp_granted = field(kRReq, c) == "1" && field(kRGnt, c) == "1";
-    // Settle every remaining cursor at c so next_event() looks past it.
-    for (int f = 0; f < kNumFields; ++f) field(f, c);
-    const std::uint64_t run_end = std::min(next_event(cur), end);
-    if (req_granted || rsp_granted) {
-      ExtractedCell req_cell, rsp_cell;
-      if (req_granted) {
-        req_cell.response = false;
-        req_cell.opc = field(kOpc, c);
-        req_cell.add = field(kAdd, c);
-        req_cell.data = field(kData, c);
-        req_cell.be = field(kBe, c);
-        req_cell.eop = field(kEop, c) == "1";
-        req_cell.lck = field(kLck, c) == "1";
-        req_cell.src = field(kSrc, c);
-        req_cell.tid = field(kTid, c);
-      }
-      if (rsp_granted) {
-        rsp_cell.response = true;
-        rsp_cell.opc = field(kROpc, c);
-        rsp_cell.data = field(kRData, c);
-        rsp_cell.eop = field(kREop, c) == "1";
-        rsp_cell.src = field(kRSrc, c);
-        rsp_cell.tid = field(kRTid, c);
-      }
-      for (std::uint64_t cyc = c; cyc < run_end; ++cyc) {
-        if (req_granted) {
-          req_cell.cycle = cyc;
-          cells.push_back(req_cell);
-        }
-        if (rsp_granted) {
-          rsp_cell.cycle = cyc;
-          cells.push_back(rsp_cell);
-        }
-      }
-    }
-    c = run_end;
+  CellCursor x(t, resolve_port_fields(t, port));
+  while (x.next()) {
+    const CellView& v = x.cell();
+    ExtractedCell& cell = cells.emplace_back();
+    cell.cycle = v.cycle;
+    cell.response = v.response;
+    cell.opc = v.opc;
+    cell.add = v.add;
+    cell.data = v.data;
+    cell.be = v.be;
+    cell.eop = v.eop;
+    cell.lck = v.lck;
+    cell.src = v.src;
+    cell.tid = v.tid;
   }
-  if (metrics) {
-    obs::counter("stba.extracts").inc();
-    obs::counter("stba.cells_extracted").add(cells.size());
-  }
+  if (obs::metrics_enabled()) count_extracts(1, cells.size());
   return cells;
 }
 
@@ -157,9 +243,9 @@ AlignmentReport Analyzer::compare(const vcd::Trace& a, const vcd::Trace& b,
     PortAlignment pa;
     pa.port = port;
     pa.total_cycles = total;
-    const std::vector<int> ia = resolve_port(a, port);
-    const std::vector<int> ib = resolve_port(b, port);
-    pa.note = activity_note(a, b, port);
+    const std::vector<int> ia = resolve_port_fields(a, port);
+    const std::vector<int> ib = resolve_port_fields(b, port);
+    pa.note = activity_note_of(a, ia, b, ib);
     // k-way merge over the 2x17 field change lists: between events every
     // field is constant on both sides, so alignment holds for whole runs.
     std::vector<vcd::Trace::Cursor> ca = port_cursors(a, ia);
@@ -189,21 +275,15 @@ AlignmentReport Analyzer::compare(const vcd::Trace& a, const vcd::Trace& b,
       }
       c = run_end;
     }
+    // Transaction-level diff (content compare, cycle-independent).
+    diff_cells(a, ia, b, ib, pa);
     if (metrics) {
       obs::counter("stba.ports_compared").inc();
       obs::counter("stba.merge_events").add(merge_events);
       obs::counter("stba.aligned_cycles").add(pa.aligned_cycles);
       obs::counter("stba.compared_cycles").add(pa.total_cycles);
       obs::histogram("stba.merge_events_per_port").observe(merge_events);
-    }
-    // Transaction-level diff (content compare, cycle-independent).
-    const auto cells_a = extract(a, port);
-    const auto cells_b = extract(b, port);
-    pa.cells_a = cells_a.size();
-    pa.cells_b = cells_b.size();
-    const std::size_t n = std::min(cells_a.size(), cells_b.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cells_a[i].same_content(cells_b[i])) ++pa.cells_matching;
+      count_extracts(2, pa.cells_a + pa.cells_b);
     }
     report.ports.push_back(std::move(pa));
   }

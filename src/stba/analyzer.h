@@ -1,8 +1,9 @@
 // STBA — the STBus Analyzer.
 //
-// Reimplementation of the paper's internal alignment tool: it reads the VCD
-// dumps produced by the RTL and BCA regression runs, extracts STBus
-// transaction information per port, and computes, for every port, the
+// Reimplementation of the paper's internal alignment tool: it reads the
+// traces of the RTL and BCA regression runs (recorded in-process by
+// vcd::Recorder, or parsed from VCD dumps by vcd::Trace::parse), extracts
+// STBus transaction information per port, and computes, for every port, the
 // alignment rate = (cycles on which all of the port's signals carry the
 // same value in both dumps) / (total clock cycles). The paper's sign-off
 // threshold for a BCA model is a 99% rate at every port.
@@ -101,7 +102,9 @@ class Analyzer {
                                        const std::string& path_b,
                                        const std::vector<std::string>& ports);
 
-  // Recovers the granted-cell stream of one port from one dump.
+  // Recovers the granted-cell stream of one port from one dump. compare()
+  // walks the same stream through the same decoder without materializing
+  // it, diffing the two views' cells in lockstep.
   static std::vector<ExtractedCell> extract(const vcd::Trace& t,
                                             const std::string& port);
 

@@ -25,7 +25,7 @@ std::pair<std::vector<std::string>, std::string> split_name(
 // Change line in canonical VCD form: scalars as `<bit><id>`, vectors as
 // `b<value> <id>` with leading zeros truncated down to one digit — the same
 // rules vcd::Writer follows, so excerpts byte-match full dumps line-wise.
-void append_change(std::string& out, const std::string& value,
+void append_change(std::string& out, std::string_view value,
                    const std::string& id) {
   if (value.size() == 1) {
     out += value;
@@ -35,10 +35,10 @@ void append_change(std::string& out, const std::string& value,
   }
   const std::size_t first = value.find('1');
   out += "b";
-  if (first == std::string::npos) {
+  if (first == std::string_view::npos) {
     out += "0";
   } else {
-    out.append(value, first, std::string::npos);
+    out += value.substr(first);
   }
   out += " ";
   out += id;
@@ -99,13 +99,15 @@ void write_excerpt(const Trace& trace, std::uint64_t begin, std::uint64_t end,
   struct Event {
     std::uint64_t time;
     std::size_t var;
-    const std::string* value;
+    std::string_view value;
   };
   std::vector<Event> events;
   for (std::size_t i = 0; i < vars.size(); ++i) {
-    for (const Change& c : trace.changes(static_cast<int>(i))) {
+    const Trace::ChangeList changes = trace.changes(static_cast<int>(i));
+    for (std::size_t k = 0; k < changes.size(); ++k) {
+      const Change c = changes[k];
       if (c.time > begin && c.time <= end) {
-        events.push_back({c.time, i, &c.value});
+        events.push_back({c.time, i, c.value});
       }
     }
   }
@@ -121,7 +123,7 @@ void write_excerpt(const Trace& trace, std::uint64_t begin, std::uint64_t end,
       last_time = e.time;
     }
     if (e.time == end) any_at_end = true;
-    append_change(out, *e.value, vars[e.var].id);
+    append_change(out, e.value, vars[e.var].id);
   }
 
   // Close the window explicitly so its extent parses back even when the

@@ -1,9 +1,10 @@
 // VCD (Value Change Dump, IEEE 1364) writer.
 //
 // Implements sim::Tracer: after each settled cycle it emits value changes
-// for the signals the kernel reports as changed. The regression tool dumps
-// one VCD per (model view, test, seed) run; STBA later diffs the RTL and
-// BCA dumps.
+// for the signals the kernel reports as changed. The writer is an artifact
+// sink: the regression tool dumps one VCD per (model view, test, seed) run
+// for a human or an external viewer, while its own alignment reads the
+// in-process vcd::Recorder instead of parsing the dump back (DESIGN.md §9).
 //
 // The emit path is change-driven and allocation-free per cycle: id codes
 // are precomputed at header time, values are formatted into a reusable

@@ -318,6 +318,7 @@ Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
     vcd_ = std::make_unique<vcd::Writer>(*opts_.vcd_stream);
     ctx_.attach_tracer(vcd_.get());
   }
+  if (opts_.recorder != nullptr) ctx_.attach_tracer(opts_.recorder);
 }
 
 Testbench::~Testbench() = default;

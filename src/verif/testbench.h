@@ -3,9 +3,10 @@
 // Builds, for one node configuration and one test specification, the full
 // common verification environment — initiator/target BFMs, monitors,
 // protocol checkers, scoreboard, functional coverage, optional programming
-// initiator and VCD dump — around either view of the DUT. The choice of
-// model (RTL, BCA, or BCA-behind-wrappers) is a single enum: nothing else
-// in the environment changes, which is the paper's central claim.
+// initiator, VCD dump and in-process trace recorder — around either view of
+// the DUT. The choice of model (RTL, BCA, or BCA-behind-wrappers) is a
+// single enum: nothing else in the environment changes, which is the
+// paper's central claim.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include "sim/context.h"
 #include "stbus/config.h"
 #include "stbus/pins.h"
+#include "vcd/recorder.h"
 #include "vcd/writer.h"
 #include "verif/bfm_initiator.h"
 #include "verif/bfm_target.h"
@@ -70,6 +72,9 @@ struct TestbenchOptions {
   bool bca_memoization = true;  // ablation knob (bench_sim_speed)
   std::string vcd_path;      // non-empty: dump all signals to this file
   std::ostream* vcd_stream = nullptr;  // alternative in-memory dump target
+  // In-process trace of all signals (not owned): what alignment reads
+  // without a VCD round trip. Independent of the two dump targets above.
+  vcd::Recorder* recorder = nullptr;
   bool enable_checkers = true;
   bool enable_scoreboard = true;
   bool enable_coverage = true;

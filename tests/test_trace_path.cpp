@@ -7,11 +7,17 @@
 // per-cycle binary-search alignment scan.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
+#include "regress/config_file.h"
+#include "regress/job_spec.h"
+#include "regress/runner.h"
 #include "sim/context.h"
 #include "stba/analyzer.h"
 #include "vcd/parser.h"
+#include "vcd/recorder.h"
 #include "vcd/writer.h"
 #include "verif/testbench.h"
 #include "verif/tests.h"
@@ -138,7 +144,7 @@ std::vector<stba::ExtractedCell> reference_extract(const vcd::Trace& t,
   const auto& fields = stba::Analyzer::port_fields();
   std::vector<int> idx;
   for (const auto& f : fields) idx.push_back(*t.find(port + "." + f));
-  auto field = [&](int f, std::uint64_t cyc) -> const std::string& {
+  auto field = [&](int f, std::uint64_t cyc) -> std::string_view {
     return t.value_at(idx[static_cast<std::size_t>(f)], cyc);
   };
   enum {
@@ -321,6 +327,225 @@ TEST(TracePathGolden, ExtractMatchesPerCycleReference) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Recorder equivalence: the in-process trace equals the VCD round trip
+// ---------------------------------------------------------------------------
+
+std::vector<stbus::NodeConfig> shipped_configs() {
+  return regress::configs_from_dir(CRVE_SOURCE_DIR "/configs");
+}
+
+// One view run with both sinks attached: the recorder's trace and the
+// parsed writer output of the very same simulation.
+struct BothSinks {
+  vcd::Trace recorded;
+  vcd::Trace parsed;
+};
+
+BothSinks run_both_sinks(const stbus::NodeConfig& cfg,
+                         const verif::TestSpec& spec, verif::ModelKind model,
+                         sim::KernelKind kernel, const bca::Faults& faults) {
+  std::ostringstream os;
+  vcd::Recorder rec;
+  {
+    verif::TestbenchOptions opts;
+    opts.model = model;
+    opts.kernel = kernel;
+    opts.seed = 21;
+    opts.faults = faults;
+    opts.vcd_stream = &os;
+    opts.recorder = &rec;
+    verif::Testbench tb(cfg, spec, opts);
+    tb.run();
+  }
+  return {rec.take(), parse(os.str())};
+}
+
+TEST(RecorderGolden, EqualsParsedWriterOutputOnShippedConfigs) {
+  const auto configs = shipped_configs();
+  ASSERT_FALSE(configs.empty());
+  std::size_t runs = 0;
+  for (const auto& cfg : configs) {
+    for (const auto& spec : verif::catg_test_suite()) {
+      for (const auto model :
+           {verif::ModelKind::kRtl, verif::ModelKind::kBca}) {
+        for (const auto kernel :
+             {sim::KernelKind::kCompiled, sim::KernelKind::kInterp}) {
+          const BothSinks t = run_both_sinks(cfg, spec, model, kernel, {});
+          const std::string where = cfg.name + "/" + spec.name + "/" +
+                                    verif::to_string(model) +
+                                    (kernel == sim::KernelKind::kInterp
+                                         ? "/interp"
+                                         : "/compiled");
+          // Field by field first, for a readable failure, then the whole.
+          ASSERT_EQ(t.recorded.vars(), t.parsed.vars()) << where;
+          EXPECT_EQ(t.recorded.max_time(), t.parsed.max_time()) << where;
+          for (std::size_t v = 0; v < t.parsed.vars().size(); ++v) {
+            const auto a = t.recorded.changes(static_cast<int>(v));
+            const auto b = t.parsed.changes(static_cast<int>(v));
+            ASSERT_EQ(a.size(), b.size())
+                << where << " " << t.parsed.vars()[v].name;
+            for (std::size_t k = 0; k < a.size(); ++k) {
+              ASSERT_EQ(a[k].time, b[k].time) << where;
+              ASSERT_EQ(a[k].value, b[k].value) << where;
+            }
+          }
+          EXPECT_TRUE(t.recorded == t.parsed) << where;
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, configs.size() * 12 * 2 * 2);
+}
+
+TEST(RecorderGolden, RecordsOnlyValueChangesAndIds) {
+  sim::Context ctx;
+  sim::SignalBool req(ctx, "tb.p0.req");
+  sim::SignalU64 add(ctx, "tb.p0.add", 16);
+  sim::SignalBits data(ctx, "tb.p0.data", 64);
+  sim::SignalU64 quiet(ctx, "tb.p0.quiet", 8);
+  sim::SignalBool comb_out(ctx, "tb.comb.out");
+  std::ostringstream os;
+  vcd::Writer writer(os);
+  vcd::Recorder rec;
+  ctx.attach_tracer(&writer);
+  ctx.attach_tracer(&rec);
+  ctx.add_clocked("drv", [&] {
+    const auto c = ctx.cycle();
+    if (c >= 150) return;  // a quiet tail
+    req.write(c % 3 == 1);
+    if (c % 4 != 0) add.write(c * 0x123);
+    data.write(crve::Bits(64, 0xdeadbeef00ull + c * 7));
+  });
+  ctx.add_comb("mirror", [&] { comb_out.write(req.read()); });
+  ctx.step(200);
+  writer.finish();
+  const vcd::Trace recorded = rec.take();
+  EXPECT_TRUE(recorded == parse(os.str()));
+  EXPECT_EQ(recorded.vars()[3].id, vcd::Writer::id_code(3));
+  // The quiet signal holds its initial snapshot only.
+  EXPECT_EQ(recorded.changes(3).size(), 1u);
+  // max_time is the last cycle that changed something, not the last cycle
+  // sampled: the quiet tail does not count.
+  EXPECT_EQ(recorded.max_time(), 149u);
+}
+
+// With each of the paper's five C3 faults, the streaming cell diff inside
+// compare() counts exactly what materializing both cell streams with
+// extract() and diffing them position by position counts.
+TEST(StreamingCellDiff, MatchesExtractCountsUnderEachC3Fault) {
+  stbus::NodeConfig cfg;
+  cfg.n_initiators = 3;
+  cfg.n_targets = 2;
+  cfg.bus_bytes = 4;
+  cfg.arb = stbus::ArbPolicy::kLru;
+  const char* const kFaults[] = {"lru_stale_on_chunk", "grant_during_lock",
+                                 "byte_enable_dropped", "response_src_swap",
+                                 "size_conv_endianness"};
+  bool any_mismatch = false;
+  for (const char* name : kFaults) {
+    bca::Faults faults;
+    ASSERT_TRUE(regress::set_fault_by_name(faults, name));
+    for (auto spec : verif::catg_test_suite()) {
+      spec.n_transactions = 40;
+      const vcd::Trace a = run_both_sinks(cfg, spec, verif::ModelKind::kRtl,
+                                          sim::KernelKind::kCompiled, {})
+                               .recorded;
+      const vcd::Trace b = run_both_sinks(cfg, spec, verif::ModelKind::kBca,
+                                          sim::KernelKind::kCompiled, faults)
+                               .recorded;
+      std::vector<std::string> ports;
+      for (int i = 0; i < cfg.n_initiators; ++i) {
+        ports.push_back(verif::Testbench::initiator_port_name(i));
+      }
+      for (int t = 0; t < cfg.n_targets; ++t) {
+        ports.push_back(verif::Testbench::target_port_name(t));
+      }
+      const auto rep = stba::Analyzer::compare(a, b, ports);
+      for (const auto& p : rep.ports) {
+        const auto ca = stba::Analyzer::extract(a, p.port);
+        const auto cb = stba::Analyzer::extract(b, p.port);
+        std::uint64_t matching = 0;
+        for (std::size_t i = 0; i < std::min(ca.size(), cb.size()); ++i) {
+          if (ca[i].same_content(cb[i])) ++matching;
+        }
+        const std::string where =
+            std::string(name) + "/" + spec.name + "/" + p.port;
+        EXPECT_EQ(p.cells_a, ca.size()) << where;
+        EXPECT_EQ(p.cells_b, cb.size()) << where;
+        EXPECT_EQ(p.cells_matching, matching) << where;
+        any_mismatch |= matching < std::max(ca.size(), cb.size());
+      }
+    }
+  }
+  EXPECT_TRUE(any_mismatch);  // the faults must actually bite
+}
+
+// ---------------------------------------------------------------------------
+// Pipelined alignment: each pair aligned by the job that finishes its
+// second view — results must not depend on which job that was.
+// ---------------------------------------------------------------------------
+
+namespace fs = std::filesystem;
+
+std::string slurp(const fs::path& p) {
+  std::ifstream is(p, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+regress::MatrixResult shipped_matrix(unsigned jobs, const std::string& out,
+                                     const bca::Faults& faults) {
+  regress::RunPlan base;
+  base.seeds = {3, 4};
+  base.n_transactions = 25;
+  base.max_cycles = 4000;  // deadlocked faulted pairs stop early
+  base.jobs = jobs;
+  base.out_dir = out;
+  base.faults = faults;
+  return regress::Regression::run_matrix(shipped_configs(), base);
+}
+
+TEST(PipelinedAlignment, ReportIdenticalAtJobs1And4) {
+  const auto serial = shipped_matrix(1, "", {});
+  const auto parallel = shipped_matrix(4, "", {});
+  EXPECT_TRUE(serial.all_signed_off) << serial.summary();
+  EXPECT_EQ(serial.json(/*with_timing=*/false),
+            parallel.json(/*with_timing=*/false));
+}
+
+TEST(PipelinedAlignment, FaultedArtifactsIdenticalAtJobs1And4) {
+  const fs::path root = fs::temp_directory_path() / "crve_pipelined_align";
+  fs::remove_all(root);
+  bca::Faults faults;
+  faults.grant_during_lock = true;
+  const auto serial = shipped_matrix(1, (root / "j1").string(), faults);
+  const auto parallel = shipped_matrix(4, (root / "j4").string(), faults);
+  EXPECT_FALSE(serial.all_signed_off);
+  EXPECT_EQ(serial.json(/*with_timing=*/false),
+            parallel.json(/*with_timing=*/false));
+  // Alignment summaries, triage reports and excerpts are written by
+  // whichever job aligned the pair; they must not depend on it.
+  std::size_t compared = 0;
+  std::size_t triaged = 0;
+  for (const auto& e : fs::recursive_directory_iterator(root / "j1")) {
+    const std::string name = e.path().filename().string();
+    const bool pair_artifact = name.rfind("alignment_", 0) == 0 ||
+                               name.rfind("triage_", 0) == 0 ||
+                               name.rfind("excerpt_", 0) == 0;
+    if (!pair_artifact) continue;
+    const fs::path twin = root / "j4" / fs::relative(e.path(), root / "j1");
+    EXPECT_EQ(slurp(e.path()), slurp(twin)) << twin;
+    ++compared;
+    triaged += name.rfind("triage_", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_GT(triaged, 0u);
+  EXPECT_GT(compared, triaged);
+  fs::remove_all(root);
 }
 
 // ---------------------------------------------------------------------------

@@ -126,6 +126,86 @@ TEST(VcdParser, UnknownIdThrows) {
   EXPECT_THROW(Trace::parse(is), std::runtime_error);
 }
 
+// IEEE 1364 aliases: several $vars may share one id code, and every one
+// of them carries each change of that id.
+TEST(VcdParser, AliasedIdsFeedEveryVar) {
+  const char* dump =
+      "$scope module tb $end\n"
+      "$var wire 1 ! a $end\n"
+      "$var wire 1 ! b $end\n"
+      "$var wire 4 \" c $end\n"
+      "$upscope $end\n"
+      "$enddefinitions $end\n"
+      "#0\n1!\nb11 \"\n#3\n0!\n";
+  std::istringstream is(dump);
+  const Trace t = Trace::parse(is);
+  ASSERT_EQ(t.vars().size(), 3u);
+  for (const char* name : {"tb.a", "tb.b"}) {
+    const int v = *t.find(name);
+    EXPECT_EQ(t.vars()[static_cast<std::size_t>(v)].id, "!");
+    ASSERT_EQ(t.changes(v).size(), 2u) << name;
+    EXPECT_EQ(t.value_at(v, 0), "1") << name;
+    EXPECT_EQ(t.value_at(v, 3), "0") << name;
+  }
+  EXPECT_EQ(t.value_at(*t.find("tb.c"), 5), "0011");
+}
+
+// Hostile input: each malformed token ends in a named vcd::Trace
+// diagnostic that quotes it, never a bare library exception or a huge
+// allocation.
+void expect_diagnostic(const std::string& dump, const std::string& token) {
+  std::istringstream is(dump);
+  try {
+    Trace::parse(is);
+    ADD_FAILURE() << "accepted: " << dump;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("vcd::Trace: ", 0), 0u) << what;
+    EXPECT_NE(what.find(token), std::string::npos) << what;
+  }
+}
+
+TEST(VcdParserHostile, NonNumericWidth) {
+  expect_diagnostic("$var wire wide ! v $end\n$enddefinitions $end\n",
+                    "'wide'");
+  expect_diagnostic("$var wire 8x ! v $end\n$enddefinitions $end\n", "'8x'");
+}
+
+TEST(VcdParserHostile, ZeroOrNegativeWidth) {
+  expect_diagnostic("$var wire 0 ! v $end\n$enddefinitions $end\n", "'0'");
+  expect_diagnostic("$var wire -3 ! v $end\n$enddefinitions $end\n", "'-3'");
+}
+
+TEST(VcdParserHostile, WidthAboveCap) {
+  expect_diagnostic("$var wire 2000000000 ! v $end\n$enddefinitions $end\n",
+                    "'2000000000'");
+  const std::string over = std::to_string(Trace::kMaxWidth + 1);
+  expect_diagnostic("$var wire " + over + " ! v $end\n$enddefinitions $end\n",
+                    "'" + over + "'");
+  // The cap itself is accepted.
+  std::istringstream is("$var wire " + std::to_string(Trace::kMaxWidth) +
+                        " ! v $end\n$enddefinitions $end\n#0\nb1 !\n");
+  const Trace t = Trace::parse(is);
+  EXPECT_EQ(t.value_at(0, 0).size(),
+            static_cast<std::size_t>(Trace::kMaxWidth));
+}
+
+TEST(VcdParserHostile, NonNumericTime) {
+  expect_diagnostic("$var wire 1 ! v $end\n$enddefinitions $end\n#1x\n1!\n",
+                    "'#1x'");
+  expect_diagnostic("$var wire 1 ! v $end\n$enddefinitions $end\n#\n1!\n",
+                    "'#'");
+}
+
+TEST(VcdParserHostile, TimeGoingBackwards) {
+  expect_diagnostic(
+      "$var wire 1 ! v $end\n$enddefinitions $end\n#5\n1!\n#3\n0!\n", "'#3'");
+  // Repeating a time is not going backwards.
+  std::istringstream is(
+      "$var wire 1 ! v $end\n$enddefinitions $end\n#5\n1!\n#5\n0!\n");
+  EXPECT_EQ(Trace::parse(is).value_at(0, 5), "0");
+}
+
 TEST(VcdWriter, EmitsOnlyChanges) {
   sim::Context ctx;
   sim::SignalBool s(ctx, "tb.s");
