@@ -24,7 +24,8 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "vcd/writer.h"
+#include "vcd/excerpt.h"
+#include "vcd/recorder.h"
 #include "verif/testbench.h"
 #include "verif/tests.h"
 #include "verif/toggle_coverage.h"
@@ -366,9 +367,10 @@ BENCHMARK(BM_TxnTracerEnabled)->Apply(sparse_shapes);
 BENCHMARK(BM_BcaWrappedSparse)->Apply(sparse_shapes);
 BENCHMARK(BM_BcaWrappedSparseInterp)->Apply(sparse_shapes);
 
-// Long sparse trace through the full tracer stack (VCD writer + toggle
-// coverage): `n_signals` registered signals, only `n_active` of them
-// written per cycle. The change-driven kernel hands tracers just the
+// Long sparse trace through the full tracer stack (recorder + toggle
+// coverage), then the recording written once as a VCD wave, as a Testbench
+// with a dump target does: `n_signals` registered signals, only `n_active`
+// of them written per cycle. The change-driven kernel hands tracers just the
 // changed indices, so the per-cycle tracing cost scales with n_active, not
 // n_signals — the fast path this PR introduced. Before it, every tracer
 // materialized a string per signal per cycle.
@@ -398,14 +400,14 @@ void BM_TracedSimSparse(benchmark::State& state) {
       }
     });
     std::ostringstream os;
-    vcd::Writer w(os);
+    vcd::Recorder rec;
     verif::ToggleCoverage tc;
-    ctx.attach_tracer(&w);
+    ctx.attach_tracer(&rec);
     ctx.attach_tracer(&tc);
     state.ResumeTiming();
 
     ctx.step(kCycles);
-    w.finish();
+    vcd::write_wave(rec.trace(), os);  // the wave a Testbench writes
     benchmark::DoNotOptimize(os.tellp());
     benchmark::DoNotOptimize(tc.percent());
     cycles += kCycles;

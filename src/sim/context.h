@@ -41,7 +41,8 @@ struct CompiledSchedule;
 struct DesignGraph;
 struct ProcNode;
 
-// Observer sampling settled signal values once per cycle (e.g. VCD writer).
+// Observer sampling settled signal values once per cycle (e.g. the trace
+// recorder).
 //
 // `changed` holds the indices (into `signals`, ascending) of the signals
 // whose visible value changed during this cycle's commits — the kernel
@@ -152,13 +153,13 @@ class Context {
   // Sum of per-cycle changed-set sizes handed to tracers (the initial
   // full-snapshot sample included) — the trace path's true workload.
   std::uint64_t changed_signal_samples() const { return changed_samples_; }
-
-  // Compiled-schedule counters (zero under the interpreter).
-  // Monotonic count of committed value changes across all signals. A model
-  // that proved itself idle can stay idle for free while this stands still
-  // (nothing anywhere changed, so in particular none of its inputs did).
+  // Monotonic count of committed value changes across all signals, under
+  // both kernels. A model that proved itself idle can stay idle for free
+  // while this stands still (nothing anywhere changed, so in particular
+  // none of its inputs did).
   std::uint64_t change_stamp() const { return change_stamp_; }
 
+  // Compiled-schedule counters (zero under the interpreter).
   std::uint64_t sched_ranks() const { return sched_ranks_; }
   std::uint64_t sched_skipped_evaluations() const { return sched_skipped_; }
   std::uint64_t sched_fallback_iterations() const { return sched_fallback_; }

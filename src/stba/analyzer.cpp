@@ -206,6 +206,25 @@ void diff_cells(const vcd::Trace& a, const std::vector<int>& ia,
 
 }  // namespace
 
+RunWalker::RunWalker(const vcd::Trace& a, const std::vector<int>& ia,
+                     const vcd::Trace& b, const std::vector<int>& ib,
+                     std::uint64_t total)
+    : ca_(port_cursors(a, ia)), cb_(port_cursors(b, ib)), total_(total) {}
+
+bool RunWalker::next(FieldRun& run) {
+  if (c_ >= total_) return false;
+  std::uint32_t differs = 0;
+  std::uint64_t end = total_;
+  for (std::size_t f = 0; f < ca_.size(); ++f) {
+    if (ca_[f].value_at(c_) != cb_[f].value_at(c_)) differs |= 1u << f;
+    // value_at(c_) settled both cursors, so their next changes lie past c_.
+    end = std::min({end, ca_[f].next_change_time(), cb_[f].next_change_time()});
+  }
+  run = {c_, end, differs};
+  c_ = end;
+  return true;
+}
+
 std::string Analyzer::activity_note(const vcd::Trace& a, const vcd::Trace& b,
                                     const std::string& port) {
   return activity_note_of(a, resolve_port_fields(a, port), b,
@@ -246,34 +265,22 @@ AlignmentReport Analyzer::compare(const vcd::Trace& a, const vcd::Trace& b,
     const std::vector<int> ia = resolve_port_fields(a, port);
     const std::vector<int> ib = resolve_port_fields(b, port);
     pa.note = activity_note_of(a, ia, b, ib);
-    // k-way merge over the 2x17 field change lists: between events every
-    // field is constant on both sides, so alignment holds for whole runs.
-    std::vector<vcd::Trace::Cursor> ca = port_cursors(a, ia);
-    std::vector<vcd::Trace::Cursor> cb = port_cursors(b, ib);
-    std::uint64_t c = 0;
+    RunWalker walk(a, ia, b, ib, total);
     std::uint64_t merge_events = 0;
-    while (c < total) {
+    for (FieldRun run; walk.next(run);) {
       ++merge_events;
-      bool aligned = true;
-      for (std::size_t f = 0; f < ia.size(); ++f) {
-        if (ca[f].value_at(c) != cb[f].value_at(c)) {
-          aligned = false;
-          if (!pa.diverged()) {
+      const std::uint64_t len = run.end - run.begin;
+      if (run.differs == 0) {
+        pa.aligned_cycles += len;
+        if (metrics) obs::histogram("stba.aligned_run_cycles").observe(len);
+      } else if (!pa.diverged()) {
+        pa.first_divergence = run.begin;
+        for (std::size_t f = 0; f < ia.size(); ++f) {
+          if (run.differs >> f & 1u) {
             pa.diverged_signals.push_back(port + "." + port_fields()[f]);
           }
         }
       }
-      const std::uint64_t run_end =
-          std::min(std::min(next_event(ca), next_event(cb)), total);
-      if (aligned) {
-        pa.aligned_cycles += run_end - c;
-        if (metrics) {
-          obs::histogram("stba.aligned_run_cycles").observe(run_end - c);
-        }
-      } else if (!pa.diverged()) {
-        pa.first_divergence = c;
-      }
-      c = run_end;
     }
     // Transaction-level diff (content compare, cycle-independent).
     diff_cells(a, ia, b, ib, pa);

@@ -90,11 +90,11 @@ class Analyzer {
   // Cycle-level + transaction-level comparison of the given ports (each a
   // dotted prefix such as "tb.init0") between two dumps.
   //
-  // Implemented as a k-way merge over the two traces' change lists: the
-  // alignment status of a port is constant between change events, so whole
-  // runs of unchanged cycles are credited at once. O(total changes) instead
-  // of O(cycles x fields x log changes), with results identical to the
-  // per-cycle scan (tests/test_trace_path.cpp holds the equivalence).
+  // Walks each port with a RunWalker: the alignment status of a port is
+  // constant between change events, so whole runs of unchanged cycles are
+  // credited at once. O(total changes) instead of O(cycles x fields x log
+  // changes), with results identical to the per-cycle scan
+  // (tests/test_trace_path.cpp holds the equivalence).
   static AlignmentReport compare(const vcd::Trace& a, const vcd::Trace& b,
                                  const std::vector<std::string>& ports);
 
@@ -118,6 +118,36 @@ class Analyzer {
   // show no activity on `port`; empty for a healthy comparison.
   static std::string activity_note(const vcd::Trace& a, const vcd::Trace& b,
                                    const std::string& port);
+};
+
+// One run of a RunWalker: cycles [begin, end) on which every field of the
+// port holds one value in each trace. Bit f of `differs` is set when field
+// f (Analyzer::port_fields() order) differs between the traces.
+struct FieldRun {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  std::uint32_t differs = 0;
+};
+
+// The k-way merge over one port's field change lists in two traces, shared
+// by Analyzer::compare and Triage::analyze: it hops from change event to
+// change event over [0, total), so each run is classified once. Runs end
+// at every change on either side, even when `differs` stays the same.
+class RunWalker {
+ public:
+  // `ia`/`ib` are the port's fields as Analyzer::resolve_port_fields gives
+  // them for `a`/`b`; the traces must outlive the walker.
+  RunWalker(const vcd::Trace& a, const std::vector<int>& ia,
+            const vcd::Trace& b, const std::vector<int>& ib,
+            std::uint64_t total);
+
+  // Stores the next run in `run`; false once [0, total) is covered.
+  bool next(FieldRun& run);
+
+ private:
+  std::vector<vcd::Trace::Cursor> ca_, cb_;
+  std::uint64_t c_ = 0;
+  std::uint64_t total_;
 };
 
 }  // namespace crve::stba

@@ -81,12 +81,6 @@ InFlightCell in_flight_at(const std::vector<ExtractedCell>& cells,
   return ref;
 }
 
-std::uint64_t next_event(const std::vector<vcd::Trace::Cursor>& cur) {
-  std::uint64_t next = vcd::Trace::Cursor::kNoChange;
-  for (const auto& c : cur) next = std::min(next, c.next_change_time());
-  return next;
-}
-
 void render_cell(std::string& out, const char* key, const InFlightCell& c,
                  const std::string& in) {
   out += in + "\"" + key + "\": ";
@@ -126,12 +120,6 @@ TriageReport Triage::analyze(const vcd::Trace& a, const vcd::Trace& b,
     const auto cells_a = Analyzer::extract(a, port);
     const auto cells_b = Analyzer::extract(b, port);
 
-    std::vector<vcd::Trace::Cursor> ca, cb;
-    ca.reserve(ia.size());
-    cb.reserve(ib.size());
-    for (const int i : ia) ca.push_back(a.cursor(i));
-    for (const int i : ib) cb.push_back(b.cursor(i));
-
     // Per-field interval accumulation state: the exclusive end of the last
     // diverged run per field, to merge adjacent runs into one interval.
     std::vector<SignalDivergence> sig(fields.size());
@@ -140,22 +128,18 @@ TriageReport Triage::analyze(const vcd::Trace& a, const vcd::Trace& b,
     bool window_open = false;
     std::uint64_t window_end = 0;
 
-    // One change-driven merge: alignment status is constant between change
-    // events on either side, so each [c, run_end) run is classified once.
-    std::uint64_t c = 0;
-    while (c < total) {
-      std::vector<std::size_t> diffs;
-      for (std::size_t f = 0; f < fields.size(); ++f) {
-        if (ca[f].value_at(c) != cb[f].value_at(c)) diffs.push_back(f);
-      }
-      const std::uint64_t run_end =
-          std::min(std::min(next_event(ca), next_event(cb)), total);
-      if (diffs.empty()) {
+    // The merge compare() uses: each [c, run_end) run is classified once.
+    RunWalker walk(a, ia, b, ib, total);
+    for (FieldRun run; walk.next(run);) {
+      const std::uint64_t c = run.begin;
+      const std::uint64_t run_end = run.end;
+      if (run.differs == 0) {
         pt.aligned_cycles += run_end - c;
         window_open = false;
       } else {
         pt.diverged_cycles += run_end - c;
-        for (const std::size_t f : diffs) {
+        for (std::size_t f = 0; f < fields.size(); ++f) {
+          if ((run.differs >> f & 1u) == 0) continue;
           SignalDivergence& sd = sig[f];
           sd.diverged_cycles += run_end - c;
           if (sig_seen[f] && sig_open_end[f] == c) {
@@ -183,8 +167,10 @@ TriageReport Triage::analyze(const vcd::Trace& a, const vcd::Trace& b,
             DivergenceWindow w;
             w.begin = c;
             w.end = run_end;
-            for (const std::size_t f : diffs) {
-              w.signals.push_back(port + "." + fields[f]);
+            for (std::size_t f = 0; f < fields.size(); ++f) {
+              if (run.differs >> f & 1u) {
+                w.signals.push_back(port + "." + fields[f]);
+              }
             }
             w.in_flight_a = in_flight_at(cells_a, c);
             w.in_flight_b = in_flight_at(cells_b, c);
@@ -198,7 +184,6 @@ TriageReport Triage::analyze(const vcd::Trace& a, const vcd::Trace& b,
           report.first_port = port;
         }
       }
-      c = run_end;
     }
 
     for (std::size_t f = 0; f < fields.size(); ++f) {

@@ -4,8 +4,8 @@
 // sign-off needs no more. When a campaign FAILS, the debugging questions are
 // different: where are ALL the divergence windows, which signals carry each
 // one, and what transaction was in flight when the views split. Triage
-// answers those in one change-driven merge pass per port (same O(changes x
-// fields) discipline as Analyzer::compare — no per-cycle strings), then the
+// answers those in one change-driven merge pass per port (the RunWalker
+// Analyzer::compare walks — no per-cycle strings), then the
 // regression runner publishes the result as `triage_<test>_s<seed>.json`
 // plus a windowed VCD excerpt of both views around the first divergence.
 //
@@ -124,8 +124,8 @@ class Triage {
   static constexpr std::size_t kMaxWindows = 64;
 
   // Full divergence breakdown of the given ports between two dumps. Cycle
-  // accounting matches Analyzer::compare exactly (same merge, same
-  // max(a,b)+1 cycle span); tests hold the equivalence.
+  // accounting matches Analyzer::compare exactly: both classify the runs of
+  // one RunWalker over the same max(a,b)+1 cycle span.
   static TriageReport analyze(const vcd::Trace& a, const vcd::Trace& b,
                               const std::vector<std::string>& ports);
 };

@@ -69,6 +69,16 @@ void append_normalized(std::string& out, std::string_view v,
 
 }  // namespace
 
+std::string id_code(int index) {
+  std::string id;
+  int n = index;
+  do {
+    id.push_back(static_cast<char>('!' + n % 94));
+    n /= 94;
+  } while (n > 0);
+  return id;
+}
+
 void Trace::finish_vars() {
   int widest = 0;
   for (const auto& v : vars_) widest = std::max(widest, v.width);
@@ -208,13 +218,10 @@ std::optional<int> Trace::find(const std::string& suffix) const {
 }
 
 std::string_view Trace::value_at(int var, std::uint64_t t) const {
-  const Track& tr = tracks_[static_cast<std::size_t>(var)];
-  // Last change with time <= t.
-  const auto it = std::upper_bound(tr.times.begin(), tr.times.end(), t);
-  if (it == tr.times.begin()) return zero_of(var);
-  const std::size_t w = width_of(var);
-  const auto k = static_cast<std::size_t>(it - tr.times.begin()) - 1;
-  return std::string_view(tr.values.data() + k * w, w);
+  const ChangeList list = changes(var);
+  // The last change with time <= t precedes the first one after t.
+  const std::size_t k = list.first_after(t);
+  return k == 0 ? zero_of(var) : list[k - 1].value;
 }
 
 }  // namespace crve::vcd

@@ -9,11 +9,14 @@
 //
 // Two producers build Traces: Trace::parse reads a VCD dump (the crve_stba
 // CLI, hand-made fixtures), and vcd::Recorder (recorder.h) records one
-// straight from the simulator without a text round trip. value_at()
-// answers "what did signal X hold at cycle T" by binary search; cursor()
-// is the amortized O(1) forward sweep the alignment computation uses.
+// straight from the simulator without a text round trip. The way back to
+// text is excerpt.h, which writes full waves and windowed excerpts.
+// value_at() answers "what did signal X hold at cycle T" by binary search;
+// cursor() is the amortized O(1) forward sweep the alignment computation
+// uses.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <optional>
@@ -22,6 +25,10 @@
 #include <vector>
 
 namespace crve::vcd {
+
+// VCD identifier code of the i-th declared variable: base-94 over the
+// printable ASCII range '!'..'~', least significant digit first.
+std::string id_code(int index);
 
 struct Var {
   std::string name;  // full dotted name, e.g. "tb.init0.req"
@@ -73,6 +80,12 @@ class Trace {
     Change operator[](std::size_t k) const {
       return {(*times_)[k], std::string_view(values_->data() + k * width_,
                                              width_)};
+    }
+    // Index of the first change strictly after time `t` (size() if none).
+    std::size_t first_after(std::uint64_t t) const {
+      return static_cast<std::size_t>(
+          std::upper_bound(times_->begin(), times_->end(), t) -
+          times_->begin());
     }
 
    private:

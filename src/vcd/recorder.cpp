@@ -4,18 +4,8 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "vcd/writer.h"
 
 namespace crve::vcd {
-
-Recorder::~Recorder() { publish_metrics(); }
-
-void Recorder::publish_metrics() {
-  if (metrics_published_ || !declared_ || !obs::metrics_enabled()) return;
-  metrics_published_ = true;
-  obs::counter("vcd.recordings").inc();
-  obs::counter("vcd.recorded_changes").add(recorded_changes_);
-}
 
 bool Recorder::record(std::uint64_t cycle, int index,
                       const sim::SignalBase& sig) {
@@ -45,7 +35,7 @@ void Recorder::sample(std::uint64_t cycle,
     trace_.vars_.reserve(signals.size());
     for (std::size_t i = 0; i < signals.size(); ++i) {
       trace_.vars_.push_back({signals[i]->name(), signals[i]->width(),
-                              Writer::id_code(static_cast<int>(i))});
+                              id_code(static_cast<int>(i))});
     }
     trace_.finish_vars();
     // Initial snapshot: every signal, regardless of the changed-set (the
@@ -62,7 +52,10 @@ void Recorder::sample(std::uint64_t cycle,
 }
 
 Trace Recorder::take() {
-  publish_metrics();
+  if (declared_ && obs::metrics_enabled()) {
+    obs::counter("vcd.recordings").inc();
+    obs::counter("vcd.recorded_changes").add(recorded_changes_);
+  }
   return std::move(trace_);
 }
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
+#include "vcd/excerpt.h"
 #include "verif/wrapper.h"
 
 namespace crve::verif {
@@ -312,13 +313,21 @@ Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
     ctx_.attach_tracer(toggle_.get());
   }
   if (!opts_.vcd_path.empty()) {
-    vcd_ = std::make_unique<vcd::Writer>(opts_.vcd_path);
-    ctx_.attach_tracer(vcd_.get());
-  } else if (opts_.vcd_stream != nullptr) {
-    vcd_ = std::make_unique<vcd::Writer>(*opts_.vcd_stream);
-    ctx_.attach_tracer(vcd_.get());
+    // Opened now so a bad path fails before the run, not after it.
+    wave_file_.open(opts_.vcd_path);
+    if (!wave_file_) {
+      throw std::runtime_error("vcd: cannot open " + opts_.vcd_path);
+    }
+    wave_os_ = &wave_file_;
+  } else {
+    wave_os_ = opts_.vcd_stream;
   }
-  if (opts_.recorder != nullptr) ctx_.attach_tracer(opts_.recorder);
+  recorder_ = opts_.recorder;
+  if (wave_os_ != nullptr && recorder_ == nullptr) {
+    wave_recorder_ = std::make_unique<vcd::Recorder>();
+    recorder_ = wave_recorder_.get();
+  }
+  if (recorder_ != nullptr) ctx_.attach_tracer(recorder_);
 }
 
 Testbench::~Testbench() = default;
@@ -349,7 +358,12 @@ RunResult Testbench::run() {
   for (auto& c : checkers_) c->end_of_test();
   if (scoreboard_) scoreboard_->end_of_test();
   if (reference_) reference_->end_of_test();
-  if (vcd_) vcd_->finish();
+  if (wave_os_ != nullptr) {
+    // The wave is the recording, written as VCD text once.
+    vcd::write_wave(recorder_->trace(), *wave_os_);
+    vcd::check_written(*wave_os_, opts_.vcd_path.empty() ? "the VCD stream"
+                                                         : opts_.vcd_path);
+  }
 
   res.cycles = ctx_.cycle();
   res.evaluations = ctx_.evaluations();

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -25,7 +26,6 @@
 #include "stbus/config.h"
 #include "stbus/pins.h"
 #include "vcd/recorder.h"
-#include "vcd/writer.h"
 #include "verif/bfm_initiator.h"
 #include "verif/bfm_target.h"
 #include "verif/coverage.h"
@@ -73,7 +73,8 @@ struct TestbenchOptions {
   std::string vcd_path;      // non-empty: dump all signals to this file
   std::ostream* vcd_stream = nullptr;  // alternative in-memory dump target
   // In-process trace of all signals (not owned): what alignment reads
-  // without a VCD round trip. Independent of the two dump targets above.
+  // without a VCD round trip. A dump target above is written from this
+  // recording when one is set, else from a recorder of the Testbench's own.
   vcd::Recorder* recorder = nullptr;
   bool enable_checkers = true;
   bool enable_scoreboard = true;
@@ -203,7 +204,12 @@ class Testbench {
   std::vector<std::unique_ptr<MonitorListener>> cov_taps_;
   std::unique_ptr<obs::TxnTracer> txn_tracer_;
   std::vector<std::unique_ptr<MonitorListener>> txn_taps_;
-  std::unique_ptr<vcd::Writer> vcd_;
+  // The attached recorder: opts.recorder, or wave_recorder_ when only a
+  // dump target (wave_os_: wave_file_ or opts.vcd_stream) needs one.
+  vcd::Recorder* recorder_ = nullptr;
+  std::unique_ptr<vcd::Recorder> wave_recorder_;
+  std::ostream* wave_os_ = nullptr;
+  std::ofstream wave_file_;
 };
 
 }  // namespace crve::verif

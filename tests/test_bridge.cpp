@@ -4,6 +4,7 @@
 
 #include "bca/bridge.h"
 #include "common/rng.h"
+#include "param_label.h"
 #include "rtl/register_decoder.h"
 #include "rtl/size_converter.h"
 #include "rtl/type_converter.h"
@@ -159,6 +160,12 @@ struct ConvParam {
   int dn_bytes;
   ProtocolType dn_type;
 };
+
+void PrintTo(const ConvParam& p, std::ostream* os) {
+  test::print_zero_padded(p, os, &ConvParam::impl, &ConvParam::up_bytes,
+                          &ConvParam::up_type, &ConvParam::dn_bytes,
+                          &ConvParam::dn_type);
+}
 
 class ConverterRig : public ::testing::TestWithParam<ConvParam> {
  protected:

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "bca/bridge.h"
@@ -17,7 +16,7 @@
 #include "rtl/size_converter.h"
 #include "rtl/type_converter.h"
 #include "stba/analyzer.h"
-#include "vcd/writer.h"
+#include "vcd/recorder.h"
 #include "verif/bfm_initiator.h"
 #include "verif/bfm_target.h"
 #include "verif/protocol_checker.h"
@@ -43,18 +42,17 @@ struct Hierarchy {
   std::unique_ptr<rtl::SizeConverter> rtl_conv;
   std::unique_ptr<rtl::TypeConverter> rtl_bridge;
   std::unique_ptr<bca::Bridge> bca_conv, bca_bridge;
-  std::unique_ptr<vcd::Writer> vcd;
+  vcd::Recorder recorder;  // what STBA aligns
 
   PortPins& pin(int i) { return *pins[static_cast<std::size_t>(i)]; }
 };
 
-// Pin indices in creation order (stable across views -> comparable VCDs).
+// Pin indices in creation order (stable across views -> comparable traces).
 enum {
   kI0, kI1, kI2, kI3 /*64-bit*/, kI3Dn, kT1, kT2, kBUp, kBDn, kT3, kT4
 };
 
-std::unique_ptr<Hierarchy> build(View view, std::ostream* wave,
-                                 bca::Faults faults = {}) {
+std::unique_ptr<Hierarchy> build(View view, bca::Faults faults = {}) {
   auto h = std::make_unique<Hierarchy>();
   auto& ctx = h->ctx;
 
@@ -148,10 +146,7 @@ std::unique_ptr<Hierarchy> build(View view, std::ostream* wave,
         ProtocolType::kType2, verif::ProtocolChecker::Role::kInitiatorPort,
         i));
   }
-  if (wave != nullptr) {
-    h->vcd = std::make_unique<vcd::Writer>(*wave);
-    ctx.attach_tracer(h->vcd.get());
-  }
+  ctx.attach_tracer(&h->recorder);
   return h;
 }
 
@@ -180,32 +175,28 @@ std::vector<std::string> external_ports() {
 }
 
 TEST(Hierarchy, BothViewsCleanAndFullyAligned) {
-  std::ostringstream wave_rtl, wave_bca;
-  auto rtl = build(View::kRtl, &wave_rtl);
-  auto bca = build(View::kBca, &wave_bca);
+  auto rtl = build(View::kRtl);
+  auto bca = build(View::kBca);
   EXPECT_EQ(run(*rtl), 0u);
   EXPECT_EQ(run(*bca), 0u);
   EXPECT_EQ(rtl->ctx.cycle(), bca->ctx.cycle());
 
-  std::istringstream a(wave_rtl.str()), b(wave_bca.str());
-  const vcd::Trace ta = vcd::Trace::parse(a);
-  const vcd::Trace tb = vcd::Trace::parse(b);
+  const vcd::Trace ta = rtl->recorder.take();
+  const vcd::Trace tb = bca->recorder.take();
   const auto rep = stba::Analyzer::compare(ta, tb, external_ports());
   EXPECT_TRUE(rep.signed_off(0.999999)) << rep.summary();
 }
 
 TEST(Hierarchy, ConverterEndiannessBugLocalisedToWideInitiator) {
-  std::ostringstream wave_rtl, wave_bca;
   bca::Faults faults;
   faults.size_conv_endianness = true;  // lives in the BCA size converter
-  auto rtl = build(View::kRtl, &wave_rtl);
-  auto bca = build(View::kBca, &wave_bca, faults);
+  auto rtl = build(View::kRtl);
+  auto bca = build(View::kBca, faults);
   EXPECT_EQ(run(*rtl), 0u);
   run(*bca);  // checkers at init3 may or may not fire; data diverges anyway
 
-  std::istringstream a(wave_rtl.str()), b(wave_bca.str());
-  const vcd::Trace ta = vcd::Trace::parse(a);
-  const vcd::Trace tb = vcd::Trace::parse(b);
+  const vcd::Trace ta = rtl->recorder.take();
+  const vcd::Trace tb = bca->recorder.take();
   const auto rep = stba::Analyzer::compare(ta, tb, external_ports());
   EXPECT_FALSE(rep.signed_off()) << rep.summary();
   // The divergence must hit the size-converted initiator port.

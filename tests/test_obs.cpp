@@ -414,6 +414,47 @@ TEST(ObsRegression, StableMetricsIdenticalForAnyWorkerCount) {
   EXPECT_GT(counter_value(snap, "verif.request_packets"), 0u);
 }
 
+// An on-disk campaign writes each view run's wave once, from its recording:
+// vcd.dumps counts the view runs and vcd.bytes_flushed the bytes of their
+// wave files, while vcd.recordings counts only the recordings alignment
+// takes, so a recording that only feeds a wave file publishes nothing.
+TEST(ObsRegression, OnDiskWavesCountedOncePerViewRun) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "crve_obs_wave_test";
+  for (const bool align : {true, false}) {
+    SCOPED_TRACE(align ? "alignment on" : "alignment off");
+    fs::remove_all(dir);
+    MetricsGuard guard;
+    regress::RunPlan plan = obs_plan(2);
+    plan.out_dir = dir.string();
+    plan.run_alignment = align;
+    const auto res = regress::Regression::run(plan);
+    ASSERT_TRUE(res.rtl_passed && res.bca_passed) << res.summary();
+
+    std::uint64_t wave_bytes = 0;
+    std::size_t waves = 0;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      const std::string name = entry.path().filename().string();
+      const auto ends_with = [&](const std::string& tail) {
+        return name.size() > tail.size() &&
+               name.compare(name.size() - tail.size(), tail.size(), tail) == 0;
+      };
+      if (name.rfind("excerpt_", 0) == 0) continue;
+      if (ends_with("_rtl.vcd") || ends_with("_bca.vcd")) {
+        ++waves;
+        wave_bytes += fs::file_size(entry.path());
+      }
+    }
+    const auto snap = obs::registry().snapshot();
+    EXPECT_EQ(waves, res.outcomes.size());
+    EXPECT_EQ(counter_value(snap, "vcd.dumps"), res.outcomes.size());
+    EXPECT_EQ(counter_value(snap, "vcd.bytes_flushed"), wave_bytes);
+    EXPECT_EQ(counter_value(snap, "vcd.recordings"),
+              align ? res.outcomes.size() : 0u);
+  }
+  fs::remove_all(dir);
+}
+
 TEST(ObsRegression, ReportOmitsMetricsSectionWhenDisabled) {
   ASSERT_FALSE(obs::metrics_enabled());
   const auto res = regress::Regression::run(obs_plan(2));

@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "param_label.h"
 #include "regress/runner.h"
 #include "verif/tests.h"
 
@@ -21,6 +22,12 @@ struct SweepParam {
   int n_init;
   int n_targ;
 };
+
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  test::print_zero_padded(p, os, &SweepParam::type, &SweepParam::arch,
+                          &SweepParam::arb, &SweepParam::bus_bytes,
+                          &SweepParam::n_init, &SweepParam::n_targ);
+}
 
 std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   const auto& p = info.param;

@@ -1,6 +1,7 @@
 // Unit tests for the protocol layer: opcodes, configuration, packets.
 #include <gtest/gtest.h>
 
+#include "param_label.h"
 #include "stbus/config.h"
 #include "stbus/opcode.h"
 #include "stbus/packet.h"
@@ -262,6 +263,11 @@ struct PacketParam {
   int bus;
   ProtocolType type;
 };
+
+void PrintTo(const PacketParam& p, std::ostream* os) {
+  test::print_zero_padded(p, os, &PacketParam::opc, &PacketParam::bus,
+                          &PacketParam::type);
+}
 
 class PacketSweep : public ::testing::TestWithParam<PacketParam> {};
 

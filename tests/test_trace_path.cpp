@@ -16,9 +16,9 @@
 #include "regress/runner.h"
 #include "sim/context.h"
 #include "stba/analyzer.h"
+#include "vcd/excerpt.h"
 #include "vcd/parser.h"
 #include "vcd/recorder.h"
-#include "vcd/writer.h"
 #include "verif/testbench.h"
 #include "verif/tests.h"
 
@@ -30,7 +30,8 @@ namespace {
 // ---------------------------------------------------------------------------
 
 // Per-cycle full-scan VCD writer: materializes vcd_value() for every signal
-// every cycle and diffs strings. This is what vcd::Writer used to be.
+// every cycle and diffs strings. Every wave vcd::write_wave emits from a
+// recording must equal its bytes.
 class ReferenceWriter : public sim::Tracer {
  public:
   explicit ReferenceWriter(std::ostream& os) : os_(os) {}
@@ -81,7 +82,7 @@ class ReferenceWriter : public sim::Tracer {
         open.push_back(scopes[j]);
       }
       os_ << "$var wire " << signals[i]->width() << " "
-          << vcd::Writer::id_code(static_cast<int>(i)) << " " << leaf
+          << vcd::id_code(static_cast<int>(i)) << " " << leaf
           << " $end\n";
     }
     for (std::size_t j = open.size(); j > 0; --j) os_ << "$upscope $end\n";
@@ -91,12 +92,12 @@ class ReferenceWriter : public sim::Tracer {
 
   void emit(int index, const std::string& value) {
     if (value.size() == 1) {
-      os_ << value << vcd::Writer::id_code(index) << "\n";
+      os_ << value << vcd::id_code(index) << "\n";
     } else {
       std::size_t first = value.find('1');
       const std::string trimmed =
           first == std::string::npos ? "0" : value.substr(first);
-      os_ << "b" << trimmed << " " << vcd::Writer::id_code(index) << "\n";
+      os_ << "b" << trimmed << " " << vcd::id_code(index) << "\n";
     }
   }
 
@@ -235,10 +236,10 @@ TEST(TracePathGolden, WriterMatchesFullScanReference) {
   sim::SignalBits data(ctx, "tb.p0.data", 64);
   sim::SignalU64 quiet(ctx, "tb.p0.quiet", 8);
   sim::SignalBool comb_out(ctx, "tb.comb.out");
-  std::ostringstream fast_os, ref_os;
-  vcd::Writer fast(fast_os);
+  std::ostringstream wave_os, ref_os;
+  vcd::Recorder rec;
   ReferenceWriter ref(ref_os);
-  ctx.attach_tracer(&fast);
+  ctx.attach_tracer(&rec);
   ctx.attach_tracer(&ref);
   ctx.add_clocked("drv", [&] {
     const auto c = ctx.cycle();
@@ -251,18 +252,28 @@ TEST(TracePathGolden, WriterMatchesFullScanReference) {
   // produce the same bytes as the full scan.
   ctx.add_comb("mirror", [&] { comb_out.write(req.read()); });
   ctx.step(200);
-  fast.finish();
-  EXPECT_EQ(fast_os.str(), ref_os.str());
+  const std::uint64_t bytes = vcd::write_wave(rec.trace(), wave_os);
+  EXPECT_EQ(wave_os.str(), ref_os.str());
+  EXPECT_EQ(bytes, wave_os.str().size());
 }
 
 TEST(TracePathGolden, WriterMatchesReferenceOnRealTestbench) {
-  std::string rtl_fast, bca_fast;
-  dump_views(small_cfg(), verif::t02_random_all_opcodes(), 40, {}, rtl_fast,
-             bca_fast);
-  // Same run, reference writer attached via a second testbench pass with a
-  // fresh seed-deterministic context: instead, round-trip check — the dump
-  // parses and re-aligns 100% against itself.
-  const auto t = parse(rtl_fast);
+  // No recorder in the options: the Testbench records the wave itself.
+  std::ostringstream wave_os, ref_os;
+  ReferenceWriter ref(ref_os);
+  {
+    verif::TestbenchOptions opts;
+    opts.seed = 21;
+    opts.vcd_stream = &wave_os;
+    verif::TestSpec spec = verif::t02_random_all_opcodes();
+    spec.n_transactions = 40;
+    verif::Testbench tb(small_cfg(), spec, opts);
+    tb.ctx().attach_tracer(&ref);
+    tb.run();
+  }
+  EXPECT_EQ(wave_os.str(), ref_os.str());
+  // The dump parses and re-aligns 100% against itself.
+  const auto t = parse(wave_os.str());
   EXPECT_GT(t.vars().size(), 0u);
   const auto rep = stba::Analyzer::compare(t, t, {"tb.init0", "tb.targ0"});
   for (const auto& p : rep.ports) {
@@ -337,17 +348,33 @@ std::vector<stbus::NodeConfig> shipped_configs() {
   return regress::configs_from_dir(CRVE_SOURCE_DIR "/configs");
 }
 
-// One view run with both sinks attached: the recorder's trace and the
-// parsed writer output of the very same simulation.
+// One view run's recording.
+vcd::Trace record_view(const stbus::NodeConfig& cfg,
+                       const verif::TestSpec& spec, verif::ModelKind model,
+                       const bca::Faults& faults) {
+  vcd::Recorder rec;
+  verif::TestbenchOptions opts;
+  opts.model = model;
+  opts.seed = 21;
+  opts.faults = faults;
+  opts.recorder = &rec;
+  verif::Testbench(cfg, spec, opts).run();
+  return rec.take();
+}
+
+// One view run recorded and written as a wave by the Testbench, with the
+// full-scan reference writer attached to the very same simulation.
 struct BothSinks {
   vcd::Trace recorded;
-  vcd::Trace parsed;
+  std::string wave;       // what the Testbench wrote from the recording
+  std::string reference;  // what ReferenceWriter wrote
 };
 
 BothSinks run_both_sinks(const stbus::NodeConfig& cfg,
                          const verif::TestSpec& spec, verif::ModelKind model,
                          sim::KernelKind kernel, const bca::Faults& faults) {
-  std::ostringstream os;
+  std::ostringstream wave_os, ref_os;
+  ReferenceWriter ref(ref_os);
   vcd::Recorder rec;
   {
     verif::TestbenchOptions opts;
@@ -355,12 +382,13 @@ BothSinks run_both_sinks(const stbus::NodeConfig& cfg,
     opts.kernel = kernel;
     opts.seed = 21;
     opts.faults = faults;
-    opts.vcd_stream = &os;
+    opts.vcd_stream = &wave_os;
     opts.recorder = &rec;
     verif::Testbench tb(cfg, spec, opts);
+    tb.ctx().attach_tracer(&ref);
     tb.run();
   }
-  return {rec.take(), parse(os.str())};
+  return {rec.take(), wave_os.str(), ref_os.str()};
 }
 
 TEST(RecorderGolden, EqualsParsedWriterOutputOnShippedConfigs) {
@@ -379,20 +407,24 @@ TEST(RecorderGolden, EqualsParsedWriterOutputOnShippedConfigs) {
                                     (kernel == sim::KernelKind::kInterp
                                          ? "/interp"
                                          : "/compiled");
-          // Field by field first, for a readable failure, then the whole.
-          ASSERT_EQ(t.recorded.vars(), t.parsed.vars()) << where;
-          EXPECT_EQ(t.recorded.max_time(), t.parsed.max_time()) << where;
-          for (std::size_t v = 0; v < t.parsed.vars().size(); ++v) {
+          // The wave written from the recording is the reference's bytes.
+          EXPECT_EQ(t.wave, t.reference) << where;
+          // And the recording is what parsing those bytes gives: field by
+          // field first, for a readable failure, then the whole.
+          const vcd::Trace parsed = parse(t.reference);
+          ASSERT_EQ(t.recorded.vars(), parsed.vars()) << where;
+          EXPECT_EQ(t.recorded.max_time(), parsed.max_time()) << where;
+          for (std::size_t v = 0; v < parsed.vars().size(); ++v) {
             const auto a = t.recorded.changes(static_cast<int>(v));
-            const auto b = t.parsed.changes(static_cast<int>(v));
+            const auto b = parsed.changes(static_cast<int>(v));
             ASSERT_EQ(a.size(), b.size())
-                << where << " " << t.parsed.vars()[v].name;
+                << where << " " << parsed.vars()[v].name;
             for (std::size_t k = 0; k < a.size(); ++k) {
               ASSERT_EQ(a[k].time, b[k].time) << where;
               ASSERT_EQ(a[k].value, b[k].value) << where;
             }
           }
-          EXPECT_TRUE(t.recorded == t.parsed) << where;
+          EXPECT_TRUE(t.recorded == parsed) << where;
           ++runs;
         }
       }
@@ -409,9 +441,9 @@ TEST(RecorderGolden, RecordsOnlyValueChangesAndIds) {
   sim::SignalU64 quiet(ctx, "tb.p0.quiet", 8);
   sim::SignalBool comb_out(ctx, "tb.comb.out");
   std::ostringstream os;
-  vcd::Writer writer(os);
+  ReferenceWriter ref(os);
   vcd::Recorder rec;
-  ctx.attach_tracer(&writer);
+  ctx.attach_tracer(&ref);
   ctx.attach_tracer(&rec);
   ctx.add_clocked("drv", [&] {
     const auto c = ctx.cycle();
@@ -422,10 +454,12 @@ TEST(RecorderGolden, RecordsOnlyValueChangesAndIds) {
   });
   ctx.add_comb("mirror", [&] { comb_out.write(req.read()); });
   ctx.step(200);
-  writer.finish();
+  std::ostringstream wave;
+  vcd::write_wave(rec.trace(), wave);
+  EXPECT_EQ(wave.str(), os.str());
   const vcd::Trace recorded = rec.take();
   EXPECT_TRUE(recorded == parse(os.str()));
-  EXPECT_EQ(recorded.vars()[3].id, vcd::Writer::id_code(3));
+  EXPECT_EQ(recorded.vars()[3].id, vcd::id_code(3));
   // The quiet signal holds its initial snapshot only.
   EXPECT_EQ(recorded.changes(3).size(), 1u);
   // max_time is the last cycle that changed something, not the last cycle
@@ -451,12 +485,10 @@ TEST(StreamingCellDiff, MatchesExtractCountsUnderEachC3Fault) {
     ASSERT_TRUE(regress::set_fault_by_name(faults, name));
     for (auto spec : verif::catg_test_suite()) {
       spec.n_transactions = 40;
-      const vcd::Trace a = run_both_sinks(cfg, spec, verif::ModelKind::kRtl,
-                                          sim::KernelKind::kCompiled, {})
-                               .recorded;
-      const vcd::Trace b = run_both_sinks(cfg, spec, verif::ModelKind::kBca,
-                                          sim::KernelKind::kCompiled, faults)
-                               .recorded;
+      const vcd::Trace a =
+          record_view(cfg, spec, verif::ModelKind::kRtl, {});
+      const vcd::Trace b =
+          record_view(cfg, spec, verif::ModelKind::kBca, faults);
       std::vector<std::string> ports;
       for (int i = 0; i < cfg.n_initiators; ++i) {
         ports.push_back(verif::Testbench::initiator_port_name(i));

@@ -1,20 +1,36 @@
-// Unit tests for the VCD writer/parser pair.
+// Unit tests for the VCD text writer (excerpt.h) and parser pair.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/context.h"
+#include "vcd/excerpt.h"
 #include "vcd/parser.h"
-#include "vcd/writer.h"
+#include "vcd/recorder.h"
+#include "verif/testbench.h"
+#include "verif/tests.h"
 
 namespace crve::vcd {
 namespace {
 
+// Steps `ctx` `cycles` times under a recorder and returns the recorded run
+// as a full VCD wave.
+std::string record_wave(sim::Context& ctx, int cycles) {
+  Recorder rec;
+  ctx.attach_tracer(&rec);
+  ctx.step(cycles);
+  std::ostringstream os;
+  write_wave(rec.trace(), os);
+  return os.str();
+}
+
 TEST(VcdWriter, IdCodes) {
-  EXPECT_EQ(Writer::id_code(0), "!");
-  EXPECT_EQ(Writer::id_code(93), "~");
-  EXPECT_EQ(Writer::id_code(94), "!\"");
-  EXPECT_NE(Writer::id_code(94 * 94), Writer::id_code(94));
+  EXPECT_EQ(id_code(0), "!");
+  EXPECT_EQ(id_code(93), "~");
+  EXPECT_EQ(id_code(94), "!\"");
+  EXPECT_NE(id_code(94 * 94), id_code(94));
 }
 
 TEST(VcdRoundTrip, SignalsRecoverable) {
@@ -22,19 +38,13 @@ TEST(VcdRoundTrip, SignalsRecoverable) {
   sim::SignalBool req(ctx, "tb.p0.req");
   sim::SignalU64 add(ctx, "tb.p0.add", 16);
   sim::SignalBits data(ctx, "tb.p0.data", 32);
-  std::ostringstream os;
-  {
-    Writer w(os);
-    ctx.attach_tracer(&w);
-    ctx.add_clocked("drv", [&] {
-      const auto c = ctx.cycle();
-      req.write(c % 2 == 1);
-      add.write(c * 0x111);
-      data.write(crve::Bits(32, 0xa0000000u + c));
-    });
-    ctx.step(5);
-  }
-  std::istringstream is(os.str());
+  ctx.add_clocked("drv", [&] {
+    const auto c = ctx.cycle();
+    req.write(c % 2 == 1);
+    add.write(c * 0x111);
+    data.write(crve::Bits(32, 0xa0000000u + c));
+  });
+  std::istringstream is(record_wave(ctx, 5));
   const Trace t = Trace::parse(is);
   ASSERT_EQ(t.vars().size(), 3u);
   const int vreq = *t.find("tb.p0.req");
@@ -52,16 +62,10 @@ TEST(VcdRoundTrip, SignalsRecoverable) {
 TEST(VcdRoundTrip, HoldsLastValueBetweenChanges) {
   sim::Context ctx;
   sim::SignalU64 v(ctx, "tb.v", 8);
-  std::ostringstream os;
-  {
-    Writer w(os);
-    ctx.attach_tracer(&w);
-    ctx.add_clocked("drv", [&] {
-      if (ctx.cycle() == 2) v.write(7);  // single change at cycle 2
-    });
-    ctx.step(6);
-  }
-  std::istringstream is(os.str());
+  ctx.add_clocked("drv", [&] {
+    if (ctx.cycle() == 2) v.write(7);  // single change at cycle 2
+  });
+  std::istringstream is(record_wave(ctx, 6));
   const Trace t = Trace::parse(is);
   const int vi = *t.find("tb.v");
   EXPECT_EQ(t.value_at(vi, 0), "00000000");
@@ -209,16 +213,44 @@ TEST(VcdParserHostile, TimeGoingBackwards) {
 TEST(VcdWriter, EmitsOnlyChanges) {
   sim::Context ctx;
   sim::SignalBool s(ctx, "tb.s");
-  std::ostringstream os;
-  {
-    Writer w(os);
-    ctx.attach_tracer(&w);
-    ctx.step(10);  // signal never changes after init
-  }
-  const std::string text = os.str();
+  // The signal never changes after init.
+  const std::string text = record_wave(ctx, 10);
   // One time marker (cycle 0 initial dump) and no further change lines.
   EXPECT_NE(text.find("#0"), std::string::npos);
   EXPECT_EQ(text.find("#5"), std::string::npos);
+}
+
+// A failed write (here: a full device) ends in a diagnostic naming the
+// path, for the full wave a Testbench writes and for an excerpt, instead of
+// a silently truncated file.
+TEST(VcdWriter, FullDeviceIsDiagnosed) {
+  const std::string full = "/dev/full";
+  if (!std::filesystem::exists(full)) GTEST_SKIP() << full << " is absent";
+  auto expect_names_path = [&](const auto& write) {
+    try {
+      write();
+      ADD_FAILURE() << "no diagnostic for " << full;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("vcd: cannot write " + full),
+                std::string::npos)
+          << e.what();
+    }
+  };
+
+  stbus::NodeConfig cfg;
+  verif::TestSpec spec = verif::t02_random_all_opcodes();
+  spec.n_transactions = 5;
+  verif::TestbenchOptions opts;
+  opts.vcd_path = full;
+  Recorder rec;
+  opts.recorder = &rec;
+  verif::Testbench tb(cfg, spec, opts);
+  expect_names_path([&] { tb.run(); });
+
+  const Trace trace = rec.take();
+  ASSERT_GT(trace.max_time(), 0u);
+  expect_names_path(
+      [&] { write_excerpt_file(trace, 0, trace.max_time(), full); });
 }
 
 }  // namespace
