@@ -46,7 +46,6 @@ stbus::NodeConfig make_cfg(int n_init, int n_targ, int bus_bytes) {
 }
 
 void run_model(benchmark::State& state, verif::ModelKind model,
-               bool memoize = true,
                sim::KernelKind kernel = sim::KernelKind::kCompiled,
                bool sparse = false) {
   const int n_init = static_cast<int>(state.range(0));
@@ -88,7 +87,6 @@ void run_model(benchmark::State& state, verif::ModelKind model,
     opts.enable_coverage = false;
     opts.enable_monitors = false;
     opts.enable_reference_model = false;
-    opts.bca_memoization = memoize;
     verif::Testbench tb(make_cfg(n_init, n_targ, bus), spec, opts);
     state.ResumeTiming();
 
@@ -118,11 +116,6 @@ void BM_Bca(benchmark::State& state) {
 void BM_BcaWrapped(benchmark::State& state) {
   run_model(state, verif::ModelKind::kBcaWrapped);
 }
-// Ablation: the BCA view with its sensitivity-list memoization disabled —
-// quantifies how much of the BCA advantage that single design choice buys.
-void BM_BcaNoMemo(benchmark::State& state) {
-  run_model(state, verif::ModelKind::kBca, /*memoize=*/false);
-}
 // Observability guard: the same BCA runs with metrics collection enabled.
 // The kernel keeps its counters as plain members and publishes once per
 // run, so the gap to BM_Bca should be noise (<2%); a larger gap means
@@ -141,8 +134,7 @@ void BM_BcaMetricsEnabled(benchmark::State& state) {
 // process skipping dominates. The compiled/interp ratio on the *Sparse
 // pairs is the headline speedup tracked in EXPERIMENTS.md.
 void BM_RtlInterp(benchmark::State& state) {
-  run_model(state, verif::ModelKind::kRtl, /*memoize=*/true,
-            sim::KernelKind::kInterp);
+  run_model(state, verif::ModelKind::kRtl, sim::KernelKind::kInterp);
 }
 // Node-level sparse harness: the RTL node with RegisterDecoder targets,
 // driven by a minimal directed FSM per initiator that issues one 4-byte
@@ -263,12 +255,12 @@ void BM_RtlSparseInterp(benchmark::State& state) {
   run_rtl_node_sparse(state, sim::KernelKind::kInterp);
 }
 void BM_BcaWrappedSparse(benchmark::State& state) {
-  run_model(state, verif::ModelKind::kBcaWrapped, /*memoize=*/true,
-            sim::KernelKind::kCompiled, /*sparse=*/true);
+  run_model(state, verif::ModelKind::kBcaWrapped, sim::KernelKind::kCompiled,
+            /*sparse=*/true);
 }
 void BM_BcaWrappedSparseInterp(benchmark::State& state) {
-  run_model(state, verif::ModelKind::kBcaWrapped, /*memoize=*/true,
-            sim::KernelKind::kInterp, /*sparse=*/true);
+  run_model(state, verif::ModelKind::kBcaWrapped, sim::KernelKind::kInterp,
+            /*sparse=*/true);
 }
 
 void shapes(benchmark::internal::Benchmark* b) {
@@ -289,7 +281,6 @@ void rtl_sparse_shapes(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK(BM_Bca)->Apply(shapes);
-BENCHMARK(BM_BcaNoMemo)->Apply(shapes);
 BENCHMARK(BM_BcaMetricsEnabled)->Apply(shapes);
 BENCHMARK(BM_Rtl)->Apply(shapes);
 BENCHMARK(BM_RtlInterp)->Apply(shapes);

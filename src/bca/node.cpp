@@ -32,26 +32,30 @@ ArbState::ArbState(const stbus::NodeConfig& cfg)
 
 int ArbState::choose(std::uint32_t eligible) const {
   if (eligible == 0) return -1;
-  std::vector<int> cand;
-  for (int i = 0; i < n_; ++i) {
-    if ((eligible >> i) & 1u) cand.push_back(i);
-  }
-  auto rr_distance = [this](int i) { return (i - next_ptr_ + n_) % n_; };
+  // First set bit of `mask` at or after the scan pointer, cyclically.
+  auto scan_from_ptr = [this](std::uint32_t mask) {
+    for (int k = 0; k < n_; ++k) {
+      const int i = (next_ptr_ + k) % n_;
+      if ((mask >> i) & 1u) return i;
+    }
+    return -1;
+  };
   switch (policy_) {
     case stbus::ArbPolicy::kFixedPriority:
     case stbus::ArbPolicy::kProgrammable: {
-      std::stable_sort(cand.begin(), cand.end(), [this](int a, int b) {
-        return prio_[static_cast<std::size_t>(a)] >
-               prio_[static_cast<std::size_t>(b)];
-      });
-      return cand.front();
+      // Highest priority; ties go to the lowest index.
+      int best = -1;
+      for (int i = 0; i < n_; ++i) {
+        if (((eligible >> i) & 1u) &&
+            (best < 0 || prio_[static_cast<std::size_t>(i)] >
+                             prio_[static_cast<std::size_t>(best)])) {
+          best = i;
+        }
+      }
+      return best;
     }
-    case stbus::ArbPolicy::kRoundRobin: {
-      return *std::min_element(cand.begin(), cand.end(),
-                               [&](int a, int b) {
-                                 return rr_distance(a) < rr_distance(b);
-                               });
-    }
+    case stbus::ArbPolicy::kRoundRobin:
+      return scan_from_ptr(eligible);
     case stbus::ArbPolicy::kLru: {
       for (int i : lru_order_) {
         if ((eligible >> i) & 1u) return i;
@@ -59,13 +63,14 @@ int ArbState::choose(std::uint32_t eligible) const {
       return -1;
     }
     case stbus::ArbPolicy::kLatencyBased: {
-      int best = cand.front();
-      long best_u = static_cast<long>(waited_[static_cast<std::size_t>(best)]) -
-                    deadline_[static_cast<std::size_t>(best)];
-      for (int i : cand) {
+      // Most urgent (waited past deadline); ties go to the lowest index.
+      int best = -1;
+      long best_u = 0;
+      for (int i = 0; i < n_; ++i) {
+        if (!((eligible >> i) & 1u)) continue;
         const long u = static_cast<long>(waited_[static_cast<std::size_t>(i)]) -
                        deadline_[static_cast<std::size_t>(i)];
-        if (u > best_u) {
+        if (best < 0 || u > best_u) {
           best = i;
           best_u = u;
         }
@@ -73,18 +78,16 @@ int ArbState::choose(std::uint32_t eligible) const {
       return best;
     }
     case stbus::ArbPolicy::kBandwidthLimited: {
-      std::vector<int> pool;
-      for (int i : cand) {
-        if (quota_[static_cast<std::size_t>(i)] == 0 ||
-            tokens_[static_cast<std::size_t>(i)] > 0) {
-          pool.push_back(i);
+      std::uint32_t pool = 0;
+      for (int i = 0; i < n_; ++i) {
+        if (((eligible >> i) & 1u) &&
+            (quota_[static_cast<std::size_t>(i)] == 0 ||
+             tokens_[static_cast<std::size_t>(i)] > 0)) {
+          pool |= 1u << i;
         }
       }
-      if (pool.empty()) pool = cand;  // work-conserving fallback
-      return *std::min_element(pool.begin(), pool.end(),
-                               [&](int a, int b) {
-                                 return rr_distance(a) < rr_distance(b);
-                               });
+      // Work-conserving fallback: everyone out of tokens competes anyway.
+      return scan_from_ptr(pool != 0 ? pool : eligible);
     }
   }
   return -1;
@@ -104,8 +107,10 @@ void ArbState::update(std::uint64_t next_cycle, int granted,
   if (granted >= 0) {
     const bool skip_lru = faults.lru_stale_on_chunk && holds_allocation;
     if (!skip_lru) {
-      lru_order_.remove(granted);
-      lru_order_.push_back(granted);
+      // Relink the granted entry at the back: no node is freed or allocated.
+      lru_order_.splice(lru_order_.end(), lru_order_,
+                        std::find(lru_order_.begin(), lru_order_.end(),
+                                  granted));
     }
     next_ptr_ = (granted + 1) % n_;
     auto& t = tokens_[static_cast<std::size_t>(granted)];
@@ -130,14 +135,12 @@ bool ArbState::quiescent() const {
 Node::Node(sim::Context& ctx, stbus::NodeConfig cfg,
            std::vector<PortPins*> initiator_ports,
            std::vector<PortPins*> target_ports, PortPins* prog_port,
-           Faults faults, bool memoize)
-    : ctx_(ctx),
-      cfg_(std::move(cfg)),
+           Faults faults)
+    : cfg_(std::move(cfg)),
       iports_(std::move(initiator_ports)),
       tports_(std::move(target_ports)),
       prog_(prog_port),
-      faults_(faults),
-      memoize_(memoize) {
+      faults_(faults) {
   cfg_.validate_and_normalize();
   if (static_cast<int>(iports_.size()) != cfg_.n_initiators ||
       static_cast<int>(tports_.size()) != cfg_.n_targets) {
@@ -154,6 +157,12 @@ Node::Node(sim::Context& ctx, stbus::NodeConfig cfg,
   rsp_allocation_.assign(static_cast<std::size_t>(cfg_.n_initiators), -1);
   rsp_next_.assign(static_cast<std::size_t>(cfg_.n_initiators), 0);
   err_pending_.resize(static_cast<std::size_t>(cfg_.n_initiators));
+  out_.req_winner.resize(static_cast<std::size_t>(nres));
+  out_.req_mask.resize(static_cast<std::size_t>(nres));
+  out_.ready.resize(static_cast<std::size_t>(nres));
+  out_.rsp_pick.resize(static_cast<std::size_t>(cfg_.n_initiators));
+  out_.offer_to.resize(static_cast<std::size_t>(cfg_.n_targets));
+  landings_.reserve(static_cast<std::size_t>(cfg_.n_initiators));
 
   // Design-lint declaration for the tick process: payload pins are sampled
   // only for ports with traffic in flight; all pin writes go through
@@ -208,12 +217,6 @@ Node::Node(sim::Context& ctx, stbus::NodeConfig cfg,
 }
 
 bool Node::idle_cycle() const {
-  // One stamp compare while nothing anywhere commits a change: an idle
-  // tick mutates nothing this check reads, so the answer cannot flip.
-  const std::uint64_t stamp = ctx_.change_stamp();
-  if (was_idle_ && stamp == idle_stamp_) return true;
-  was_idle_ = false;
-  idle_stamp_ = stamp;
   for (const PortPins* p : iports_) {
     if (p->req.read()) return false;
   }
@@ -233,7 +236,6 @@ bool Node::idle_cycle() const {
   for (const auto& a : arb_) {
     if (!a.quiescent()) return false;
   }
-  was_idle_ = true;
   return true;
 }
 
@@ -247,16 +249,19 @@ bool Node::initiator_slot_free(int initiator) const {
          iports_[static_cast<std::size_t>(initiator)]->r_gnt.read();
 }
 
-Node::Outcome Node::evaluate() const {
+void Node::evaluate() {
   const int nres = cfg_.num_resources();
   const int T = cfg_.n_targets;
-  Outcome out;
-  out.req_winner.assign(static_cast<std::size_t>(nres), -1);
-  out.req_mask.assign(static_cast<std::size_t>(nres), 0);
-  out.rsp_pick.assign(static_cast<std::size_t>(cfg_.n_initiators), -1);
+  Outcome& out = out_;
+  std::fill(out.req_mask.begin(), out.req_mask.end(), 0);
+  std::fill(out.ready.begin(), out.ready.end(), 0);
+  std::fill(out.rsp_pick.begin(), out.rsp_pick.end(), -1);
+  std::fill(out.offer_to.begin(), out.offer_to.end(), -1);
+  out.grants = 0;
+  out.error_sinks = 0;
 
   // Request side.
-  std::vector<std::uint32_t> ready(static_cast<std::size_t>(nres), 0);
+  std::vector<std::uint32_t>& ready = out.ready;
   for (int i = 0; i < cfg_.n_initiators; ++i) {
     const PortPins& p = *iports_[static_cast<std::size_t>(i)];
     if (!p.req.read()) continue;
@@ -285,7 +290,7 @@ Node::Outcome Node::evaluate() const {
   }
 
   // Response side.
-  std::vector<int> offer_to(static_cast<std::size_t>(T), -1);
+  std::vector<int>& offer_to = out.offer_to;
   for (int t = 0; t < T; ++t) {
     const PortPins& p = *tports_[static_cast<std::size_t>(t)];
     if (p.r_req.read()) {
@@ -327,55 +332,11 @@ Node::Outcome Node::evaluate() const {
       if (i != keep) out.rsp_pick[static_cast<std::size_t>(i)] = -1;
     }
   }
-  return out;
-}
-
-std::uint64_t Node::input_stamp() const {
-  std::uint64_t m = 0;
-  auto acc = [&m](const sim::SignalBase& s) { m = std::max(m, s.stamp()); };
-  for (const PortPins* p : iports_) {
-    acc(p->req);
-    acc(p->opc);
-    acc(p->add);
-    acc(p->data);
-    acc(p->be);
-    acc(p->eop);
-    acc(p->lck);
-    acc(p->src);
-    acc(p->tid);
-    acc(p->r_gnt);
-  }
-  for (const PortPins* p : tports_) {
-    acc(p->gnt);
-    acc(p->r_req);
-    acc(p->r_opc);
-    acc(p->r_data);
-    acc(p->r_eop);
-    acc(p->r_src);
-    acc(p->r_tid);
-  }
-  if (prog_ != nullptr) {
-    acc(prog_->req);
-    acc(prog_->opc);
-    acc(prog_->add);
-    acc(prog_->data);
-  }
-  return m;
 }
 
 void Node::drive_pins() {
-  // Sensitivity-list shortcut: outputs depend only on (cycle-local internal
-  // state, input pins). The kernel re-runs every combinational process each
-  // delta; a transaction-level model re-evaluates only when something it is
-  // sensitive to actually changed. Driven output values persist on skips.
-  if (memoize_) {
-    const std::uint64_t stamp = input_stamp();
-    if (ctx_.cycle() == eval_cycle_ && stamp == eval_stamp_) return;
-    eval_cycle_ = ctx_.cycle();
-    eval_stamp_ = stamp;
-  }
-
-  const Outcome out = evaluate();
+  evaluate();
+  const Outcome& out = out_;
   const int T = cfg_.n_targets;
 
   for (int i = 0; i < cfg_.n_initiators; ++i) {
@@ -425,7 +386,7 @@ void Node::tick() {
   ++ticks_;
   if (idle_cycle()) return;  // provably a no-op beyond the cycle counter
   tag_.bump();
-  const Outcome out = evaluate();
+  const Outcome& out = out_;
   const int T = cfg_.n_targets;
   const int nres = cfg_.num_resources();
 
@@ -436,7 +397,8 @@ void Node::tick() {
       q.pop_front();
     }
   }
-  std::vector<std::pair<int, ResponseCell>> landings;  // (initiator, cell)
+  std::vector<std::pair<int, ResponseCell>>& landings = landings_;
+  landings.clear();
   bool delivered_any = false;
   int first_served = -1;
   for (int i = 0; i < cfg_.n_initiators; ++i) {
@@ -479,11 +441,11 @@ void Node::tick() {
   }
 
   // Request slots: retire consumed cells, then land granted cells.
-  std::vector<bool> was_draining(static_cast<std::size_t>(T), false);
+  std::uint32_t was_draining = 0;  // per target
   for (int t = 0; t < T; ++t) {
     auto& q = to_target_[static_cast<std::size_t>(t)];
     if (!q.empty() && tports_[static_cast<std::size_t>(t)]->gnt.read()) {
-      was_draining[static_cast<std::size_t>(t)] = true;
+      was_draining |= 1u << t;
       q.pop_front();
     }
   }
@@ -500,8 +462,7 @@ void Node::tick() {
         cell.be = crve::Bits::all_ones(cfg_.bus_bytes);
       }
       const int t = cfg_.route(cell.add);
-      if (faults_.opcode_corrupt_on_busy &&
-          was_draining[static_cast<std::size_t>(t)]) {
+      if (faults_.opcode_corrupt_on_busy && ((was_draining >> t) & 1u)) {
         cell.opc = static_cast<Opcode>(static_cast<std::uint8_t>(cell.opc) ^ 1u);
       }
       to_target_[static_cast<std::size_t>(t)].push_back(std::move(cell));

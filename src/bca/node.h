@@ -16,6 +16,7 @@
 #include <deque>
 #include <list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bca/faults.h"
@@ -26,8 +27,8 @@
 namespace crve::bca {
 
 // Arbitration bookkeeping, one instance per node resource. Implemented with
-// recency lists / explicit candidate sorting rather than the RTL view's
-// counter scans.
+// a recency list and cyclic mask scans rather than the RTL view's counter
+// scans.
 class ArbState {
  public:
   ArbState(const stbus::NodeConfig& cfg);
@@ -66,14 +67,10 @@ class ArbState {
 
 class Node {
  public:
-  // `memoize` enables the sensitivity-list shortcut (skip re-evaluation
-  // while inputs are unchanged) — the source of the BCA speed advantage;
-  // disabling it exists for the ablation benchmark only.
   Node(sim::Context& ctx, stbus::NodeConfig cfg,
        std::vector<stbus::PortPins*> initiator_ports,
        std::vector<stbus::PortPins*> target_ports,
-       stbus::PortPins* prog_port = nullptr, Faults faults = {},
-       bool memoize = true);
+       stbus::PortPins* prog_port = nullptr, Faults faults = {});
 
   const stbus::NodeConfig& config() const { return cfg_; }
   const Faults& faults() const { return faults_; }
@@ -83,14 +80,17 @@ class Node {
   }
 
  private:
-  // Snapshot of one cycle's decisions, shared between the combinational
-  // drive and the edge commit.
+  // Snapshot of one cycle's decisions, computed by the combinational drive
+  // and consumed by the edge commit. The vectors are sized at construction
+  // and refilled in place, so evaluating never allocates.
   struct Outcome {
     std::vector<int> req_winner;       // per resource
     std::vector<std::uint32_t> req_mask;  // per resource, requesting
+    std::vector<std::uint32_t> ready;     // per resource, slot free
     std::uint32_t grants = 0;
     std::uint32_t error_sinks = 0;
     std::vector<int> rsp_pick;  // per initiator: source (T = errgen, -1 none)
+    std::vector<int> offer_to;  // per target: initiator offered, -1 none
   };
 
   struct PendingError {
@@ -99,24 +99,19 @@ class Node {
     int cells_left = 0;
   };
 
-  Outcome evaluate() const;
+  // Fills out_ from the current pins and internal state.
+  void evaluate();
   void drive_pins();
   void tick();
   void handle_prog();
-  // Highest change stamp across the pins this model is sensitive to.
-  std::uint64_t input_stamp() const;
   // True when this edge is provably a no-op (no traffic in flight, ports
   // idle, arbiters quiescent): the tick body can be skipped entirely.
-  // Memoized against the kernel's global change stamp.
   bool idle_cycle() const;
 
   bool target_slot_free(int target) const;
   bool initiator_slot_free(int initiator) const;
 
-  sim::Context& ctx_;
   stbus::NodeConfig cfg_;
-  mutable bool was_idle_ = false;
-  mutable std::uint64_t idle_stamp_ = 0;
   std::vector<stbus::PortPins*> iports_;
   std::vector<stbus::PortPins*> tports_;
   stbus::PortPins* prog_ = nullptr;
@@ -138,12 +133,14 @@ class Node {
   // non-idle edge so the compiled schedule re-dirties the drive process.
   sim::StateTag tag_;
 
-  // Sensitivity-list memoization: skip re-evaluation while the inputs are
-  // unchanged within a cycle (what a SystemC BCA model's wait()/sensitivity
-  // gives for free — and the source of its speed advantage over RTL).
-  bool memoize_ = true;
-  std::uint64_t eval_cycle_ = ~std::uint64_t{0};
-  std::uint64_t eval_stamp_ = ~std::uint64_t{0};
+  // The cycle's decisions as drive_pins() last computed them. The compiled
+  // schedule re-runs the drive process whenever a declared pin or tag_
+  // changes, and the interpreter every delta, so at the edge out_ reflects
+  // the settled values of the ending cycle and tick() reads it as is.
+  Outcome out_;
+  // Response cells landing this tick, (initiator, cell); reserved for one
+  // per initiator at construction.
+  std::vector<std::pair<int, stbus::ResponseCell>> landings_;
 
   bool prog_ack_ = false;
   bool prog_load_ = false;

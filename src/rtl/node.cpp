@@ -1,5 +1,6 @@
 #include "rtl/node.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -15,7 +16,6 @@ Node::Node(sim::Context& ctx, stbus::NodeConfig cfg,
            std::vector<PortPins*> initiator_ports,
            std::vector<PortPins*> target_ports, PortPins* prog_port)
     : cfg_(std::move(cfg)),
-      ctx_(&ctx),
       iports_(std::move(initiator_ports)),
       tports_(std::move(target_ports)),
       prog_(prog_port) {
@@ -39,6 +39,11 @@ Node::Node(sim::Context& ctx, stbus::NodeConfig cfg,
   rsp_rr_.assign(static_cast<std::size_t>(cfg_.n_initiators), 0);
   errq_.resize(static_cast<std::size_t>(cfg_.n_initiators));
   stats_.grants.assign(static_cast<std::size_t>(cfg_.n_initiators), 0);
+  req_wires_.winner.resize(static_cast<std::size_t>(nres));
+  req_wires_.requesting.resize(static_cast<std::size_t>(nres));
+  req_wires_.eligible.resize(static_cast<std::size_t>(nres));
+  rsp_wires_.source.resize(static_cast<std::size_t>(cfg_.n_initiators));
+  rsp_wires_.offer_to.resize(static_cast<std::size_t>(cfg_.n_targets));
 
   // Design-lint declaration for the edge process: payloads are sampled only
   // for the winning/completing port, so recording sees a fraction of these.
@@ -115,13 +120,6 @@ Node::Node(sim::Context& ctx, stbus::NodeConfig cfg,
 }
 
 bool Node::idle_cycle() const {
-  // While no signal anywhere commits a change, an idle node's inputs are
-  // unchanged and an idle edge mutates nothing the check reads, so the
-  // answer cannot flip: one stamp compare replaces the full scan.
-  const std::uint64_t stamp = ctx_->change_stamp();
-  if (was_idle_ && stamp == idle_stamp_) return true;
-  was_idle_ = false;
-  idle_stamp_ = stamp;
   for (const PortPins* p : iports_) {
     if (p->req.read()) return false;
   }
@@ -141,7 +139,6 @@ bool Node::idle_cycle() const {
   for (const auto& a : arbs_) {
     if (!a->quiescent()) return false;
   }
-  was_idle_ = true;
   return true;
 }
 
@@ -163,13 +160,14 @@ bool Node::ireg_can_accept(int initiator) const {
   return !r.valid || iports_[static_cast<std::size_t>(initiator)]->r_gnt.read();
 }
 
-Node::ReqDecision Node::decide_requests() const {
+void Node::decide_requests() {
   const int nres = cfg_.num_resources();
-  ReqDecision d;
-  d.winner.assign(static_cast<std::size_t>(nres), -1);
-  d.requesting.assign(static_cast<std::size_t>(nres), 0);
+  ReqDecision& d = req_wires_;
+  std::fill(d.requesting.begin(), d.requesting.end(), 0);
+  std::fill(d.eligible.begin(), d.eligible.end(), 0);
+  d.gnt_mask = 0;
+  d.error_mask = 0;
 
-  std::vector<std::uint32_t> eligible(static_cast<std::size_t>(nres), 0);
   for (int i = 0; i < cfg_.n_initiators; ++i) {
     const int t = request_target(i);
     if (t == -1) continue;
@@ -181,32 +179,32 @@ Node::ReqDecision Node::decide_requests() const {
     }
     const int r = cfg_.resource_of_target(t);
     d.requesting[static_cast<std::size_t>(r)] |= 1u << i;
-    if (treg_can_accept(t)) eligible[static_cast<std::size_t>(r)] |= 1u << i;
+    if (treg_can_accept(t)) d.eligible[static_cast<std::size_t>(r)] |= 1u << i;
   }
 
   for (int r = 0; r < nres; ++r) {
     const int owner = req_owner_[static_cast<std::size_t>(r)];
+    const std::uint32_t eligible = d.eligible[static_cast<std::size_t>(r)];
     int w;
     if (owner >= 0) {
       // Allocation held: only the owner may continue its packet/chunk.
-      w = ((eligible[static_cast<std::size_t>(r)] >> owner) & 1u) ? owner : -1;
+      w = ((eligible >> owner) & 1u) ? owner : -1;
     } else {
-      w = arbs_[static_cast<std::size_t>(r)]->pick(
-          eligible[static_cast<std::size_t>(r)]);
+      w = arbs_[static_cast<std::size_t>(r)]->pick(eligible);
     }
     d.winner[static_cast<std::size_t>(r)] = w;
     if (w >= 0) d.gnt_mask |= 1u << w;
   }
-  return d;
 }
 
-Node::RspDecision Node::decide_responses() const {
+void Node::decide_responses() {
   const int T = cfg_.n_targets;
-  RspDecision d;
-  d.source.assign(static_cast<std::size_t>(cfg_.n_initiators), kNoSource);
+  RspDecision& d = rsp_wires_;
+  std::fill(d.source.begin(), d.source.end(), kNoSource);
 
   // Which target currently offers a response cell to which initiator.
-  std::vector<int> dest(static_cast<std::size_t>(T), -1);
+  std::vector<int>& dest = d.offer_to;
+  std::fill(dest.begin(), dest.end(), -1);
   for (int t = 0; t < T; ++t) {
     const PortPins& p = *tports_[static_cast<std::size_t>(t)];
     if (!p.r_req.read()) continue;
@@ -250,12 +248,11 @@ Node::RspDecision Node::decide_responses() const {
       if (i != chosen) d.source[static_cast<std::size_t>(i)] = kNoSource;
     }
   }
-  return d;
 }
 
 void Node::comb_arbitration() {
-  req_wires_ = decide_requests();
-  rsp_wires_ = decide_responses();
+  decide_requests();
+  decide_responses();
 }
 
 void Node::comb_initiator_gnt(int i) {
@@ -313,10 +310,9 @@ void Node::edge() {
     return;
   }
   tag_.bump();
-  // Decisions recomputed from the settled values of the ending cycle;
-  // identical to what comb() last produced.
-  const ReqDecision rd = decide_requests();
-  const RspDecision sd = decide_responses();
+  // The arbitration block's decision for the ending cycle (see req_wires_).
+  const ReqDecision& rd = req_wires_;
+  const RspDecision& sd = rsp_wires_;
   const int T = cfg_.n_targets;
   const int nres = cfg_.num_resources();
 

@@ -75,9 +75,12 @@ class Node {
 
   static constexpr int kNoSource = -1;
 
+  // Decision vectors are sized once at construction and refilled in place
+  // every evaluation: the arbitration block never allocates.
   struct ReqDecision {
     std::vector<int> winner;                 // per resource, -1 = none
     std::vector<std::uint32_t> requesting;   // per resource
+    std::vector<std::uint32_t> eligible;     // per resource, can be granted
     std::uint32_t gnt_mask = 0;              // includes error-sink grants
     std::uint32_t error_mask = 0;            // decode-error requesters
   };
@@ -85,6 +88,7 @@ class Node {
     // Per initiator: winning source (0..T-1 = target, T = error generator,
     // -1 = none this cycle).
     std::vector<int> source;
+    std::vector<int> offer_to;  // per target: initiator offered, -1 = none
   };
 
   // Decode an initiator's current request target: -1 = idle, -2 = decode
@@ -93,13 +97,12 @@ class Node {
   bool treg_can_accept(int target) const;
   bool ireg_can_accept(int initiator) const;
   // True when this edge is provably a no-op (ports idle, registers empty,
-  // arbiters quiescent): the edge body can be skipped entirely. Memoized
-  // against the kernel's global change stamp — an idle node stays idle for
-  // free while nothing anywhere commits a change.
+  // arbiters quiescent): the edge body can be skipped entirely.
   bool idle_cycle() const;
 
-  ReqDecision decide_requests() const;
-  RspDecision decide_responses() const;
+  // Fill req_wires_ / rsp_wires_ from the current pins and registers.
+  void decide_requests();
+  void decide_responses();
 
   // Combinational blocks, one kernel process each — the RTL view keeps
   // RTL-like evaluation granularity (arbitration block, per-port grant and
@@ -115,13 +118,9 @@ class Node {
   void prog_edge();
 
   stbus::NodeConfig cfg_;
-  sim::Context* ctx_ = nullptr;
   std::vector<stbus::PortPins*> iports_;
   std::vector<stbus::PortPins*> tports_;
   stbus::PortPins* prog_ = nullptr;
-
-  mutable bool was_idle_ = false;
-  mutable std::uint64_t idle_stamp_ = 0;
 
   std::vector<std::unique_ptr<Arbiter>> arbs_;  // one per resource
   std::vector<int> req_owner_;                  // per resource, -1 = free
@@ -140,6 +139,10 @@ class Node {
   sim::StateTag tag_;
 
   // Decision "wires" between the arbitration block and the port blocks.
+  // The edge consumes them as latched by the block's last evaluation: the
+  // compiled schedule re-runs it whenever a declared pin or tag_ changes,
+  // and the interpreter re-runs it every delta, so that evaluation saw the
+  // settled values of the ending cycle.
   ReqDecision req_wires_;
   RspDecision rsp_wires_;
 

@@ -15,7 +15,6 @@ RegisterDecoder::RegisterDecoder(sim::Context& ctx, std::string name,
                                  stbus::ProtocolType type,
                                  std::uint32_t base_address, int n_regs)
     : name_(std::move(name)),
-      ctx_(&ctx),
       port_(port),
       type_(type),
       base_(base_address),
@@ -57,20 +56,10 @@ void RegisterDecoder::comb() {
 }
 
 void RegisterDecoder::edge() {
-  // One stamp compare while nothing anywhere commits a change: the pins
-  // read below are frozen and the queues are only mutated here, so an edge
-  // that proved itself a no-op stays a no-op.
-  const std::uint64_t stamp = ctx_->change_stamp();
-  if (was_idle_ && stamp == idle_stamp_) return;
-  was_idle_ = false;
-  idle_stamp_ = stamp;
   const bool rsp_fire =
       !rsp_queue_.empty() && port_.r_req.read() && port_.r_gnt.read();
   const bool req_fire = port_.req.read() && port_.gnt.read();
-  if (!rsp_fire && !req_fire) {
-    was_idle_ = true;
-    return;
-  }
+  if (!rsp_fire && !req_fire) return;
   if (rsp_fire) {
     rsp_queue_.pop_front();
     tag_.bump();

@@ -33,7 +33,6 @@ class RegisterDecoder {
   void edge();
 
   std::string name_;
-  sim::Context* ctx_ = nullptr;
   stbus::PortPins& port_;
   stbus::ProtocolType type_;
   std::uint32_t base_;
@@ -41,11 +40,6 @@ class RegisterDecoder {
 
   std::vector<stbus::RequestCell> req_cells_;
   std::deque<stbus::ResponseCell> rsp_queue_;
-  // Idle-edge memo against the kernel's global change stamp: a decoder with
-  // nothing queued and no handshake firing stays idle for free while nothing
-  // anywhere commits a change.
-  mutable bool was_idle_ = false;
-  mutable std::uint64_t idle_stamp_ = 0;
   // Bumped on every rsp_queue_ mutation; re-dirties the combinational
   // process under the compiled schedule.
   sim::StateTag tag_;

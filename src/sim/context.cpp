@@ -66,7 +66,6 @@ bool Context::commit_dirty() {
     const auto i = static_cast<std::size_t>(idx);
     arena_.flags[i] &= static_cast<std::uint8_t>(~SignalArena::kDirtyFlag);
     if (signals_[i]->commit()) {
-      arena_.stamps[i] = ++change_stamp_;
       changed = true;
       if (!(arena_.flags[i] & SignalArena::kInChangedFlag)) {
         arena_.flags[i] |= SignalArena::kInChangedFlag;

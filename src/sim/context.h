@@ -153,11 +153,6 @@ class Context {
   // Sum of per-cycle changed-set sizes handed to tracers (the initial
   // full-snapshot sample included) — the trace path's true workload.
   std::uint64_t changed_signal_samples() const { return changed_samples_; }
-  // Monotonic count of committed value changes across all signals, under
-  // both kernels. A model that proved itself idle can stay idle for free
-  // while this stands still (nothing anywhere changed, so in particular
-  // none of its inputs did).
-  std::uint64_t change_stamp() const { return change_stamp_; }
 
   // Compiled-schedule counters (zero under the interpreter).
   std::uint64_t sched_ranks() const { return sched_ranks_; }
@@ -283,7 +278,6 @@ class Context {
   std::uint64_t evaluations_ = 0;
   std::uint64_t delta_iterations_ = 0;
   std::uint64_t changed_samples_ = 0;
-  std::uint64_t change_stamp_ = 0;
   std::uint64_t sched_ranks_ = 0;
   std::uint64_t sched_skipped_ = 0;
   std::uint64_t sched_fallback_ = 0;

@@ -7,9 +7,9 @@
 // model the paper's testbenches rely on.
 //
 // Per-signal kernel state (two-phase values for bool/u64 signals, dirty and
-// changed flags, change stamps) lives in a packed SignalArena owned by the
-// Context and indexed by SignalBase::index(), so the hot commit/settle loops
-// walk contiguous vectors instead of chasing per-object storage. The arena
+// changed flags) lives in a packed SignalArena owned by the Context and
+// indexed by SignalBase::index(), so the hot commit/settle loops walk
+// contiguous vectors instead of chasing per-object storage. The arena
 // also carries the elaboration-time read/write instrumentation the compiled
 // schedule uses for dependency discovery (DESIGN.md §14).
 #pragma once
@@ -27,20 +27,19 @@ namespace crve::sim {
 class Context;
 
 // Packed per-signal kernel state, indexed by SignalBase::index() (flags,
-// stamps, dirty list) and by a separately allocated value slot (two-phase
-// cur/next storage for bool and u64 signals; Bits payloads stay in the
-// signal object). Owned by the Context; signals keep a stable pointer.
+// dirty list) and by a separately allocated value slot (two-phase cur/next
+// storage for bool and u64 signals; Bits payloads stay in the signal
+// object). Owned by the Context; signals keep a stable pointer.
 class SignalArena {
  public:
   static constexpr std::uint8_t kDirtyFlag = 1;      // pending uncommitted write
   static constexpr std::uint8_t kInChangedFlag = 2;  // in this cycle's changed-set
 
   int add_signal() {
-    stamps.push_back(0);
     flags.push_back(0);
     read_seen.push_back(0);
     write_seen.push_back(0);
-    return static_cast<int>(stamps.size()) - 1;
+    return static_cast<int>(flags.size()) - 1;
   }
   int add_slot() {
     cur.push_back(0);
@@ -75,7 +74,6 @@ class SignalArena {
   }
 
   // Indexed by SignalBase::index().
-  std::vector<std::uint64_t> stamps;
   std::vector<std::uint8_t> flags;
   std::vector<int> dirty;  // indices with kDirtyFlag set, insertion order
 
@@ -101,16 +99,6 @@ class SignalBase {
   const std::string& name() const { return name_; }
   // Declared width in bits, fixed for the signal's lifetime (VCD needs it).
   int width() const { return width_; }
-
-  // Monotonic change stamp: bumped by the kernel whenever a commit changes
-  // the visible value. Models with sensitivity-list semantics (the BCA
-  // view) use it to skip re-evaluation when their inputs are unchanged.
-  std::uint64_t stamp() const {
-    return arena_->stamps[static_cast<std::size_t>(index_)];
-  }
-  void set_stamp(std::uint64_t s) {
-    arena_->stamps[static_cast<std::size_t>(index_)] = s;
-  }
 
   // Position in Context::signals(), fixed at registration. Tracers use it
   // to address per-signal state from the kernel's changed-set.

@@ -2,19 +2,11 @@
 
 #include <stdexcept>
 
-#include "common/mem_pattern.h"
-
 namespace crve::tlm {
 
 using stbus::Opcode;
 using stbus::Request;
 using stbus::RspOpcode;
-
-std::uint8_t Memory::read(std::uint32_t addr) const {
-  auto it = bytes_.find(addr);
-  if (it != bytes_.end()) return it->second;
-  return default_mem_byte(addr, pattern_);
-}
 
 Node::Node(stbus::NodeConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.validate_and_normalize();
@@ -42,7 +34,7 @@ Completion Node::apply_at(int target, const Request& req) {
   c.target = target;
   const Opcode opc = req.opc;
   const int size = stbus::size_bytes(opc);
-  Memory& mem = mem_[static_cast<std::size_t>(target)];
+  SparseMemory& mem = mem_[static_cast<std::size_t>(target)];
 
   if (!stbus::lanes_legal(opc, req.add, cfg_.bus_bytes) ||
       (stbus::is_atomic(opc) && size > cfg_.bus_bytes)) {

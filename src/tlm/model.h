@@ -13,26 +13,13 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/mem_pattern.h"
 #include "stbus/config.h"
 #include "stbus/packet.h"
 
 namespace crve::tlm {
-
-// Byte-sparse memory with the shared deterministic fill pattern.
-class Memory {
- public:
-  explicit Memory(std::uint64_t pattern = 0x5a5a) : pattern_(pattern) {}
-
-  std::uint8_t read(std::uint32_t addr) const;
-  void write(std::uint32_t addr, std::uint8_t value) { bytes_[addr] = value; }
-
- private:
-  std::uint64_t pattern_;
-  std::unordered_map<std::uint32_t, std::uint8_t> bytes_;
-};
 
 // Result of one transported operation.
 struct Completion {
@@ -54,14 +41,14 @@ class Node {
   // model when replaying target-port traffic).
   Completion apply_at(int target, const stbus::Request& req);
 
-  Memory& memory(int target) {
+  SparseMemory& memory(int target) {
     return mem_[static_cast<std::size_t>(target)];
   }
   const stbus::NodeConfig& config() const { return cfg_; }
 
  private:
   stbus::NodeConfig cfg_;
-  std::vector<Memory> mem_;
+  std::vector<SparseMemory> mem_;  // per target
 };
 
 }  // namespace crve::tlm

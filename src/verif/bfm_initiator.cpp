@@ -54,6 +54,16 @@ InitiatorBfm::InitiatorBfm(sim::Context& ctx, std::string name,
   if (prof_.max_outstanding < 1 || prof_.max_outstanding > 16) {
     throw std::invalid_argument("InitiatorProfile: max_outstanding in 1..16");
   }
+  // Size-mask the opcode weight table once; every random pick draws from it.
+  prof_.opcode_weights.resize(stbus::kNumOpcodes, 0);
+  for (int i = 0; i < stbus::kNumOpcodes; ++i) {
+    const auto opc = static_cast<Opcode>(i);
+    // Atomics are single-cell and cannot straddle beats.
+    if (stbus::size_bytes(opc) > prof_.max_size_bytes ||
+        (stbus::is_atomic(opc) && stbus::size_bytes(opc) > pins.bus_bytes)) {
+      prof_.opcode_weights[static_cast<std::size_t>(i)] = 0;
+    }
+  }
   // Design-lint declarations: the response payload is sampled only while a
   // response fires and the request payload is driven only while a packet is
   // outstanding, so a single recorded evaluation sees neither slice.
@@ -200,20 +210,7 @@ void InitiatorBfm::generate_next() {
     if (type_ == ProtocolType::kType3) req.tid = alloc_tid();
   } else {
     // Opcode: weighted pick over the size-masked table.
-    std::vector<std::uint32_t> w = prof_.opcode_weights;
-    w.resize(stbus::kNumOpcodes, 0);
-    for (int i = 0; i < stbus::kNumOpcodes; ++i) {
-      const auto opc = static_cast<Opcode>(i);
-      if (stbus::size_bytes(opc) > prof_.max_size_bytes) {
-        w[static_cast<std::size_t>(i)] = 0;
-      }
-      // Atomics are single-cell and cannot straddle beats.
-      if (stbus::is_atomic(opc) &&
-          stbus::size_bytes(opc) > pins_.bus_bytes) {
-        w[static_cast<std::size_t>(i)] = 0;
-      }
-    }
-    req.opc = static_cast<Opcode>(rng_.weighted(w));
+    req.opc = static_cast<Opcode>(rng_.weighted(prof_.opcode_weights));
     const int size = stbus::size_bytes(req.opc);
 
     // Window: chunks and Type2 pipelining pin the stream to one window.

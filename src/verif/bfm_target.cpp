@@ -1,7 +1,5 @@
 #include "verif/bfm_target.h"
 
-#include "common/mem_pattern.h"
-
 namespace crve::verif {
 
 using stbus::Opcode;
@@ -15,7 +13,8 @@ TargetBfm::TargetBfm(sim::Context& ctx, std::string name,
       pins_(pins),
       type_(type),
       prof_(profile),
-      rng_(rng) {
+      rng_(rng),
+      mem_(profile.mem_pattern) {
   // Design-lint declarations: request payload is sampled only while a
   // request fires, the response payload driven only while one is pending.
   sim::ClockedOpts decl;
@@ -29,13 +28,11 @@ TargetBfm::TargetBfm(sim::Context& ctx, std::string name,
 }
 
 std::uint8_t TargetBfm::peek(std::uint32_t addr) const {
-  auto it = mem_.find(addr);
-  if (it != mem_.end()) return it->second;
-  return default_mem_byte(addr, prof_.mem_pattern);
+  return mem_.read(addr);
 }
 
 void TargetBfm::poke(std::uint32_t addr, std::uint8_t value) {
-  mem_[addr] = value;
+  mem_.write(addr, value);
 }
 
 void TargetBfm::step() {
@@ -112,8 +109,8 @@ void TargetBfm::process_packet() {
             cell.add & ~static_cast<std::uint32_t>(pins_.bus_bytes - 1);
         for (int lane = 0; lane < pins_.bus_bytes; ++lane) {
           if (cell.be.bit(lane)) {
-            mem_[base + static_cast<std::uint32_t>(lane)] =
-                cell.data.byte(lane);
+            mem_.write(base + static_cast<std::uint32_t>(lane),
+                       cell.data.byte(lane));
           }
         }
       }
@@ -125,7 +122,8 @@ void TargetBfm::process_packet() {
       for (int lane = 0; lane < pins_.bus_bytes; ++lane) {
         if (cell.be.bit(lane)) {
           const std::uint32_t a = base + static_cast<std::uint32_t>(lane);
-          mem_[a] = static_cast<std::uint8_t>(peek(a) | cell.data.byte(lane));
+          mem_.write(a, static_cast<std::uint8_t>(mem_.read(a) |
+                                                  cell.data.byte(lane)));
         }
       }
     }

@@ -12,9 +12,9 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/mem_pattern.h"
 #include "common/rng.h"
 #include "sim/context.h"
 #include "stbus/config.h"
@@ -71,7 +71,7 @@ class TargetBfm {
   TargetProfile prof_;
   Rng rng_;
 
-  std::unordered_map<std::uint32_t, std::uint8_t> mem_;
+  SparseMemory mem_;
   std::vector<stbus::RequestCell> req_cells_;
   std::deque<Pending> pending_;
   std::deque<stbus::ResponseCell> rsp_cells_;  // packet being driven

@@ -35,7 +35,9 @@ void Monitor::sample() {
     if (cell.eop) {
       ++stats_.request_packets;
       for (auto* l : listeners_) l->on_request_packet(req_acc_);
-      req_acc_ = {};
+      // clear() keeps the capacity: the next packet reuses it.
+      req_acc_.cells.clear();
+      req_acc_.cycles.clear();
     }
   }
   if (pins_.response_fires()) {
@@ -48,7 +50,8 @@ void Monitor::sample() {
     if (cell.eop) {
       ++stats_.response_packets;
       for (auto* l : listeners_) l->on_response_packet(rsp_acc_);
-      rsp_acc_ = {};
+      rsp_acc_.cells.clear();
+      rsp_acc_.cycles.clear();
     }
   }
   if (busy) ++stats_.busy_cycles;

@@ -113,8 +113,8 @@ void ProtocolChecker::check_request_fire(std::uint64_t cycle) {
   if (beat == 0) {
     if (!stbus::aligned(cell.opc, cell.add)) {
       report(cycle, "ALIGN",
-             "address 0x" + std::to_string(cell.add) + " unaligned for " +
-                 stbus::to_string(cell.opc));
+             "address 0x" + crve::Bits(32, cell.add).to_hex_string() +
+                 " unaligned for " + stbus::to_string(cell.opc));
     }
     if (chunk_target_ && map_ != nullptr) {
       const int t = map_->route(cell.add);

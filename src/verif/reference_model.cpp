@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/mem_pattern.h"
 #include "stbus/packet.h"
 
 namespace crve::verif {
@@ -46,8 +47,7 @@ ReferenceModel::ReferenceModel(const stbus::NodeConfig& cfg,
   pending_.resize(static_cast<std::size_t>(cfg_.n_initiators));
   // Rebuild the model's memories with the targets' fill patterns.
   for (int t = 0; t < cfg_.n_targets; ++t) {
-    model_.memory(t) =
-        tlm::Memory(mem_patterns[static_cast<std::size_t>(t)]);
+    model_.memory(t) = SparseMemory(mem_patterns[static_cast<std::size_t>(t)]);
   }
 }
 

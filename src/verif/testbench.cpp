@@ -175,8 +175,7 @@ Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
     case ModelKind::kBcaWrapped:
       bca_node_ = std::make_unique<bca::Node>(ctx_, cfg_, node_iports,
                                               node_tports, prog_pins_.get(),
-                                              opts_.faults,
-                                              opts_.bca_memoization);
+                                              opts_.faults);
       break;
   }
 

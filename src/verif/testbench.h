@@ -69,7 +69,6 @@ struct TestbenchOptions {
   sim::KernelKind kernel = sim::KernelKind::kCompiled;
   std::uint64_t seed = 1;
   bca::Faults faults;        // applied to the BCA view only
-  bool bca_memoization = true;  // ablation knob (bench_sim_speed)
   std::string vcd_path;      // non-empty: dump all signals to this file
   std::ostream* vcd_stream = nullptr;  // alternative in-memory dump target
   // In-process trace of all signals (not owned): what alignment reads

@@ -1,0 +1,123 @@
+// Steady-state allocation test: once traffic is idle, or a request is held
+// ungranted, a simulated cycle of either view inside the full environment
+// (monitors, protocol checkers, scoreboard, coverage, reference model)
+// performs no heap allocation. Counts every global operator new, so it is
+// its own executable.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "verif/testbench.h"
+#include "verif/tests.h"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// The replacement pair is malloc/free; GCC cannot see that operator new is
+// replaced and flags free() on its result once the calls are inlined.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
+namespace crve {
+namespace {
+
+using verif::ModelKind;
+
+// One C2 shape: Type3 full crossbar under LRU arbitration.
+stbus::NodeConfig c2_shape() {
+  stbus::NodeConfig cfg;
+  cfg.name = "node";
+  cfg.n_initiators = 3;
+  cfg.n_targets = 2;
+  cfg.bus_bytes = 4;
+  cfg.type = stbus::ProtocolType::kType3;
+  cfg.arch = stbus::Architecture::kFullCrossbar;
+  cfg.arb = stbus::ArbPolicy::kLru;
+  return cfg;
+}
+
+verif::TestbenchOptions full_environment(ModelKind model) {
+  verif::TestbenchOptions opts;
+  opts.model = model;
+  opts.seed = 5;
+  opts.enable_checkers = true;
+  opts.enable_scoreboard = true;
+  opts.enable_coverage = true;
+  opts.enable_reference_model = true;
+  opts.enable_monitors = true;
+  return opts;
+}
+
+// Allocations made while stepping `cycles` cycles.
+std::uint64_t allocations_over(verif::Testbench& tb, int cycles) {
+  const std::uint64_t before = g_allocations.load();
+  tb.ctx().step(cycles);
+  return g_allocations.load() - before;
+}
+
+class AllocFree : public ::testing::TestWithParam<ModelKind> {};
+
+TEST_P(AllocFree, IdleCyclesAllocateNothing) {
+  verif::TestSpec spec = verif::t02_random_all_opcodes();
+  spec.n_transactions = 30;
+  verif::Testbench tb(c2_shape(), spec, full_environment(GetParam()));
+  const stbus::NodeConfig& cfg = tb.config();
+  auto drained = [&] {
+    for (int i = 0; i < cfg.n_initiators; ++i) {
+      if (!tb.initiator(i).done()) return false;
+    }
+    for (int t = 0; t < cfg.n_targets; ++t) {
+      if (!tb.target(t).idle()) return false;
+    }
+    return true;
+  };
+  while (!drained()) {
+    ASSERT_LT(tb.ctx().cycle(), 20000u) << "traffic did not drain";
+    tb.ctx().step();
+  }
+  tb.ctx().step(8);  // last response cells leave the pipeline
+  EXPECT_EQ(allocations_over(tb, 500), 0u);
+  EXPECT_TRUE(tb.run().passed());
+}
+
+TEST_P(AllocFree, HeldRequestCyclesAllocateNothing) {
+  // Targets never raise gnt: each target's first cell parks in the node,
+  // and every later request to it waits ungranted at its initiator port.
+  verif::TestSpec spec = verif::t02_random_all_opcodes();
+  spec.target = [](const stbus::NodeConfig&, int) {
+    verif::TargetProfile p;
+    p.gnt_stall_permille = 1000;
+    return p;
+  };
+  verif::Testbench tb(c2_shape(), spec, full_environment(GetParam()));
+  tb.ctx().step(100);
+  const stbus::NodeConfig& cfg = tb.config();
+  int held = 0;
+  for (int i = 0; i < cfg.n_initiators; ++i) {
+    const auto& p = tb.initiator_monitor(i).pins();
+    if (p.req.read() && !p.gnt.read()) ++held;
+  }
+  ASSERT_EQ(held, cfg.n_initiators);
+  // Well inside the checkers' 2000-cycle starvation limit.
+  EXPECT_EQ(allocations_over(tb, 1000), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Views, AllocFree,
+                         ::testing::Values(ModelKind::kRtl, ModelKind::kBca),
+                         [](const auto& info) {
+                           return verif::to_string(info.param);
+                         });
+
+}  // namespace
+}  // namespace crve

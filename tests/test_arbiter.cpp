@@ -1,7 +1,12 @@
 // Unit tests for the RTL arbitration policy engine, plus differential tests
 // proving the BCA view's independently implemented ArbState makes identical
-// decisions (the node-level alignment depends on it).
+// decisions (the node-level alignment depends on it), and an oracle test of
+// ArbState's mask scans against a candidate-sorting reference.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <list>
+#include <vector>
 
 #include "bca/node.h"
 #include "common/rng.h"
@@ -183,6 +188,175 @@ TEST(ArbDifferentialFault, LruStaleOnChunkDiverges) {
   }
   EXPECT_TRUE(diverged);
 }
+
+// ---------------------------------------------------------------------------
+// Oracle: bca::ArbState's mask scans vs the candidate-sorting formulation
+// they replaced, kept here as the reference.
+// ---------------------------------------------------------------------------
+
+// Reference ArbState: builds the candidate list and sorts or min-scans it.
+// update() mirrors bca::ArbState::update so both see the same state.
+class RefArbState {
+ public:
+  explicit RefArbState(const NodeConfig& cfg)
+      : policy_(cfg.arb),
+        n_(cfg.n_initiators),
+        prio_(cfg.priorities),
+        waited_(static_cast<std::size_t>(cfg.n_initiators), 0),
+        deadline_(cfg.latency_deadline),
+        tokens_(cfg.bandwidth_quota),
+        quota_(cfg.bandwidth_quota),
+        window_(cfg.bandwidth_window) {
+    for (int i = 0; i < n_; ++i) lru_order_.push_back(i);
+  }
+
+  int choose(std::uint32_t eligible) const {
+    if (eligible == 0) return -1;
+    std::vector<int> cand;
+    for (int i = 0; i < n_; ++i) {
+      if ((eligible >> i) & 1u) cand.push_back(i);
+    }
+    auto rr_distance = [this](int i) { return (i - next_ptr_ + n_) % n_; };
+    auto at = [](const std::vector<int>& v, int i) {
+      return v[static_cast<std::size_t>(i)];
+    };
+    switch (policy_) {
+      case ArbPolicy::kFixedPriority:
+      case ArbPolicy::kProgrammable:
+        std::stable_sort(cand.begin(), cand.end(), [&](int a, int b) {
+          return at(prio_, a) > at(prio_, b);
+        });
+        return cand.front();
+      case ArbPolicy::kRoundRobin:
+        return *std::min_element(cand.begin(), cand.end(), [&](int a, int b) {
+          return rr_distance(a) < rr_distance(b);
+        });
+      case ArbPolicy::kLru:
+        for (int i : lru_order_) {
+          if ((eligible >> i) & 1u) return i;
+        }
+        return -1;
+      case ArbPolicy::kLatencyBased: {
+        int best = cand.front();
+        long best_u =
+            static_cast<long>(at(waited_, best)) - at(deadline_, best);
+        for (int i : cand) {
+          const long u = static_cast<long>(at(waited_, i)) - at(deadline_, i);
+          if (u > best_u) {
+            best = i;
+            best_u = u;
+          }
+        }
+        return best;
+      }
+      case ArbPolicy::kBandwidthLimited: {
+        std::vector<int> pool;
+        for (int i : cand) {
+          if (at(quota_, i) == 0 || at(tokens_, i) > 0) pool.push_back(i);
+        }
+        if (pool.empty()) pool = cand;
+        return *std::min_element(pool.begin(), pool.end(), [&](int a, int b) {
+          return rr_distance(a) < rr_distance(b);
+        });
+      }
+    }
+    return -1;
+  }
+
+  void update(std::uint64_t next_cycle, int granted, std::uint32_t requesting,
+              bool holds_allocation, const bca::Faults& faults) {
+    for (int i = 0; i < n_; ++i) {
+      auto& w = waited_[static_cast<std::size_t>(i)];
+      w = (((requesting >> i) & 1u) && i != granted) ? w + 1 : 0;
+    }
+    if (granted >= 0) {
+      if (!(faults.lru_stale_on_chunk && holds_allocation)) {
+        lru_order_.remove(granted);
+        lru_order_.push_back(granted);
+      }
+      next_ptr_ = (granted + 1) % n_;
+      auto& t = tokens_[static_cast<std::size_t>(granted)];
+      if (quota_[static_cast<std::size_t>(granted)] > 0 && t > 0) --t;
+    }
+    if (window_ > 0 && next_cycle % static_cast<std::uint64_t>(window_) == 0) {
+      tokens_ = quota_;
+    }
+  }
+
+  void write_priority(int initiator, int value) {
+    prio_[static_cast<std::size_t>(initiator)] = value;
+  }
+
+ private:
+  ArbPolicy policy_;
+  int n_;
+  std::vector<int> prio_;
+  std::list<int> lru_order_;
+  int next_ptr_ = 0;
+  std::vector<int> waited_;
+  std::vector<int> deadline_;
+  std::vector<int> tokens_;
+  std::vector<int> quota_;
+  int window_;
+};
+
+class ArbStateOracle : public ::testing::TestWithParam<ArbPolicy> {};
+
+TEST_P(ArbStateOracle, MaskScanMatchesSortingReference) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 101);
+  for (int trial = 0; trial < 40; ++trial) {
+    // Random shape: small priority and deadline ranges force ties, small
+    // quotas and windows cycle the tokens through empty and refilled.
+    NodeConfig cfg;
+    cfg.n_initiators = static_cast<int>(rng.range(1, 8));
+    cfg.n_targets = 2;
+    cfg.arb = GetParam();
+    const auto n = static_cast<std::size_t>(cfg.n_initiators);
+    cfg.priorities.resize(n);
+    cfg.latency_deadline.resize(n);
+    cfg.bandwidth_quota.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      cfg.priorities[i] = static_cast<int>(rng.range(0, 3));
+      cfg.latency_deadline[i] = static_cast<int>(rng.range(1, 6));
+      cfg.bandwidth_quota[i] = static_cast<int>(rng.range(0, 3));
+    }
+    cfg.bandwidth_window = static_cast<int>(rng.range(4, 12));
+    cfg.validate_and_normalize();
+    bca::Faults faults;
+    faults.lru_stale_on_chunk = rng.chance(1, 2);
+
+    bca::ArbState arb(cfg);
+    RefArbState ref(cfg);
+    const std::uint64_t all = (std::uint64_t{1} << n) - 1;
+    for (std::uint64_t cycle = 1; cycle <= 300; ++cycle) {
+      const auto eligible = static_cast<std::uint32_t>(rng.range(0, all));
+      const int want = ref.choose(eligible);
+      ASSERT_EQ(arb.choose(eligible), want)
+          << "policy " << to_string(GetParam()) << " trial " << trial
+          << " cycle " << cycle << " mask " << eligible;
+      // Requesters are a superset of the eligible ones; the grant is
+      // sometimes withheld (a held allocation), which ages wait counters.
+      const auto requesting =
+          eligible | static_cast<std::uint32_t>(rng.range(0, all));
+      const int granted = rng.chance(3, 4) ? want : -1;
+      const bool holds = rng.chance(1, 3);
+      arb.update(cycle, granted, requesting, holds, faults);
+      ref.update(cycle, granted, requesting, holds, faults);
+      if (rng.chance(1, 20)) {
+        const int who = static_cast<int>(rng.range(0, n - 1));
+        const int prio = static_cast<int>(rng.range(0, 3));
+        arb.write_priority(who, prio);
+        ref.write_priority(who, prio);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, ArbStateOracle,
+    ::testing::Values(ArbPolicy::kFixedPriority, ArbPolicy::kRoundRobin,
+                      ArbPolicy::kLru, ArbPolicy::kLatencyBased,
+                      ArbPolicy::kBandwidthLimited, ArbPolicy::kProgrammable));
 
 }  // namespace
 }  // namespace crve

@@ -147,6 +147,12 @@ TEST(Checker, AlignFiresOnMisalignedAddress) {
   c.be = stbus::byte_enables(Opcode::kLd4, 0x102, 4, 0);
   rig.drive_cell(c);
   EXPECT_TRUE(rig.fired("ALIGN"));
+  // The address prints as hex after its 0x prefix.
+  ASSERT_FALSE(rig.checker.violations().empty());
+  EXPECT_NE(rig.checker.violations().front().message.find(
+                "address 0x00000102 unaligned"),
+            std::string::npos)
+      << rig.checker.violations().front().message;
 }
 
 TEST(Checker, BeFiresOnWrongLanes) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/mem_pattern.h"
+#include "common/rng.h"
 #include "tlm/model.h"
 #include "verif/testbench.h"
 #include "verif/tests.h"
@@ -34,12 +35,89 @@ Request make_st4(std::uint32_t add, std::uint32_t v) {
 }
 
 TEST(TlmMemory, DefaultPatternMatchesTargetBfm) {
-  tlm::Memory mem(0x5a5a);
+  SparseMemory mem(0x5a5a);
   for (std::uint32_t a : {0u, 7u, 0x1234u, 0xf0001234u}) {
     EXPECT_EQ(mem.read(a), default_mem_byte(a, 0x5a5a));
   }
   mem.write(5, 0x99);
   EXPECT_EQ(mem.read(5), 0x99);
+}
+
+TEST(SparseMemory, UntouchedBytesReadThePattern) {
+  SparseMemory mem(0x1234);
+  mem.write(0x100, 0xab);  // creates the line 0x100..0x13f
+  for (std::uint32_t a = 0xc0; a < 0x180; ++a) {
+    if (a == 0x100) continue;
+    EXPECT_EQ(mem.read(a), default_mem_byte(a, 0x1234)) << a;
+  }
+  EXPECT_EQ(mem.read(0x100), 0xab);
+  EXPECT_EQ(mem.read(0xffffffffu), default_mem_byte(0xffffffffu, 0x1234));
+}
+
+TEST(SparseMemory, WritesPersistAcrossLineBoundaries) {
+  SparseMemory mem;
+  // 0x3c..0x83 spans three lines; 0xffffffc0.. is the top of the space.
+  for (std::uint32_t a = 0x3c; a < 0x84; ++a) {
+    mem.write(a, static_cast<std::uint8_t>(a * 7));
+  }
+  for (std::uint32_t a = 0xfffffff8u; a != 0; ++a) {
+    mem.write(a, static_cast<std::uint8_t>(a));
+  }
+  for (std::uint32_t a = 0x3c; a < 0x84; ++a) {
+    EXPECT_EQ(mem.read(a), static_cast<std::uint8_t>(a * 7)) << a;
+  }
+  for (std::uint32_t a = 0xfffffff8u; a != 0; ++a) {
+    EXPECT_EQ(mem.read(a), static_cast<std::uint8_t>(a)) << a;
+  }
+  EXPECT_EQ(mem.read(0x3b), default_mem_byte(0x3b, 0x5a5a));
+  EXPECT_EQ(mem.read(0x84), default_mem_byte(0x84, 0x5a5a));
+}
+
+TEST(SparseMemory, CachedLineSurvivesRehash) {
+  SparseMemory mem;
+  mem.write(0x40, 0x11);
+  ASSERT_EQ(mem.read(0x41), default_mem_byte(0x41, 0x5a5a));  // cache 0x40
+  // Thousands of new lines force the map to rehash many times; every read
+  // of the first line in between must still see its bytes.
+  for (std::uint32_t k = 1; k <= 4096; ++k) {
+    mem.write(0x40 + k * SparseMemory::kLineBytes,
+              static_cast<std::uint8_t>(k));
+    ASSERT_EQ(mem.read(0x40), 0x11) << k;
+    mem.write(0x42, static_cast<std::uint8_t>(k));
+    ASSERT_EQ(mem.read(0x42), static_cast<std::uint8_t>(k)) << k;
+  }
+  for (std::uint32_t k = 1; k <= 4096; ++k) {
+    ASSERT_EQ(mem.read(0x40 + k * SparseMemory::kLineBytes),
+              static_cast<std::uint8_t>(k));
+  }
+  // A copy reads its own lines, not the source's through a stale cache.
+  SparseMemory copy = mem;
+  mem.write(0x40, 0x22);
+  EXPECT_EQ(copy.read(0x40), 0x11);
+  copy = mem;
+  EXPECT_EQ(copy.read(0x40), 0x22);
+}
+
+TEST(SparseMemory, TargetBfmAndTlmMemoryAgree) {
+  sim::Context ctx;
+  const NodeConfig cfg = tcfg();
+  stbus::PortPins pins(ctx, "tb.t", cfg);
+  verif::TargetProfile prof;
+  prof.mem_pattern = 0x77;
+  verif::TargetBfm bfm(ctx, "t", pins, cfg.type, prof, Rng(1));
+  tlm::Node node(cfg);
+  node.memory(0) = SparseMemory(0x77);  // as ReferenceModel sets it up
+  SparseMemory& mem = node.memory(0);
+  Rng rng(9);
+  for (int i = 0; i < 2000; ++i) {
+    const auto a = static_cast<std::uint32_t>(rng.range(0, 0x3000));
+    const auto v = static_cast<std::uint8_t>(rng.range(0, 255));
+    bfm.poke(a, v);
+    mem.write(a, v);
+  }
+  for (std::uint32_t a = 0; a < 0x3100; ++a) {
+    ASSERT_EQ(bfm.peek(a), mem.read(a)) << a;
+  }
 }
 
 TEST(TlmNode, StoreThenLoad) {
