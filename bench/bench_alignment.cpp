@@ -12,6 +12,7 @@
 //     to debug the model.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -222,11 +223,64 @@ void BM_AlignPairVcdRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_AlignPairRecorded)->Arg(100)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AlignPairVcdRoundTrip)->Arg(100)->Unit(benchmark::kMillisecond);
 
+// The sign-off comparison alone on one recorded C2 pair, both views
+// recorded once outside the timed loop. On the clean pair every port's
+// change lists are identical in both views, so compare() proves each
+// aligned without walking it; under grant_during_lock the diverged ports
+// take the RunWalker merge and the cell diff. `ports_walked` counts them.
+void compare_recorded_pair(benchmark::State& state, const bca::Faults& faults,
+                           verif::TestSpec spec) {
+  spec.n_transactions = static_cast<int>(state.range(0));
+  vcd::Trace traces[2];
+  for (int m = 0; m < 2; ++m) {
+    vcd::Recorder rec;
+    verif::TestbenchOptions opts = pair_view(m);
+    opts.recorder = &rec;
+    if (m == 1) opts.faults = faults;
+    {
+      verif::Testbench tb(cfg4(), spec, opts);
+      tb.run();
+    }
+    traces[m] = rec.take();
+  }
+  const auto ports = pair_ports();
+  double min_rate = 0.0;
+  for (auto _ : state) {
+    min_rate = stba::Analyzer::compare(traces[0], traces[1], ports).min_rate();
+    benchmark::DoNotOptimize(min_rate);
+  }
+  const auto fa = stba::Analyzer::resolve_ports(traces[0], ports);
+  const auto fb = stba::Analyzer::resolve_ports(traces[1], ports);
+  std::size_t walked = 0;
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    walked += !stba::Analyzer::identical(traces[0], fa[p], traces[1], fb[p]);
+  }
+  state.counters["min_rate"] = min_rate;
+  state.counters["ports_walked"] = static_cast<double>(walked);
+  state.counters["cycles"] = static_cast<double>(
+      std::max(traces[0].max_time(), traces[1].max_time()) + 1);
+}
+
+void BM_StbaCompareCleanPair(benchmark::State& state) {
+  compare_recorded_pair(state, {}, verif::t02_random_all_opcodes());
+}
+
+void BM_StbaCompareFaultedPair(benchmark::State& state) {
+  bca::Faults lock;
+  lock.grant_during_lock = true;
+  compare_recorded_pair(state, lock, verif::t05_chunked_traffic());
+}
+
+BENCHMARK(BM_StbaCompareCleanPair)->Arg(100)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_StbaCompareFaultedPair)->Arg(100)->Unit(benchmark::kMicrosecond);
+
 // Long sparse trace: many cycles, few changes. This is the shape the
 // change-driven merge is built for — the per-cycle scan it replaced walked
 // every one of the `cycles` x 17 field values through a binary search,
 // while the merge visits only the change events. One single-cycle granted
-// pulse every `stride` cycles.
+// pulse every `stride` cycles. Both sides read the same dump, which
+// compare() would prove identical without a walk, so this bench times
+// compare_by_merge to keep measuring the merge.
 std::string sparse_dump(std::uint64_t cycles, std::uint64_t stride) {
   std::ostringstream os;
   os << "$timescale 1ns $end\n$scope module tb $end\n$scope module p0 $end\n";
@@ -256,7 +310,7 @@ void BM_StbaCompareSparse(benchmark::State& state) {
   const vcd::Trace a = vcd::Trace::parse(ia);
   const vcd::Trace b = vcd::Trace::parse(ib);
   for (auto _ : state) {
-    const auto rep = stba::Analyzer::compare(a, b, {"tb.p0"});
+    const auto rep = stba::Analyzer::compare_by_merge(a, b, {"tb.p0"});
     benchmark::DoNotOptimize(rep.ports.front().aligned_cycles);
   }
   state.counters["cycles"] = static_cast<double>(cycles);

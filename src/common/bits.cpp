@@ -1,10 +1,25 @@
 #include "common/bits.h"
 
+#include <array>
+#include <cstring>
 #include <stdexcept>
 
 namespace crve {
 
 namespace {
+
+// kBinChars[b] is byte b as eight '0'/'1' characters, MSB first.
+constexpr auto kBinChars = [] {
+  std::array<std::array<char, 8>, 256> t{};
+  for (int b = 0; b < 256; ++b) {
+    for (int i = 0; i < 8; ++i) {
+      t[static_cast<std::size_t>(b)][static_cast<std::size_t>(7 - i)] =
+          static_cast<char>('0' + ((b >> i) & 1));
+    }
+  }
+  return t;
+}();
+
 void check_width(int width) {
   if (width < 1 || width > Bits::kMaxWidth) {
     throw std::invalid_argument("Bits width out of range [1,256]: " +
@@ -12,6 +27,25 @@ void check_width(int width) {
   }
 }
 }  // namespace
+
+void write_bin(char* out, const std::uint64_t* w, int width) {
+  // Bytes start on multiples of 8 bits, so none straddles two words. The
+  // top width % 8 bits go first, as the tail of their byte's entry.
+  const auto byte_at = [w](int bit) {
+    return static_cast<std::size_t>((w[bit / 64] >> (bit % 64)) & 0xffu);
+  };
+  int bit = width - width % 8;
+  if (const int head = width - bit; head != 0) {
+    std::memcpy(out, kBinChars[byte_at(bit)].data() + 8 - head,
+                static_cast<std::size_t>(head));
+    out += head;
+  }
+  while (bit != 0) {
+    bit -= 8;
+    std::memcpy(out, kBinChars[byte_at(bit)].data(), 8);
+    out += 8;
+  }
+}
 
 Bits::Bits(int width) : width_(width) { check_width(width); }
 
@@ -125,15 +159,9 @@ std::string Bits::to_bin_string() const {
 }
 
 void Bits::append_bin(std::string& out) const {
-  // Hot in every trace sink (one call per changed vector signal), so it
-  // reads the words directly instead of going through the checked bit().
   const std::size_t base = out.size();
   out.resize(base + static_cast<std::size_t>(width_));
-  char* msb_first = out.data() + base + width_;
-  for (int i = 0; i < width_; ++i) {
-    const std::uint64_t word = w_[static_cast<std::size_t>(i / 64)];
-    *--msb_first = static_cast<char>('0' + ((word >> (i % 64)) & 1u));
-  }
+  write_bin(out.data() + base, w_.data(), width_);
 }
 
 std::string Bits::to_hex_string() const {

@@ -13,6 +13,12 @@
 
 namespace crve {
 
+// Writes the low `width` bits of the little-endian words `w` to `out` as
+// '0'/'1' characters, most significant first: out[0] is bit width-1.
+// Eight characters per table lookup (the trace recorder formats every
+// changed value through here). Bits of w at or above `width` are ignored.
+void write_bin(char* out, const std::uint64_t* w, int width);
+
 class Bits {
  public:
   static constexpr int kMaxWidth = 256;

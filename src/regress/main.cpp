@@ -14,7 +14,7 @@
 //   --seeds a,b,c      seeds to run every test with        (default: 1)
 //   --tests t02,t05    subset of the CATG suite by prefix  (default: all 12)
 //   --tx N             transactions per initiator per test (default: 60)
-//   --threshold P      alignment sign-off threshold        (default: 0.99)
+//   --threshold P      alignment sign-off threshold, (0, 1] (default: 0.99)
 //   --fault NAME       inject a named BCA fault (see bca/faults.h)
 //   --no-alignment     skip VCD dump + STBA comparison
 //   --jobs N           worker threads for the (config,test,seed,view)
@@ -136,6 +136,7 @@
 #include "regress/job_spec.h"
 #include "regress/progress.h"
 #include "regress/runner.h"
+#include "stba/analyzer.h"
 #include "verif/tests.h"
 
 namespace {
@@ -293,7 +294,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--threshold") {
       const char* v = next();
       if (!v) return usage();
-      threshold = std::stod(v);
+      const auto t = stba::parse_threshold(v);
+      if (!t) {
+        std::fprintf(stderr,
+                     "invalid --threshold '%s': expected a number in (0, 1]\n",
+                     v);
+        return usage();
+      }
+      threshold = *t;
     } else if (arg == "--fault") {
       const char* v = next();
       if (!v || !regress::set_fault_by_name(faults, v)) {

@@ -324,7 +324,7 @@ struct Campaign {
         write_text(plan.out_dir + "/alignment_" +
                        sanitize_artifact_name(spec.name) + "_s" +
                        std::to_string(seed) + ".txt",
-                   rep.summary());
+                   rep.summary(plan.alignment_threshold));
         if (plan.run_triage && !rep.signed_off(plan.alignment_threshold)) {
           // This job finished the pair's second view, and the acq_rel
           // countdown in run_job ordered the other view's slot writes before

@@ -101,10 +101,12 @@ void Context::snapshot_all() {
 }
 
 void Context::sample_tracers() {
-  // Ascending index order so tracer output is independent of commit order.
-  std::sort(changed_.begin(), changed_.end());
   changed_samples_ += changed_.size();
-  for (Tracer* t : tracers_) t->sample(cycle_, signals_, changed_);
+  if (!tracers_.empty()) {
+    // Ascending index order so tracer output is independent of commit order.
+    std::sort(changed_.begin(), changed_.end());
+    for (Tracer* t : tracers_) t->sample(cycle_, signals_, changed_);
+  }
   for (const int i : changed_) {
     arena_.flags[static_cast<std::size_t>(i)] &=
         static_cast<std::uint8_t>(~SignalArena::kInChangedFlag);

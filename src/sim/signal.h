@@ -162,10 +162,8 @@ inline void append_vcd(std::string& out, bool v, int /*width*/) {
 
 inline void append_vcd(std::string& out, std::uint64_t v, int width) {
   const std::size_t base = out.size();
-  out.resize(base + static_cast<std::size_t>(width), '0');
-  for (int i = 0; i < width; ++i) {
-    if ((v >> i) & 1u) out[base + static_cast<std::size_t>(width - 1 - i)] = '1';
-  }
+  out.resize(base + static_cast<std::size_t>(width));
+  write_bin(out.data() + base, &v, width);
 }
 
 inline void append_vcd(std::string& out, const Bits& v, int /*width*/) {

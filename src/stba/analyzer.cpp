@@ -1,8 +1,11 @@
 #include "stba/analyzer.h"
 
 #include <algorithm>
+#include <charconv>
+#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/build_info.h"
 #include "common/json.h"
@@ -18,18 +21,87 @@ const std::vector<std::string>& Analyzer::port_fields() {
   return kFields;
 }
 
-std::vector<int> Analyzer::resolve_port_fields(const vcd::Trace& t,
-                                               const std::string& port) {
-  std::vector<int> idx;
-  for (const auto& f : port_fields()) {
-    auto v = t.find(port + "." + f);
-    if (!v) {
-      throw std::runtime_error("STBA: signal " + port + "." + f +
-                               " not found (or ambiguous) in dump");
+std::optional<double> parse_threshold(const std::string& text) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  if (!(v > 0.0 && v <= 1.0)) return std::nullopt;  // also rejects nan
+  return v;
+}
+
+std::vector<std::vector<int>> Analyzer::resolve_ports(
+    const vcd::Trace& t, const std::vector<std::string>& ports) {
+  constexpr int kAbsent = -1;
+  constexpr int kAmbiguous = -2;
+  const auto& fields = port_fields();
+  std::vector<std::vector<int>> idx(ports.size(),
+                                    std::vector<int>(fields.size(), kAbsent));
+  // A port listed twice resolves once, at its first position.
+  std::map<std::string_view, std::size_t> slot_of;
+  for (std::size_t p = 0; p < ports.size(); ++p) slot_of.emplace(ports[p], p);
+
+  // `port.f` is a dotted suffix of a name exactly when the name's last
+  // component is f and `port` is the rest of the name or a dotted suffix
+  // of it, so each variable is matched against the ports by looking up
+  // every dotted suffix of its scope.
+  const auto& vars = t.vars();
+  for (std::size_t v = 0; v < vars.size(); ++v) {
+    const std::string_view name = vars[v].name;
+    const std::size_t dot = name.rfind('.');
+    if (dot == std::string_view::npos) continue;
+    const auto f = std::find(fields.begin(), fields.end(),
+                             name.substr(dot + 1));
+    if (f == fields.end()) continue;
+    const std::string_view scope = name.substr(0, dot);
+    for (std::size_t from = 0;;) {
+      const auto hit = slot_of.find(scope.substr(from));
+      if (hit != slot_of.end()) {
+        int& i = idx[hit->second][static_cast<std::size_t>(f - fields.begin())];
+        i = i == kAbsent ? static_cast<int>(v) : kAmbiguous;
+      }
+      const std::size_t next = scope.find('.', from);
+      if (next == std::string_view::npos) break;
+      from = next + 1;
     }
-    idx.push_back(*v);
+  }
+
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    const std::size_t first = slot_of.at(ports[p]);
+    if (first != p) {
+      idx[p] = idx[first];
+      continue;
+    }
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+      if (idx[p][f] >= 0) continue;
+      const std::string signal = ports[p] + "." + fields[f];
+      if (idx[p][f] == kAbsent) {
+        throw std::runtime_error("STBA: signal " + signal +
+                                 " not found in dump");
+      }
+      std::string candidates;
+      for (const int v : t.matches(signal)) {
+        candidates += candidates.empty() ? "" : ", ";
+        candidates += vars[static_cast<std::size_t>(v)].name;
+      }
+      throw std::runtime_error("STBA: signal " + signal +
+                               " is ambiguous in dump: matches " + candidates);
+    }
   }
   return idx;
+}
+
+std::vector<int> Analyzer::resolve_port_fields(const vcd::Trace& t,
+                                               const std::string& port) {
+  return std::move(resolve_ports(t, {port}).front());
+}
+
+bool Analyzer::identical(const vcd::Trace& a, const std::vector<int>& ia,
+                         const vcd::Trace& b, const std::vector<int>& ib) {
+  for (std::size_t f = 0; f < ia.size(); ++f) {
+    if (!(a.changes(ia[f]) == b.changes(ib[f]))) return false;
+  }
+  return true;
 }
 
 namespace {
@@ -64,23 +136,28 @@ bool port_has_activity(const vcd::Trace& t, const std::vector<int>& idx) {
   return false;
 }
 
-std::string activity_note_of(const vcd::Trace& a, const std::vector<int>& ia,
-                             const vcd::Trace& b,
-                             const std::vector<int>& ib) {
-  const bool a_active = port_has_activity(a, ia);
-  const bool b_active = port_has_activity(b, ib);
-  if (!a_active && !b_active) {
-    return "no activity on this port in either dump; rate is vacuous";
+// A channel hands over a cell on every cycle its request and grant are
+// both a single '1'.
+bool granted(std::string_view req, std::string_view gnt) {
+  return req == "1" && gnt == "1";
+}
+
+// Number of granted cells in [0, end): the cell count of a CellCursor
+// stream, from the four handshake fields alone.
+std::uint64_t count_cells(const vcd::Trace& t, const std::vector<int>& idx,
+                          std::uint64_t end) {
+  vcd::Trace::Cursor cur[] = {t.cursor(idx[kReq]), t.cursor(idx[kGnt]),
+                              t.cursor(idx[kRReq]), t.cursor(idx[kRGnt])};
+  std::uint64_t cells = 0;
+  for (std::uint64_t c = 0; c < end;) {
+    const int per_cycle = granted(cur[0].value_at(c), cur[1].value_at(c)) +
+                          granted(cur[2].value_at(c), cur[3].value_at(c));
+    std::uint64_t next = end;
+    for (const auto& f : cur) next = std::min(next, f.next_change_time());
+    cells += static_cast<std::uint64_t>(per_cycle) * (next - c);
+    c = next;
   }
-  if (!a_active) {
-    return "dump A has no activity on this port; rate compares B "
-           "against all-zeros";
-  }
-  if (!b_active) {
-    return "dump B has no activity on this port; rate compares A "
-           "against all-zeros";
-  }
-  return "";
+  return cells;
 }
 
 // One granted cell as views into the trace's value storage.
@@ -137,8 +214,8 @@ class CellCursor {
   void start_run(std::uint64_t c) {
     for (auto& f : cur_) f.value_at(c);  // settle so next_event looks past c
     run_end_ = std::min(next_event(cur_), end_);
-    granted_[0] = field(kReq, c) == "1" && field(kGnt, c) == "1";
-    granted_[1] = field(kRReq, c) == "1" && field(kRGnt, c) == "1";
+    granted_[0] = granted(field(kReq, c), field(kGnt, c));
+    granted_[1] = granted(field(kRReq, c), field(kRGnt, c));
     if (granted_[0]) {
       CellView& req = cells_[0];
       req.opc = field(kOpc, c);
@@ -180,7 +257,8 @@ class CellCursor {
 };
 
 // Cell-stream accounting shared by extract() and compare(): compare()
-// walks both streams of a port, so it counts as two extractions.
+// accounts for both streams of a port, diffed or counted by the identity
+// proof, so it counts as two extractions.
 void count_extracts(std::uint64_t streams, std::uint64_t cells) {
   obs::counter("stba.extracts").add(streams);
   obs::counter("stba.cells_extracted").add(cells);
@@ -206,6 +284,26 @@ void diff_cells(const vcd::Trace& a, const std::vector<int>& ia,
 
 }  // namespace
 
+std::string Analyzer::activity_note(const vcd::Trace& a,
+                                   const std::vector<int>& ia,
+                                   const vcd::Trace& b,
+                                   const std::vector<int>& ib) {
+  const bool a_active = port_has_activity(a, ia);
+  const bool b_active = port_has_activity(b, ib);
+  if (!a_active && !b_active) {
+    return "no activity on this port in either dump; rate is vacuous";
+  }
+  if (!a_active) {
+    return "dump A has no activity on this port; rate compares B "
+           "against all-zeros";
+  }
+  if (!b_active) {
+    return "dump B has no activity on this port; rate compares A "
+           "against all-zeros";
+  }
+  return "";
+}
+
 RunWalker::RunWalker(const vcd::Trace& a, const std::vector<int>& ia,
                      const vcd::Trace& b, const std::vector<int>& ib,
                      std::uint64_t total)
@@ -223,12 +321,6 @@ bool RunWalker::next(FieldRun& run) {
   run = {c_, end, differs};
   c_ = end;
   return true;
-}
-
-std::string Analyzer::activity_note(const vcd::Trace& a, const vcd::Trace& b,
-                                    const std::string& port) {
-  return activity_note_of(a, resolve_port_fields(a, port), b,
-                          resolve_port_fields(b, port));
 }
 
 std::vector<ExtractedCell> Analyzer::extract(const vcd::Trace& t,
@@ -253,49 +345,97 @@ std::vector<ExtractedCell> Analyzer::extract(const vcd::Trace& t,
   return cells;
 }
 
-AlignmentReport Analyzer::compare(const vcd::Trace& a, const vcd::Trace& b,
-                                  const std::vector<std::string>& ports) {
-  AlignmentReport report;
-  const bool metrics = obs::metrics_enabled();
-  const std::uint64_t total = std::max(a.max_time(), b.max_time()) + 1;
-  for (const auto& port : ports) {
-    PortAlignment pa;
-    pa.port = port;
-    pa.total_cycles = total;
-    const std::vector<int> ia = resolve_port_fields(a, port);
-    const std::vector<int> ib = resolve_port_fields(b, port);
-    pa.note = activity_note_of(a, ia, b, ib);
-    RunWalker walk(a, ia, b, ib, total);
-    std::uint64_t merge_events = 0;
-    for (FieldRun run; walk.next(run);) {
-      ++merge_events;
-      const std::uint64_t len = run.end - run.begin;
-      if (run.differs == 0) {
-        pa.aligned_cycles += len;
-        if (metrics) obs::histogram("stba.aligned_run_cycles").observe(len);
-      } else if (!pa.diverged()) {
-        pa.first_divergence = run.begin;
-        for (std::size_t f = 0; f < ia.size(); ++f) {
-          if (run.differs >> f & 1u) {
-            pa.diverged_signals.push_back(port + "." + port_fields()[f]);
-          }
+namespace {
+
+// Credits a port whose fields Analyzer::identical() proved equal: aligned
+// on every cycle, and the two cell streams agree cell for cell up to the
+// shorter trace's end (each stream stops at its own trace's last cycle).
+void credit_identical(const vcd::Trace& a, const std::vector<int>& ia,
+                      const vcd::Trace& b, const std::vector<int>& ib,
+                      PortAlignment& pa) {
+  pa.aligned_cycles = pa.total_cycles;
+  pa.cells_a = count_cells(a, ia, a.max_time() + 1);
+  pa.cells_b = a.max_time() == b.max_time()
+                   ? pa.cells_a
+                   : count_cells(b, ib, b.max_time() + 1);
+  pa.cells_matching = std::min(pa.cells_a, pa.cells_b);
+}
+
+// The RunWalker merge and the cell diff of one port.
+void walk_port(const vcd::Trace& a, const std::vector<int>& ia,
+               const vcd::Trace& b, const std::vector<int>& ib,
+               PortAlignment& pa, bool metrics) {
+  RunWalker walk(a, ia, b, ib, pa.total_cycles);
+  std::uint64_t merge_events = 0;
+  for (FieldRun run; walk.next(run);) {
+    ++merge_events;
+    const std::uint64_t len = run.end - run.begin;
+    if (run.differs == 0) {
+      pa.aligned_cycles += len;
+      if (metrics) obs::histogram("stba.aligned_run_cycles").observe(len);
+    } else if (!pa.diverged()) {
+      pa.first_divergence = run.begin;
+      for (std::size_t f = 0; f < ia.size(); ++f) {
+        if (run.differs >> f & 1u) {
+          pa.diverged_signals.push_back(pa.port + "." +
+                                        Analyzer::port_fields()[f]);
         }
       }
     }
-    // Transaction-level diff (content compare, cycle-independent).
-    diff_cells(a, ia, b, ib, pa);
+  }
+  // Transaction-level diff (content compare, cycle-independent).
+  diff_cells(a, ia, b, ib, pa);
+  if (metrics) {
+    obs::counter("stba.merge_events").add(merge_events);
+    obs::histogram("stba.merge_events_per_port").observe(merge_events);
+  }
+}
+
+AlignmentReport compare_ports(const vcd::Trace& a, const vcd::Trace& b,
+                              const std::vector<std::string>& ports,
+                              bool prove_identical) {
+  AlignmentReport report;
+  const bool metrics = obs::metrics_enabled();
+  const std::uint64_t total = std::max(a.max_time(), b.max_time()) + 1;
+  const auto fa = Analyzer::resolve_ports(a, ports);
+  const auto fb = Analyzer::resolve_ports(b, ports);
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    const std::vector<int>& ia = fa[p];
+    const std::vector<int>& ib = fb[p];
+    PortAlignment pa;
+    pa.port = ports[p];
+    pa.total_cycles = total;
+    pa.note = Analyzer::activity_note(a, ia, b, ib);
+    const bool proven = prove_identical && Analyzer::identical(a, ia, b, ib);
+    if (proven) {
+      credit_identical(a, ia, b, ib, pa);
+    } else {
+      walk_port(a, ia, b, ib, pa, metrics);
+    }
     if (metrics) {
       obs::counter("stba.ports_compared").inc();
-      obs::counter("stba.merge_events").add(merge_events);
+      if (proven) obs::counter("stba.ports_identical").inc();
       obs::counter("stba.aligned_cycles").add(pa.aligned_cycles);
       obs::counter("stba.compared_cycles").add(pa.total_cycles);
-      obs::histogram("stba.merge_events_per_port").observe(merge_events);
       count_extracts(2, pa.cells_a + pa.cells_b);
     }
     report.ports.push_back(std::move(pa));
   }
   if (metrics) obs::counter("stba.compares").inc();
   return report;
+}
+
+}  // namespace
+
+AlignmentReport Analyzer::compare(const vcd::Trace& a, const vcd::Trace& b,
+                                  const std::vector<std::string>& ports) {
+  return compare_ports(a, b, ports, /*prove_identical=*/true);
+}
+
+AlignmentReport Analyzer::compare_by_merge(
+    const vcd::Trace& a, const vcd::Trace& b,
+    const std::vector<std::string>& ports) {
+  return compare_ports(a, b, ports, /*prove_identical=*/false);
 }
 
 AlignmentReport Analyzer::compare_files(const std::string& path_a,
@@ -326,7 +466,7 @@ bool AlignmentReport::signed_off(double threshold) const {
   return true;
 }
 
-std::string AlignmentReport::summary() const {
+std::string AlignmentReport::summary(double threshold) const {
   std::ostringstream os;
   for (const auto& p : ports) {
     os << p.port << ": " << p.aligned_cycles << "/" << p.total_cycles << " ("
@@ -338,9 +478,13 @@ std::string AlignmentReport::summary() const {
     if (!p.note.empty()) os << " [" << p.note << "]";
     os << "\n";
   }
-  os << "min rate " << 100.0 * min_rate() << "%, "
-     << (signed_off() ? "SIGNED OFF (>=99% everywhere)" : "NOT signed off")
-     << "\n";
+  os << "min rate " << 100.0 * min_rate() << "%, ";
+  if (signed_off(threshold)) {
+    os << "SIGNED OFF (>=" << 100.0 * threshold << "% everywhere)";
+  } else {
+    os << "NOT signed off";
+  }
+  os << "\n";
   return os.str();
 }
 

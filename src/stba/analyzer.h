@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,7 +73,9 @@ struct AlignmentReport {
   double mean_rate() const;
   // The paper's sign-off criterion: every port at or above `threshold`.
   bool signed_off(double threshold = 0.99) const;
-  std::string summary() const;
+  // Per-port text report and the verdict against `threshold`, which the
+  // last line names.
+  std::string summary(double threshold = 0.99) const;
 
   // The full report as a pretty JSON document (machine-readable counterpart
   // of summary(), used by `crve_stba --json`). Carries the build stamp, the
@@ -82,6 +85,11 @@ struct AlignmentReport {
   std::string json(double threshold = 0.99) const;
 };
 
+// Parses a sign-off threshold given on a command line: the whole text must
+// be a number in (0, 1]. nullopt for anything else (garbage, trailing
+// characters, nan, inf, zero, negative or above 1).
+std::optional<double> parse_threshold(const std::string& text);
+
 class Analyzer {
  public:
   // Standard STBus field suffixes of one port.
@@ -90,13 +98,23 @@ class Analyzer {
   // Cycle-level + transaction-level comparison of the given ports (each a
   // dotted prefix such as "tb.init0") between two dumps.
   //
-  // Walks each port with a RunWalker: the alignment status of a port is
-  // constant between change events, so whole runs of unchanged cycles are
-  // credited at once. O(total changes) instead of O(cycles x fields x log
-  // changes), with results identical to the per-cycle scan
-  // (tests/test_trace_path.cpp holds the equivalence).
+  // A port whose fields have identical change lists in both dumps
+  // (identical()) is aligned on every cycle and carries the same cell
+  // stream, so it is credited without a walk: only its granted cells are
+  // counted. Every other port is walked with a RunWalker: the alignment
+  // status of a port is constant between change events, so whole runs of
+  // unchanged cycles are credited at once. O(total changes) instead of
+  // O(cycles x fields x log changes), with results identical to the
+  // per-cycle scan (tests/test_trace_path.cpp holds the equivalence).
   static AlignmentReport compare(const vcd::Trace& a, const vcd::Trace& b,
                                  const std::vector<std::string>& ports);
+
+  // compare() without the identity shortcut: every port takes the
+  // RunWalker merge and the cell diff. Its report equals compare()'s; it
+  // stays callable so tests and benchmarks can hold the two side by side.
+  static AlignmentReport compare_by_merge(
+      const vcd::Trace& a, const vcd::Trace& b,
+      const std::vector<std::string>& ports);
 
   static AlignmentReport compare_files(const std::string& path_a,
                                        const std::string& path_b,
@@ -108,16 +126,33 @@ class Analyzer {
   static std::vector<ExtractedCell> extract(const vcd::Trace& t,
                                             const std::string& port);
 
-  // Variable indices of one port's fields in `t`, in port_fields() order.
-  // Throws std::runtime_error when a field is absent or ambiguous. Shared
-  // by compare() and the Triage deep-dive so both resolve identically.
+  // Variable indices of every requested port's fields in `t`: element p
+  // holds ports[p]'s fields in port_fields() order. One pass over the
+  // variable table; a field `port.f` resolves as Trace::find would resolve
+  // it (the unique variable with that dotted suffix). Throws
+  // std::runtime_error naming the field when it is absent, and listing the
+  // candidates when it is ambiguous. Shared by compare() and the Triage
+  // deep-dive so both resolve identically.
+  static std::vector<std::vector<int>> resolve_ports(
+      const vcd::Trace& t, const std::vector<std::string>& ports);
+
+  // resolve_ports() for one port.
   static std::vector<int> resolve_port_fields(const vcd::Trace& t,
                                               const std::string& port);
 
+  // True when every field of the port (`ia` in `a`, `ib` in `b`) has the
+  // same width and the same change list on both sides: the port then
+  // holds equal values on every cycle and emits the same cells.
+  static bool identical(const vcd::Trace& a, const std::vector<int>& ia,
+                        const vcd::Trace& b, const std::vector<int>& ib);
+
   // The vacuous-rate annotation compare() attaches when one or both dumps
-  // show no activity on `port`; empty for a healthy comparison.
-  static std::string activity_note(const vcd::Trace& a, const vcd::Trace& b,
-                                   const std::string& port);
+  // show no activity on the port whose fields are `ia` in `a` and `ib` in
+  // `b`; empty for a healthy comparison.
+  static std::string activity_note(const vcd::Trace& a,
+                                   const std::vector<int>& ia,
+                                   const vcd::Trace& b,
+                                   const std::vector<int>& ib);
 };
 
 // One run of a RunWalker: cycles [begin, end) on which every field of the
@@ -130,9 +165,10 @@ struct FieldRun {
 };
 
 // The k-way merge over one port's field change lists in two traces, shared
-// by Analyzer::compare and Triage::analyze: it hops from change event to
-// change event over [0, total), so each run is classified once. Runs end
-// at every change on either side, even when `differs` stays the same.
+// by Analyzer::compare and Triage::analyze for the ports that are not
+// identical: it hops from change event to change event over [0, total), so
+// each run is classified once. Runs end at every change on either side,
+// even when `differs` stays the same.
 class RunWalker {
  public:
   // `ia`/`ib` are the port's fields as Analyzer::resolve_port_fields gives

@@ -5,7 +5,8 @@
 //
 // Compares the two dumps port by port, prints the alignment report (rate,
 // first divergence, transaction diff) and exits 0 when every port is at or
-// above the sign-off threshold. With --json the full AlignmentReport is
+// above the sign-off threshold, a number in (0, 1]; any other threshold
+// exits 2 with a diagnostic. With --json the full AlignmentReport is
 // emitted as a machine-readable document (build stamp, per-port rate /
 // first-divergence / diverged-signal / cell-stream detail) instead of the
 // human summary; the exit code is unchanged.
@@ -49,7 +50,14 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--threshold") {
       if (++i >= argc) return usage();
-      threshold = std::stod(argv[i]);
+      const auto t = crve::stba::parse_threshold(argv[i]);
+      if (!t) {
+        std::fprintf(stderr,
+                     "invalid --threshold '%s': expected a number in (0, 1]\n",
+                     argv[i]);
+        return usage();
+      }
+      threshold = *t;
     } else if (arg == "--cells") {
       show_cells = true;
     } else if (arg == "--json") {
@@ -70,7 +78,7 @@ int main(int argc, char** argv) {
     if (as_json) {
       std::printf("%s", report.json(threshold).c_str());
     } else {
-      std::printf("%s", report.summary().c_str());
+      std::printf("%s", report.summary(threshold).c_str());
       if (show_cells) {
         for (const auto& p : report.ports) {
           std::printf("%s: %llu vs %llu cells, %llu matching in order\n",

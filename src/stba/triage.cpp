@@ -99,97 +99,111 @@ void render_cell(std::string& out, const char* key, const InFlightCell& c,
   out += "}";
 }
 
-}  // namespace
-
-TriageReport Triage::analyze(const vcd::Trace& a, const vcd::Trace& b,
-                             const std::vector<std::string>& ports) {
-  TriageReport report;
-  const bool metrics = obs::metrics_enabled();
+// Walks one port that is not identical in both dumps: every diverged run
+// goes into pt's windows and per-signal intervals, and into the report's
+// earliest divergence.
+void walk_port(const vcd::Trace& a, const std::vector<int>& ia,
+               const vcd::Trace& b, const std::vector<int>& ib,
+               PortTriage& pt, TriageReport& report) {
   const auto& fields = Analyzer::port_fields();
-  const std::uint64_t total = std::max(a.max_time(), b.max_time()) + 1;
-  for (const auto& port : ports) {
-    PortTriage pt;
-    pt.port = port;
-    pt.total_cycles = total;
-    pt.note = Analyzer::activity_note(a, b, port);
-    const std::vector<int> ia = Analyzer::resolve_port_fields(a, port);
-    const std::vector<int> ib = Analyzer::resolve_port_fields(b, port);
+  const std::string& port = pt.port;
+  // Transaction context, one stream per view (cycle-sorted, so the window
+  // correlation below is a binary search per window, not a scan).
+  const auto cells_a = Analyzer::extract(a, port);
+  const auto cells_b = Analyzer::extract(b, port);
 
-    // Transaction context, one stream per view (cycle-sorted, so the window
-    // correlation below is a binary search per window, not a scan).
-    const auto cells_a = Analyzer::extract(a, port);
-    const auto cells_b = Analyzer::extract(b, port);
+  // Per-field interval accumulation state: the exclusive end of the last
+  // diverged run per field, to merge adjacent runs into one interval.
+  std::vector<SignalDivergence> sig(fields.size());
+  std::vector<std::uint64_t> sig_open_end(fields.size(), 0);
+  std::vector<bool> sig_seen(fields.size(), false);
+  bool window_open = false;
+  std::uint64_t window_end = 0;
 
-    // Per-field interval accumulation state: the exclusive end of the last
-    // diverged run per field, to merge adjacent runs into one interval.
-    std::vector<SignalDivergence> sig(fields.size());
-    std::vector<std::uint64_t> sig_open_end(fields.size(), 0);
-    std::vector<bool> sig_seen(fields.size(), false);
-    bool window_open = false;
-    std::uint64_t window_end = 0;
-
-    // The merge compare() uses: each [c, run_end) run is classified once.
-    RunWalker walk(a, ia, b, ib, total);
-    for (FieldRun run; walk.next(run);) {
-      const std::uint64_t c = run.begin;
-      const std::uint64_t run_end = run.end;
-      if (run.differs == 0) {
-        pt.aligned_cycles += run_end - c;
-        window_open = false;
-      } else {
-        pt.diverged_cycles += run_end - c;
-        for (std::size_t f = 0; f < fields.size(); ++f) {
-          if ((run.differs >> f & 1u) == 0) continue;
-          SignalDivergence& sd = sig[f];
-          sd.diverged_cycles += run_end - c;
-          if (sig_seen[f] && sig_open_end[f] == c) {
-            // Adjacent diverged run on the same signal: extend in place.
-            if (!sd.intervals.empty() && sd.intervals.back().end == c) {
-              sd.intervals.back().end = run_end;
-            }
-          } else {
-            ++sd.interval_count;
-            if (sd.intervals.size() < kMaxIntervals) {
-              sd.intervals.push_back({c, run_end});
-            }
-          }
-          sig_seen[f] = true;
-          sig_open_end[f] = run_end;
-        }
-        if (window_open && window_end == c) {
-          // Same port-level window continues across the event boundary.
-          if (!pt.windows.empty() && pt.windows.back().end == c) {
-            pt.windows.back().end = run_end;
+  // The merge compare() uses: each [c, run_end) run is classified once.
+  RunWalker walk(a, ia, b, ib, pt.total_cycles);
+  for (FieldRun run; walk.next(run);) {
+    const std::uint64_t c = run.begin;
+    const std::uint64_t run_end = run.end;
+    if (run.differs == 0) {
+      pt.aligned_cycles += run_end - c;
+      window_open = false;
+    } else {
+      pt.diverged_cycles += run_end - c;
+      for (std::size_t f = 0; f < fields.size(); ++f) {
+        if ((run.differs >> f & 1u) == 0) continue;
+        SignalDivergence& sd = sig[f];
+        sd.diverged_cycles += run_end - c;
+        if (sig_seen[f] && sig_open_end[f] == c) {
+          // Adjacent diverged run on the same signal: extend in place.
+          if (!sd.intervals.empty() && sd.intervals.back().end == c) {
+            sd.intervals.back().end = run_end;
           }
         } else {
-          ++pt.window_count;
-          if (pt.windows.size() < kMaxWindows) {
-            DivergenceWindow w;
-            w.begin = c;
-            w.end = run_end;
-            for (std::size_t f = 0; f < fields.size(); ++f) {
-              if (run.differs >> f & 1u) {
-                w.signals.push_back(port + "." + fields[f]);
-              }
-            }
-            w.in_flight_a = in_flight_at(cells_a, c);
-            w.in_flight_b = in_flight_at(cells_b, c);
-            pt.windows.push_back(std::move(w));
+          ++sd.interval_count;
+          if (sd.intervals.size() < Triage::kMaxIntervals) {
+            sd.intervals.push_back({c, run_end});
           }
         }
-        window_open = true;
-        window_end = run_end;
-        if (c < report.first_divergence) {
-          report.first_divergence = c;
-          report.first_port = port;
+        sig_seen[f] = true;
+        sig_open_end[f] = run_end;
+      }
+      if (window_open && window_end == c) {
+        // Same port-level window continues across the event boundary.
+        if (!pt.windows.empty() && pt.windows.back().end == c) {
+          pt.windows.back().end = run_end;
+        }
+      } else {
+        ++pt.window_count;
+        if (pt.windows.size() < Triage::kMaxWindows) {
+          DivergenceWindow w;
+          w.begin = c;
+          w.end = run_end;
+          for (std::size_t f = 0; f < fields.size(); ++f) {
+            if (run.differs >> f & 1u) {
+              w.signals.push_back(port + "." + fields[f]);
+            }
+          }
+          w.in_flight_a = in_flight_at(cells_a, c);
+          w.in_flight_b = in_flight_at(cells_b, c);
+          pt.windows.push_back(std::move(w));
         }
       }
+      window_open = true;
+      window_end = run_end;
+      if (c < report.first_divergence) {
+        report.first_divergence = c;
+        report.first_port = port;
+      }
     }
+  }
 
-    for (std::size_t f = 0; f < fields.size(); ++f) {
-      if (sig[f].diverged_cycles == 0) continue;
-      sig[f].signal = port + "." + fields[f];
-      pt.signals.push_back(std::move(sig[f]));
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    if (sig[f].diverged_cycles == 0) continue;
+    sig[f].signal = port + "." + fields[f];
+    pt.signals.push_back(std::move(sig[f]));
+  }
+}
+
+// Triage::analyze, with or without the identity shortcut.
+TriageReport triage_ports(const vcd::Trace& a, const vcd::Trace& b,
+                          const std::vector<std::string>& ports,
+                          bool prove_identical) {
+  TriageReport report;
+  const bool metrics = obs::metrics_enabled();
+  const std::uint64_t total = std::max(a.max_time(), b.max_time()) + 1;
+  const auto fa = Analyzer::resolve_ports(a, ports);
+  const auto fb = Analyzer::resolve_ports(b, ports);
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    PortTriage pt;
+    pt.port = ports[p];
+    pt.total_cycles = total;
+    pt.note = Analyzer::activity_note(a, fa[p], b, fb[p]);
+    if (prove_identical && Analyzer::identical(a, fa[p], b, fb[p])) {
+      // Aligned on every cycle: no window, no transaction context needed.
+      pt.aligned_cycles = total;
+    } else {
+      walk_port(a, fa[p], b, fb[p], pt, report);
     }
     if (metrics) {
       obs::counter("stba.triage_ports").inc();
@@ -200,6 +214,19 @@ TriageReport Triage::analyze(const vcd::Trace& a, const vcd::Trace& b,
   }
   if (metrics) obs::counter("stba.triages").inc();
   return report;
+}
+
+}  // namespace
+
+TriageReport Triage::analyze(const vcd::Trace& a, const vcd::Trace& b,
+                             const std::vector<std::string>& ports) {
+  return triage_ports(a, b, ports, /*prove_identical=*/true);
+}
+
+TriageReport Triage::analyze_by_merge(const vcd::Trace& a,
+                                      const vcd::Trace& b,
+                                      const std::vector<std::string>& ports) {
+  return triage_ports(a, b, ports, /*prove_identical=*/false);
 }
 
 std::string TriageReport::json(

@@ -200,21 +200,24 @@ bool Trace::operator==(const Trace& o) const {
   return true;
 }
 
-std::optional<int> Trace::find(const std::string& suffix) const {
-  std::optional<int> hit;
+std::vector<int> Trace::matches(const std::string& suffix) const {
+  std::vector<int> hits;
   for (std::size_t i = 0; i < vars_.size(); ++i) {
     const std::string& n = vars_[i].name;
-    const bool match =
-        n == suffix || (n.size() > suffix.size() &&
+    if (n == suffix || (n.size() > suffix.size() &&
                         n.compare(n.size() - suffix.size(), suffix.size(),
                                   suffix) == 0 &&
-                        n[n.size() - suffix.size() - 1] == '.');
-    if (match) {
-      if (hit) return std::nullopt;  // ambiguous
-      hit = static_cast<int>(i);
+                        n[n.size() - suffix.size() - 1] == '.')) {
+      hits.push_back(static_cast<int>(i));
     }
   }
-  return hit;
+  return hits;
+}
+
+std::optional<int> Trace::find(const std::string& suffix) const {
+  const std::vector<int> hits = matches(suffix);
+  if (hits.size() != 1) return std::nullopt;
+  return hits.front();
 }
 
 std::string_view Trace::value_at(int var, std::uint64_t t) const {

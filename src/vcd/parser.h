@@ -63,8 +63,12 @@ class Trace {
 
   const std::vector<Var>& vars() const { return vars_; }
 
-  // Index of the variable whose full name ends with `suffix` (unique match
-  // required); nullopt when absent.
+  // Indices of every variable whose full name is `suffix` or ends with
+  // "." + `suffix`, in declaration order.
+  std::vector<int> matches(const std::string& suffix) const;
+
+  // The one variable matches(suffix) names; nullopt when there is none or
+  // more than one.
   std::optional<int> find(const std::string& suffix) const;
 
   // Settled value of variable `var` at time `t` (last change at or before t).
@@ -80,6 +84,12 @@ class Trace {
     Change operator[](std::size_t k) const {
       return {(*times_)[k], std::string_view(values_->data() + k * width_,
                                              width_)};
+    }
+    // Same width and the same changes: the two variables hold equal values
+    // at every time.
+    bool operator==(const ChangeList& o) const {
+      return width_ == o.width_ && *times_ == *o.times_ &&
+             *values_ == *o.values_;
     }
     // Index of the first change strictly after time `t` (size() if none).
     std::size_t first_after(std::uint64_t t) const {

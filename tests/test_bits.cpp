@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "common/bits.h"
+#include "common/rng.h"
+#include "sim/signal.h"
 
 namespace crve {
 namespace {
@@ -155,6 +158,48 @@ TEST_P(BitsWidthSweep, ByteWritesStayInWidth) {
 INSTANTIATE_TEST_SUITE_P(Widths, BitsWidthSweep,
                          ::testing::Values(1, 7, 8, 9, 31, 32, 33, 63, 64, 65,
                                            127, 128, 129, 255, 256));
+
+// MSB-first text of `b` built one checked bit() at a time.
+std::string per_bit_reference(const Bits& b) {
+  std::string s;
+  for (int i = b.width() - 1; i >= 0; --i) s.push_back(b.bit(i) ? '1' : '0');
+  return s;
+}
+
+// The table-driven formatter of u64 signal values, at every width, on
+// random values with bits set above the width (which it must ignore),
+// appended after existing text.
+TEST(BitsFormat, U64ValuesMatchPerBitReferenceAtEveryWidth) {
+  Rng rng(17);
+  for (int width = 1; width <= 64; ++width) {
+    for (int k = 0; k < 34; ++k) {
+      const std::uint64_t v = k == 0   ? 0
+                              : k == 1 ? ~std::uint64_t{0}
+                                       : rng.next_u64();
+      std::string got = "pre";
+      sim::detail::append_vcd(got, v, width);
+      EXPECT_EQ(got, "pre" + per_bit_reference(Bits(width, v)))
+          << "width " << width << " value " << v;
+    }
+  }
+}
+
+TEST(BitsFormat, BitsValuesMatchPerBitReferenceAtEveryWidth) {
+  Rng rng(23);
+  for (int width = 8; width <= Bits::kMaxWidth; ++width) {
+    for (int k = 0; k < 10; ++k) {
+      Bits b = k == 0 ? Bits(width) : Bits::all_ones(width);
+      if (k > 1) {
+        for (int i = 0; i < width; ++i) b.set_bit(i, rng.next_u64() & 1u);
+      }
+      const std::string want = per_bit_reference(b);
+      std::string got = "pre";
+      b.append_bin(got);
+      EXPECT_EQ(got, "pre" + want) << "width " << width;
+      EXPECT_EQ(b.to_bin_string(), want) << "width " << width;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace crve

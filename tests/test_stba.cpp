@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <tuple>
 
 #include "stba/analyzer.h"
+#include "stba_expect.h"
 #include "verif/testbench.h"
 #include "verif/tests.h"
 
@@ -76,6 +78,63 @@ std::string field_dump(std::uint64_t cycles,
     } else {
       os << "b" << crve::Bits(widths[field], value).to_bin_string() << " "
          << id << "\n";
+    }
+  }
+  if (cycles > 0 && (t == ~std::uint64_t{0} || t < cycles - 1)) {
+    os << "#" << (cycles - 1) << "\n";
+  }
+  return os.str();
+}
+
+// One STBus port of a ports_dump: its dotted scope, the width of its `add`
+// field, and optionally one field (port_fields() index) left undeclared.
+struct DumpPort {
+  std::string scope;
+  int add_width = 32;
+  int missing = -1;
+};
+
+// Like field_dump, for several ports: writes are (time, port index, field
+// index, value).
+std::string ports_dump(
+    std::uint64_t cycles, const std::vector<DumpPort>& ports,
+    const std::vector<std::tuple<std::uint64_t, int, int, std::uint64_t>>&
+        writes) {
+  const auto& names = Analyzer::port_fields();
+  int widths[] = {1, 1, 6, 32, 32, 4, 1, 1, 6, 8, 1, 1, 2, 32, 1, 6, 8};
+  std::ostringstream os;
+  os << "$timescale 1ns $end\n";
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    std::istringstream path(ports[p].scope);
+    int depth = 0;
+    for (std::string part; std::getline(path, part, '.'); ++depth) {
+      os << "$scope module " << part << " $end\n";
+    }
+    widths[3] = ports[p].add_width;
+    for (int f = 0; f < 17; ++f) {
+      if (f == ports[p].missing) continue;
+      os << "$var wire " << widths[f] << " "
+         << vcd::id_code(static_cast<int>(p) * 17 + f) << " "
+         << names[static_cast<std::size_t>(f)] << " $end\n";
+    }
+    for (; depth > 0; --depth) os << "$upscope $end\n";
+  }
+  os << "$enddefinitions $end\n";
+  std::uint64_t t = ~std::uint64_t{0};
+  for (const auto& [time, port, field, value] : writes) {
+    if (time != t) {
+      os << "#" << time << "\n";
+      t = time;
+    }
+    const int width =
+        field == 3 ? ports[static_cast<std::size_t>(port)].add_width
+                   : widths[field];
+    const std::string id = vcd::id_code(port * 17 + field);
+    if (width == 1) {
+      os << (value ? "1" : "0") << id << "\n";
+    } else {
+      os << "b" << crve::Bits(width, value).to_bin_string() << " " << id
+         << "\n";
     }
   }
   if (cycles > 0 && (t == ~std::uint64_t{0} || t < cycles - 1)) {
@@ -185,9 +244,10 @@ TEST(Stba, SilentPortGetsActivityNote) {
   ASSERT_EQ(rep.ports.size(), 1u);
   EXPECT_NE(rep.ports[0].note.find("dump B has no activity"),
             std::string::npos);
-  EXPECT_EQ(Analyzer::activity_note(active, active, "tb.p0"), "");
-  EXPECT_NE(Analyzer::activity_note(silent, silent, "tb.p0")
-                .find("either dump"),
+  EXPECT_EQ(Analyzer::compare(active, active, {"tb.p0"}).ports[0].note, "");
+  EXPECT_NE(Analyzer::compare(silent, silent, {"tb.p0"})
+                .ports[0]
+                .note.find("either dump"),
             std::string::npos);
 }
 
@@ -234,6 +294,158 @@ TEST(Stba, EndToEndIdenticalViews) {
       parse(rtl_os.str()), parse(bca_os.str()),
       {"tb.init0", "tb.init1", "tb.targ0", "tb.targ1"});
   EXPECT_TRUE(rep.signed_off(0.999999)) << rep.summary();
+}
+
+// A 97% pair judged at 0.95: the text verdict follows the threshold the
+// caller judges with, and names it.
+TEST(Stba, SummaryJudgesAgainstGivenThreshold) {
+  std::vector<std::pair<bool, bool>> x(100, {false, false});
+  auto y = x;
+  y[10] = y[40] = y[70] = {true, true};
+  const auto rep = Analyzer::compare(parse(synth_dump(x)),
+                                     parse(synth_dump(y)), {"tb.p0"});
+  EXPECT_NEAR(rep.ports[0].rate(), 0.97, 1e-9);
+  const std::string at95 = rep.summary(0.95);
+  EXPECT_NE(at95.find("min rate 97%, SIGNED OFF (>=95% everywhere)\n"),
+            std::string::npos)
+      << at95;
+  EXPECT_NE(rep.json(0.95).find("\"signed_off\": true"), std::string::npos);
+  EXPECT_NE(rep.summary(0.99).find("min rate 97%, NOT signed off\n"),
+            std::string::npos);
+  EXPECT_EQ(rep.summary(), rep.summary(0.99));
+}
+
+TEST(Stba, SummaryAtDefaultThresholdKeepsItsText) {
+  const auto a = parse(synth_dump({{false, false}, {true, true}}));
+  const std::string text = Analyzer::compare(a, a, {"tb.p0"}).summary();
+  EXPECT_EQ(text,
+            "tb.p0: 2/2 (100%)\n"
+            "min rate 100%, SIGNED OFF (>=99% everywhere)\n");
+}
+
+TEST(Stba, ParseThresholdAcceptsOnlyUnitInterval) {
+  EXPECT_EQ(stba::parse_threshold("0.99"), 0.99);
+  EXPECT_EQ(stba::parse_threshold("1"), 1.0);
+  EXPECT_EQ(stba::parse_threshold("0.5"), 0.5);
+  EXPECT_EQ(stba::parse_threshold("95e-2"), 0.95);
+  for (const char* bad : {"", "abc", "0.9x", " 0.9", "nan", "NaN", "inf",
+                          "-inf", "0", "-0.5", "1.0001", "2"}) {
+    EXPECT_FALSE(stba::parse_threshold(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(Stba, AbsentFieldIsReportedAsAbsent) {
+  const auto t = parse(ports_dump(4, {{"tb.p0", 32, /*missing=*/16}}, {}));
+  try {
+    Analyzer::resolve_port_fields(t, "tb.p0");
+    FAIL() << "resolved a port without r_tid";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "STBA: signal tb.p0.r_tid not found in dump");
+  }
+}
+
+TEST(Stba, AmbiguousFieldListsTheCandidates) {
+  // Two scopes end in "p0", so "p0.req" names two variables.
+  const auto t = parse(ports_dump(4, {{"top.x.p0"}, {"top.y.p0"}}, {}));
+  try {
+    Analyzer::resolve_port_fields(t, "p0");
+    FAIL() << "resolved an ambiguous port";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "STBA: signal p0.req is ambiguous in dump: matches "
+                 "top.x.p0.req, top.y.p0.req");
+  }
+  // A longer dotted suffix tells them apart.
+  EXPECT_EQ(Analyzer::resolve_port_fields(t, "x.p0")[0], *t.find("x.p0.req"));
+  EXPECT_EQ(Analyzer::resolve_port_fields(t, "top.y.p0")[16],
+            *t.find("top.y.p0.r_tid"));
+  EXPECT_THROW(Analyzer::compare(t, t, {"x.p0", "p0"}), std::runtime_error);
+}
+
+// One pass over the variable table resolves each field to the variable
+// Trace::find gives, for every way of naming the port.
+TEST(Stba, ResolvePortsAgreesWithFind) {
+  const auto t = parse(
+      ports_dump(4, {{"top.tb.p0"}, {"top.tb.p1"}, {"other.p2"}}, {}));
+  const std::vector<std::string> ports = {"tb.p0", "top.tb.p1", "p2",
+                                          "tb.p0", "top.tb.p0"};
+  const auto idx = Analyzer::resolve_ports(t, ports);
+  ASSERT_EQ(idx.size(), ports.size());
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    for (std::size_t f = 0; f < 17; ++f) {
+      const auto v = t.find(ports[p] + "." + Analyzer::port_fields()[f]);
+      ASSERT_TRUE(v.has_value());
+      EXPECT_EQ(idx[p][f], *v) << ports[p] << " field " << f;
+    }
+  }
+  // A proper suffix that is not at a dot boundary is no match.
+  EXPECT_THROW(Analyzer::resolve_ports(t, {"b.p0"}), std::runtime_error);
+}
+
+// --- identity proof vs merge, edge cases --------------------------------
+
+// Both dumps silent, but `add` declared 32 bits wide in one and 16 in the
+// other: the lists are equal and empty, the widths are not, so the port is
+// walked and its all-zero values differ on every cycle, as before.
+TEST(IdentityProof, EmptyListsOfDifferentWidthsAreWalked) {
+  const auto a = parse(ports_dump(5, {{"tb.p0", 32}}, {}));
+  const auto b = parse(ports_dump(5, {{"tb.p0", 16}}, {}));
+  EXPECT_EQ(test::expect_proof_matches_merge(a, b, {"tb.p0"}, "widths"), 0u);
+  const auto p = Analyzer::compare(a, b, {"tb.p0"}).ports[0];
+  EXPECT_EQ(p.aligned_cycles, 0u);
+  EXPECT_EQ(p.first_divergence, 0u);
+  EXPECT_EQ(p.diverged_signals, std::vector<std::string>{"tb.p0.add"});
+}
+
+// Same port lists, different trace ends: aligned on all max(a,b)+1 cycles,
+// and a grant still held at the end counts cells up to each trace's own
+// end, as the cell walk does.
+TEST(IdentityProof, DifferentMaxTimeCountsCellsPerTrace) {
+  const std::vector<std::tuple<std::uint64_t, int, std::uint64_t>> writes = {
+      {2, 0, 1}, {2, 1, 1}, {3, 10, 1}, {3, 11, 1}, {3, 12, 1}};
+  const auto a = parse(field_dump(6, writes));
+  const auto b = parse(field_dump(12, writes));
+  ASSERT_NE(a.max_time(), b.max_time());
+  EXPECT_EQ(test::expect_proof_matches_merge(a, b, {"tb.p0"}, "ends"), 1u);
+  const auto p = Analyzer::compare(a, b, {"tb.p0"}).ports[0];
+  EXPECT_EQ(p.total_cycles, 12u);
+  EXPECT_EQ(p.aligned_cycles, 12u);
+  EXPECT_EQ(p.cells_a, 4u + 3u);   // request 2..5, response 3..5
+  EXPECT_EQ(p.cells_b, 10u + 9u);  // request 2..11, response 3..11
+  EXPECT_EQ(p.cells_matching, 7u);
+  // Either order.
+  test::expect_proof_matches_merge(b, a, {"tb.p0"}, "ends, swapped");
+}
+
+TEST(IdentityProof, PortEmptyInBothKeepsVacuousNote) {
+  const auto a = parse(field_dump(6, {}));
+  const auto b = parse(field_dump(9, {}));
+  EXPECT_EQ(test::expect_proof_matches_merge(a, b, {"tb.p0"}, "silent"), 1u);
+  const auto p = Analyzer::compare(a, b, {"tb.p0"}).ports[0];
+  EXPECT_EQ(p.aligned_cycles, p.total_cycles);
+  EXPECT_EQ(p.note, "no activity on this port in either dump; rate is vacuous");
+}
+
+TEST(IdentityProof, IdenticalAndDivergedPortInOnePair) {
+  const std::vector<DumpPort> ports = {{"tb.p0"}, {"tb.p1"}};
+  const auto a = parse(ports_dump(
+      8, ports, {{1, 0, 0, 1}, {1, 0, 1, 1}, {1, 1, 0, 1}, {1, 1, 1, 1},
+                 {2, 0, 0, 0}, {2, 0, 1, 0}, {2, 1, 0, 0}, {2, 1, 1, 0}}));
+  // p1's grant comes a cycle late in B.
+  const auto b = parse(ports_dump(
+      8, ports, {{1, 0, 0, 1}, {1, 0, 1, 1}, {1, 1, 0, 1}, {2, 0, 0, 0},
+                 {2, 0, 1, 0}, {2, 1, 1, 1}, {3, 1, 0, 0}, {3, 1, 1, 0}}));
+  EXPECT_EQ(
+      test::expect_proof_matches_merge(a, b, {"tb.p0", "tb.p1"}, "mixed"), 1u);
+  const auto rep = Analyzer::compare(a, b, {"tb.p0", "tb.p1"});
+  EXPECT_FALSE(rep.ports[0].diverged());
+  EXPECT_EQ(rep.ports[0].cells_matching, 1u);
+  EXPECT_TRUE(rep.ports[1].diverged());
+  EXPECT_EQ(rep.ports[1].first_divergence, 1u);
+  const auto tri = stba::Triage::analyze(a, b, {"tb.p0", "tb.p1"});
+  EXPECT_EQ(tri.first_port, "tb.p1");
+  EXPECT_EQ(tri.ports[0].window_count, 0u);
+  EXPECT_EQ(tri.ports[1].window_count, 1u);
 }
 
 }  // namespace

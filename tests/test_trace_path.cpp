@@ -16,6 +16,7 @@
 #include "regress/runner.h"
 #include "sim/context.h"
 #include "stba/analyzer.h"
+#include "stba_expect.h"
 #include "vcd/excerpt.h"
 #include "vcd/parser.h"
 #include "vcd/recorder.h"
@@ -514,6 +515,92 @@ TEST(StreamingCellDiff, MatchesExtractCountsUnderEachC3Fault) {
     }
   }
   EXPECT_TRUE(any_mismatch);  // the faults must actually bite
+}
+
+// ---------------------------------------------------------------------------
+// Identity proof: compare() credits a port whose change lists are equal in
+// both views without walking it. On real recordings it must report exactly
+// what the merge reports.
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> all_ports(const stbus::NodeConfig& cfg) {
+  std::vector<std::string> ports;
+  for (int i = 0; i < cfg.n_initiators; ++i) {
+    ports.push_back(verif::Testbench::initiator_port_name(i));
+  }
+  for (int t = 0; t < cfg.n_targets; ++t) {
+    ports.push_back(verif::Testbench::target_port_name(t));
+  }
+  return ports;
+}
+
+// One clean view run's recording under `kernel`.
+vcd::Trace record_on_kernel(const stbus::NodeConfig& cfg,
+                            const verif::TestSpec& spec,
+                            verif::ModelKind model, sim::KernelKind kernel) {
+  vcd::Recorder rec;
+  verif::TestbenchOptions opts;
+  opts.model = model;
+  opts.kernel = kernel;
+  opts.seed = 21;
+  opts.recorder = &rec;
+  verif::Testbench(cfg, spec, opts).run();
+  return rec.take();
+}
+
+TEST(IdentityProof, MatchesMergeOnShippedConfigs) {
+  const auto configs = shipped_configs();
+  ASSERT_FALSE(configs.empty());
+  std::size_t pairs = 0, ports = 0, identical = 0;
+  for (const auto& cfg : configs) {
+    const auto names = all_ports(cfg);
+    for (const auto& spec : verif::catg_test_suite()) {
+      for (const auto kernel :
+           {sim::KernelKind::kCompiled, sim::KernelKind::kInterp}) {
+        const vcd::Trace a =
+            record_on_kernel(cfg, spec, verif::ModelKind::kRtl, kernel);
+        const vcd::Trace b =
+            record_on_kernel(cfg, spec, verif::ModelKind::kBca, kernel);
+        const std::string where =
+            cfg.name + "/" + spec.name +
+            (kernel == sim::KernelKind::kInterp ? "/interp" : "/compiled");
+        identical += test::expect_proof_matches_merge(a, b, names, where);
+        ports += names.size();
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_EQ(pairs, configs.size() * 12 * 2);
+  // The clean views agree everywhere, so every port takes the proof.
+  EXPECT_EQ(identical, ports);
+}
+
+TEST(IdentityProof, MatchesMergeUnderEachC3Fault) {
+  stbus::NodeConfig cfg;
+  cfg.n_initiators = 3;
+  cfg.n_targets = 2;
+  cfg.bus_bytes = 4;
+  cfg.arb = stbus::ArbPolicy::kLru;
+  const auto names = all_ports(cfg);
+  for (const char* fault :
+       {"lru_stale_on_chunk", "grant_during_lock", "byte_enable_dropped",
+        "response_src_swap", "opcode_corrupt_on_busy"}) {
+    bca::Faults faults;
+    ASSERT_TRUE(regress::set_fault_by_name(faults, fault));
+    std::size_t ports = 0, identical = 0;
+    for (auto spec : verif::catg_test_suite()) {
+      spec.n_transactions = 40;
+      const vcd::Trace a =
+          record_view(cfg, spec, verif::ModelKind::kRtl, {});
+      const vcd::Trace b =
+          record_view(cfg, spec, verif::ModelKind::kBca, faults);
+      identical += test::expect_proof_matches_merge(
+          a, b, names, std::string(fault) + "/" + spec.name);
+      ports += names.size();
+    }
+    // The fault bites somewhere, so some port must have been walked.
+    EXPECT_LT(identical, ports) << fault;
+  }
 }
 
 // ---------------------------------------------------------------------------
