@@ -16,6 +16,7 @@
 #include "rtl/node.h"
 #include "rtl/size_converter.h"
 #include "rtl/type_converter.h"
+#include "verif/agent.h"
 #include "verif/bfm_initiator.h"
 #include "verif/bfm_target.h"
 
@@ -112,6 +113,23 @@ InterconnectRun run_interconnect(int remote_permille, int n_tx) {
   verif::TargetBfm tg2(ctx, "t2", t2, ProtocolType::kType2, tp, master.fork());
   verif::TargetBfm tg3(ctx, "t3", t3, ProtocolType::kType3, tp, master.fork());
   verif::TargetBfm tg4(ctx, "t4", t4, ProtocolType::kType3, tp, master.fork());
+
+  // One agent per environment-side port steps its BFM.
+  std::vector<std::unique_ptr<verif::PortAgent>> agents;
+  auto attach = [&](const std::string& name, PortPins& pins,
+                    verif::PortAgent::Parts parts) {
+    agents.push_back(
+        std::make_unique<verif::PortAgent>(ctx, name, pins, parts));
+  };
+  for (int i = 0; i < 3; ++i) {
+    attach("init" + std::to_string(i), *ipins[static_cast<size_t>(i)],
+           {.initiator = bfms[static_cast<size_t>(i)].get()});
+  }
+  attach("init3", i4, {.initiator = bfms[3].get()});
+  attach("t1", t1, {.target = &tg1});
+  attach("t2", t2, {.target = &tg2});
+  attach("t3", t3, {.target = &tg3});
+  attach("t4", t4, {.target = &tg4});
 
   ctx.initialize();
   while (ctx.cycle() < 400000) {

@@ -47,7 +47,7 @@ stbus::NodeConfig make_cfg(int n_init, int n_targ, int bus_bytes) {
 
 void run_model(benchmark::State& state, verif::ModelKind model,
                sim::KernelKind kernel = sim::KernelKind::kCompiled,
-               bool sparse = false) {
+               bool sparse = false, bool environment = false) {
   const int n_init = static_cast<int>(state.range(0));
   const int n_targ = static_cast<int>(state.range(1));
   const int bus = static_cast<int>(state.range(2));
@@ -81,12 +81,13 @@ void run_model(benchmark::State& state, verif::ModelKind model,
     opts.kernel = kernel;
     opts.seed = 3;
     // The paper compares *model* simulation speed; checkers/scoreboard/
-    // coverage cost the same on every view, so they are left out here.
-    opts.enable_checkers = false;
-    opts.enable_scoreboard = false;
-    opts.enable_coverage = false;
-    opts.enable_monitors = false;
-    opts.enable_reference_model = false;
+    // coverage cost the same on every view, so they are left out here
+    // unless the shape measures the environment itself (BM_Env*).
+    opts.enable_checkers = environment;
+    opts.enable_scoreboard = environment;
+    opts.enable_coverage = environment;
+    opts.enable_monitors = environment;
+    opts.enable_reference_model = environment;
     verif::Testbench tb(make_cfg(n_init, n_targ, bus), spec, opts);
     state.ResumeTiming();
 
@@ -263,6 +264,28 @@ void BM_BcaWrappedSparseInterp(benchmark::State& state) {
             /*sparse=*/true);
 }
 
+// The full verification environment on: monitors, protocol checkers,
+// scoreboard, coverage and reference model, on each view, under sparse and
+// dense traffic. Nothing else below the campaign benchmark tracks their
+// cost. Each shape has an `Off` twin with the environment off and the same
+// stimulus: one agent per port steps the BFM, checker and monitor as one
+// process, so `evals_per_cycle` must be equal across each pair (CI asserts
+// it) and the cycles_per_s gap is the environment's host cost.
+void BM_EnvSparse(benchmark::State& state, verif::ModelKind model) {
+  run_model(state, model, sim::KernelKind::kCompiled, /*sparse=*/true,
+            /*environment=*/true);
+}
+void BM_EnvSparseOff(benchmark::State& state, verif::ModelKind model) {
+  run_model(state, model, sim::KernelKind::kCompiled, /*sparse=*/true);
+}
+void BM_EnvDense(benchmark::State& state, verif::ModelKind model) {
+  run_model(state, model, sim::KernelKind::kCompiled, /*sparse=*/false,
+            /*environment=*/true);
+}
+void BM_EnvDenseOff(benchmark::State& state, verif::ModelKind model) {
+  run_model(state, model, sim::KernelKind::kCompiled);
+}
+
 void shapes(benchmark::internal::Benchmark* b) {
   b->Args({2, 2, 4})->Args({4, 4, 4})->Args({8, 4, 4})->Args({4, 4, 16});
   b->Unit(benchmark::kMillisecond);
@@ -357,6 +380,22 @@ BENCHMARK(BM_TxnTracerDisabled)->Apply(sparse_shapes);
 BENCHMARK(BM_TxnTracerEnabled)->Apply(sparse_shapes);
 BENCHMARK(BM_BcaWrappedSparse)->Apply(sparse_shapes);
 BENCHMARK(BM_BcaWrappedSparseInterp)->Apply(sparse_shapes);
+BENCHMARK_CAPTURE(BM_EnvSparse, rtl, verif::ModelKind::kRtl)
+    ->Apply(sparse_shapes);
+BENCHMARK_CAPTURE(BM_EnvSparseOff, rtl, verif::ModelKind::kRtl)
+    ->Apply(sparse_shapes);
+BENCHMARK_CAPTURE(BM_EnvSparse, bca, verif::ModelKind::kBca)
+    ->Apply(sparse_shapes);
+BENCHMARK_CAPTURE(BM_EnvSparseOff, bca, verif::ModelKind::kBca)
+    ->Apply(sparse_shapes);
+BENCHMARK_CAPTURE(BM_EnvDense, rtl, verif::ModelKind::kRtl)
+    ->Apply(sparse_shapes);
+BENCHMARK_CAPTURE(BM_EnvDenseOff, rtl, verif::ModelKind::kRtl)
+    ->Apply(sparse_shapes);
+BENCHMARK_CAPTURE(BM_EnvDense, bca, verif::ModelKind::kBca)
+    ->Apply(sparse_shapes);
+BENCHMARK_CAPTURE(BM_EnvDenseOff, bca, verif::ModelKind::kBca)
+    ->Apply(sparse_shapes);
 
 // Long sparse trace through the full tracer stack (recorder + toggle
 // coverage), then the recording written once as a VCD wave, as a Testbench

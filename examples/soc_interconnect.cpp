@@ -21,6 +21,7 @@
 #include "rtl/node.h"
 #include "rtl/size_converter.h"
 #include "rtl/type_converter.h"
+#include "verif/agent.h"
 #include "verif/bfm_initiator.h"
 #include "verif/bfm_target.h"
 #include "verif/monitor.h"
@@ -140,8 +141,30 @@ int main() {
       ctx, "targ4", t4_pins, ProtocolType::kType3,
       verif::ProtocolChecker::Role::kTargetPort));
 
-  verif::Monitor mon1(ctx, "targ1", t1_pins), mon2(ctx, "targ2", t2_pins);
-  verif::Monitor mon3(ctx, "targ3", t3_pins), mon4(ctx, "targ4", t4_pins);
+  verif::Monitor mon1("targ1", t1_pins), mon2("targ2", t2_pins);
+  verif::Monitor mon3("targ3", t3_pins), mon4("targ4", t4_pins);
+
+  // One agent per environment-side port: it samples the port once a cycle
+  // and steps the port's BFM, checker and monitor on that view.
+  std::vector<std::unique_ptr<verif::PortAgent>> agents;
+  auto attach = [&](const std::string& name, PortPins& pins,
+                    verif::PortAgent::Parts parts) {
+    agents.push_back(
+        std::make_unique<verif::PortAgent>(ctx, name, pins, parts));
+  };
+  for (int i = 0; i < 3; ++i) {
+    attach("init" + std::to_string(i + 1), *ipins[static_cast<size_t>(i)],
+           {.initiator = bfms[static_cast<size_t>(i)].get(),
+            .checker = checkers[static_cast<size_t>(i)].get()});
+  }
+  attach("init4", i4_pins,
+         {.initiator = bfms[3].get(), .checker = checkers[3].get()});
+  attach("targ1", t1_pins, {.target = &targ1, .monitor = &mon1});
+  attach("targ2", t2_pins, {.target = &targ2, .monitor = &mon2});
+  attach("targ3", t3_pins,
+         {.target = &targ3, .checker = checkers[4].get(), .monitor = &mon3});
+  attach("targ4", t4_pins,
+         {.target = &targ4, .checker = checkers[5].get(), .monitor = &mon4});
 
   // --- run ------------------------------------------------------------
   ctx.initialize();

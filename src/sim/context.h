@@ -44,14 +44,16 @@ struct ProcNode;
 // Observer sampling settled signal values once per cycle (e.g. the trace
 // recorder).
 //
-// `changed` holds the indices (into `signals`, ascending) of the signals
-// whose visible value changed during this cycle's commits — the kernel
-// already knows this from commit(), so tracers never have to rescan the
-// full signal list. On the very first sample of a run the kernel reports
-// every signal as changed, giving tracers a full initial snapshot. A value
-// that changes and reverts within one cycle's delta settling may appear in
-// `changed` with its final value equal to the previous sample; tracers that
-// care must compare against their own last-seen state.
+// `changed` holds the indices (into `signals`) of the signals whose
+// visible value changed during this cycle's commits — the kernel already
+// knows this from commit(), so tracers never have to rescan the full signal
+// list. Each index appears once, in commit order (not sorted): a tracer
+// must handle each signal on its own, independent of its position. On the
+// very first sample of a run the kernel reports every signal as changed,
+// giving tracers a full initial snapshot. A value that changes and reverts
+// within one cycle's delta settling may appear in `changed` with its final
+// value equal to the previous sample; tracers that care must compare
+// against their own last-seen state.
 class Tracer {
  public:
   virtual ~Tracer() = default;
@@ -218,7 +220,7 @@ class Context {
   // next sample_tracers() hands tracers a full snapshot (first-sample
   // semantics, shared by both kernel paths).
   void snapshot_all();
-  // Sorts the cycle's changed-set, hands it to every tracer, resets it.
+  // Hands the cycle's changed-set to every tracer, then resets it.
   void sample_tracers();
   std::string dirty_proc_names() const;
   void check_unique_name(const std::string& name);

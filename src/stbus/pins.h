@@ -19,6 +19,24 @@
 
 namespace crve::stbus {
 
+// One settled cycle of a bundle as the environment sees it: the four
+// handshake pins, plus each channel's cell decoded once for every consumer
+// (verif::PortAgent decides when). A cell is meaningful only on a cycle
+// whose owner decoded it; it keeps its last decoded value otherwise.
+struct PortCycle {
+  bool req = false;
+  bool gnt = false;
+  bool r_req = false;
+  bool r_gnt = false;
+  RequestCell request;
+  ResponseCell response;
+
+  bool request_fires() const { return req && gnt; }
+  bool response_fires() const { return r_req && r_gnt; }
+  // Neither channel requested: no transfer, stall or hold is possible.
+  bool idle() const { return !req && !r_req; }
+};
+
 struct PortPins {
   PortPins(sim::Context& ctx, const std::string& base, const NodeConfig& cfg)
       : PortPins(ctx, base, cfg.bus_bytes, cfg.address_bits, cfg.src_bits,
@@ -100,6 +118,18 @@ struct PortPins {
 
   RequestCell sample_request() const {
     RequestCell c;
+    sample_request(c);
+    return c;
+  }
+
+  ResponseCell sample_response() const {
+    ResponseCell c;
+    sample_response(c);
+    return c;
+  }
+
+  // Decode into existing storage (the per-cycle path: no temporaries).
+  void sample_request(RequestCell& c) const {
     c.opc = static_cast<Opcode>(opc.read());
     c.add = static_cast<std::uint32_t>(add.read());
     c.data = data.read();
@@ -108,17 +138,14 @@ struct PortPins {
     c.lck = lck.read();
     c.src = static_cast<std::uint8_t>(src.read());
     c.tid = static_cast<std::uint8_t>(tid.read());
-    return c;
   }
 
-  ResponseCell sample_response() const {
-    ResponseCell c;
+  void sample_response(ResponseCell& c) const {
     c.opc = static_cast<RspOpcode>(r_opc.read());
     c.data = r_data.read();
     c.eop = r_eop.read();
     c.src = static_cast<std::uint8_t>(r_src.read());
     c.tid = static_cast<std::uint8_t>(r_tid.read());
-    return c;
   }
 
   // --- helpers for design-lint declarations (ClockedOpts/CombOpts) --------

@@ -64,17 +64,17 @@ InitiatorBfm::InitiatorBfm(sim::Context& ctx, std::string name,
       prof_.opcode_weights[static_cast<std::size_t>(i)] = 0;
     }
   }
-  // Design-lint declarations: the response payload is sampled only while a
-  // response fires and the request payload is driven only while a packet is
-  // outstanding, so a single recorded evaluation sees neither slice.
+}
+
+sim::ClockedOpts InitiatorBfm::declarations() const {
   sim::ClockedOpts decl;
-  decl.reads = pins.response_signals();
-  decl.reads.push_back(&pins.req);
-  decl.reads.push_back(&pins.gnt);
-  decl.reads.push_back(&pins.r_gnt);
-  decl.writes = pins.request_signals();
-  decl.writes.push_back(&pins.r_gnt);
-  ctx.add_clocked("bfm." + name_, [this] { step(); }, std::move(decl));
+  decl.reads = pins_.response_signals();
+  decl.reads.push_back(&pins_.req);
+  decl.reads.push_back(&pins_.gnt);
+  decl.reads.push_back(&pins_.r_gnt);
+  decl.writes = pins_.request_signals();
+  decl.writes.push_back(&pins_.r_gnt);
+  return decl;
 }
 
 bool InitiatorBfm::done() const {
@@ -104,12 +104,12 @@ std::uint8_t InitiatorBfm::alloc_tid() const {
   throw std::logic_error("InitiatorBfm: no free tid");
 }
 
-void InitiatorBfm::step() {
+void InitiatorBfm::step(const stbus::PortCycle& now) {
   const std::uint64_t prev_cycle = ctx_.cycle() - 1;
 
   // --- response channel ---------------------------------------------------
-  if (pins_.response_fires()) {
-    const stbus::ResponseCell cell = pins_.sample_response();
+  if (now.response_fires()) {
+    const stbus::ResponseCell& cell = now.response;
     // Type3 responses are matched by tid; Type2 shares tid 0 and is strictly
     // ordered, so the oldest flight is the one completing.
     Flight* fl = nullptr;
@@ -158,7 +158,7 @@ void InitiatorBfm::step() {
   pins_.r_gnt.write(!stall);
 
   // --- request channel ----------------------------------------------------
-  if (!cells_.empty() && pins_.request_fires()) {
+  if (!cells_.empty() && now.request_fires()) {
     if (cell_idx_ == 0 && current_) {
       if (type_ == ProtocolType::kType3) {
         auto& fl = flights_[current_->tid];
@@ -168,6 +168,7 @@ void InitiatorBfm::step() {
       }
     }
     ++cell_idx_;
+    redrive_ = true;
     if (cell_idx_ == cells_.size()) {
       cells_.clear();
       cell_idx_ = 0;
@@ -194,11 +195,13 @@ void InitiatorBfm::step() {
     }
   }
 
-  if (!cells_.empty()) {
+  if (cells_.empty()) {
+    if (driving_) pins_.idle_request();
+  } else if (redrive_) {
     pins_.drive_request(cells_[cell_idx_]);
-  } else {
-    pins_.idle_request();
   }
+  driving_ = !cells_.empty();
+  redrive_ = false;
 }
 
 void InitiatorBfm::generate_next() {
@@ -261,6 +264,7 @@ void InitiatorBfm::generate_next() {
   cells_ = stbus::build_request(req, pins_.bus_bytes, type_);
   cells_.back().lck = req.lck;
   cell_idx_ = 0;
+  redrive_ = true;
   current_ = req;
   Flight fl;
   fl.request = req;

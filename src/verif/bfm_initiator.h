@@ -88,6 +88,16 @@ class InitiatorBfm {
     issue_hook_ = std::move(h);
   }
 
+  // One cycle, called by the port's PortAgent with the settled view: absorbs
+  // the response cell and the request grant of the cycle that ended, then
+  // schedules this cycle's drive.
+  void step(const stbus::PortCycle& now);
+
+  // Design-lint declarations: the response payload is read only while a
+  // response fires and the request payload driven only while a packet is
+  // outstanding, so a single recorded evaluation sees neither slice.
+  sim::ClockedOpts declarations() const;
+
   bool done() const;
   int issued() const { return issued_; }
   int completed() const { return completed_; }
@@ -100,7 +110,6 @@ class InitiatorBfm {
   double mean_total_latency() const;
 
  private:
-  void step();
   void generate_next();
   std::uint8_t alloc_tid() const;
 
@@ -119,6 +128,11 @@ class InitiatorBfm {
   // Current request packet being driven.
   std::vector<stbus::RequestCell> cells_;
   std::size_t cell_idx_ = 0;
+  // Drive on change: the BFM is the only writer of its request pins and a
+  // signal holds its last write, so the pins are written only when the
+  // driven cell changes (`redrive_`) or the channel goes idle.
+  bool redrive_ = false;
+  bool driving_ = false;
   std::optional<stbus::Request> current_;
   int gap_left_ = 0;
 

@@ -14,17 +14,17 @@ TargetBfm::TargetBfm(sim::Context& ctx, std::string name,
       type_(type),
       prof_(profile),
       rng_(rng),
-      mem_(profile.mem_pattern) {
-  // Design-lint declarations: request payload is sampled only while a
-  // request fires, the response payload driven only while one is pending.
+      mem_(profile.mem_pattern) {}
+
+sim::ClockedOpts TargetBfm::declarations() const {
   sim::ClockedOpts decl;
-  decl.reads = pins.request_signals();
-  decl.reads.push_back(&pins.gnt);
-  decl.reads.push_back(&pins.r_req);
-  decl.reads.push_back(&pins.r_gnt);
-  decl.writes = pins.response_signals();
-  decl.writes.push_back(&pins.gnt);
-  ctx.add_clocked("tgt." + name_, [this] { step(); }, std::move(decl));
+  decl.reads = pins_.request_signals();
+  decl.reads.push_back(&pins_.gnt);
+  decl.reads.push_back(&pins_.r_req);
+  decl.reads.push_back(&pins_.r_gnt);
+  decl.writes = pins_.response_signals();
+  decl.writes.push_back(&pins_.gnt);
+  return decl;
 }
 
 std::uint8_t TargetBfm::peek(std::uint32_t addr) const {
@@ -35,26 +35,30 @@ void TargetBfm::poke(std::uint32_t addr, std::uint8_t value) {
   mem_.write(addr, value);
 }
 
-void TargetBfm::step() {
+void TargetBfm::step(const stbus::PortCycle& now) {
   // Retire the response cell delivered last cycle.
-  if (!rsp_cells_.empty() && pins_.response_fires()) {
+  if (!rsp_cells_.empty() && now.response_fires()) {
     rsp_cells_.pop_front();
+    redrive_ = true;
   }
   // Promote the next ready packet; one response packet in flight at a time.
   if (rsp_cells_.empty() && !pending_.empty() &&
       ctx_.cycle() >= pending_.front().ready_cycle) {
     for (auto& c : pending_.front().cells) rsp_cells_.push_back(c);
     pending_.pop_front();
+    redrive_ = true;
   }
-  if (!rsp_cells_.empty()) {
+  if (rsp_cells_.empty()) {
+    if (driving_) pins_.idle_response();
+  } else if (redrive_) {
     pins_.drive_response(rsp_cells_.front());
-  } else {
-    pins_.idle_response();
   }
+  driving_ = !rsp_cells_.empty();
+  redrive_ = false;
 
   // Absorb request cells granted last cycle.
-  if (pins_.request_fires()) {
-    req_cells_.push_back(pins_.sample_request());
+  if (now.request_fires()) {
+    req_cells_.push_back(now.request);
     if (req_cells_.back().eop) process_packet();
   }
   // One acceptance draw per cycle keeps the stream timing-independent.

@@ -41,6 +41,15 @@ class TargetBfm {
   TargetBfm(sim::Context& ctx, std::string name, stbus::PortPins& pins,
             stbus::ProtocolType type, TargetProfile profile, Rng rng);
 
+  // One cycle, called by the port's PortAgent with the settled view:
+  // retires the delivered response cell, absorbs the granted request cell,
+  // then schedules this cycle's drive.
+  void step(const stbus::PortCycle& now);
+
+  // Design-lint declarations: the request payload is read only while a
+  // request fires, the response payload driven only while one is pending.
+  sim::ClockedOpts declarations() const;
+
   // Direct memory access for tests.
   std::uint8_t peek(std::uint32_t addr) const;
   void poke(std::uint32_t addr, std::uint8_t value);
@@ -61,7 +70,6 @@ class TargetBfm {
     std::uint64_t ready_cycle = 0;
   };
 
-  void step();
   void process_packet();
 
   std::string name_;
@@ -75,6 +83,10 @@ class TargetBfm {
   std::vector<stbus::RequestCell> req_cells_;
   std::deque<Pending> pending_;
   std::deque<stbus::ResponseCell> rsp_cells_;  // packet being driven
+  // Drive on change: the BFM is the only writer of its response pins, so
+  // they are written only when the front cell changes or the channel idles.
+  bool redrive_ = false;
+  bool driving_ = false;
   Stats stats_;
 };
 

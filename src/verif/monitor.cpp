@@ -2,28 +2,22 @@
 
 namespace crve::verif {
 
-Monitor::Monitor(sim::Context& ctx, std::string name,
-                 const stbus::PortPins& pins)
-    : name_(std::move(name)), ctx_(ctx), pins_(pins) {
-  // Clocked processes observe the settled values of the cycle that is
-  // ending, which is exactly the sampling point a monitor needs. Payload
-  // pins are sampled only when a channel fires, so the full bundle is
-  // declared for the design-lint view.
+Monitor::Monitor(std::string name, const stbus::PortPins& pins)
+    : name_(std::move(name)), pins_(pins) {}
+
+sim::ClockedOpts Monitor::declarations() const {
   sim::ClockedOpts decl;
-  decl.reads = pins.all_signals();
-  ctx.add_clocked("mon." + name_, [this] { sample(); }, std::move(decl));
+  decl.reads = pins_.all_signals();
+  return decl;
 }
 
-void Monitor::sample() {
-  // ctx_.cycle() was already advanced for the new cycle; the pins still
-  // carry the previous (settled) cycle's values.
-  const std::uint64_t cycle = ctx_.cycle() - 1;
+void Monitor::observe(std::uint64_t cycle, const stbus::PortCycle& now) {
   ++stats_.cycles;
   bool busy = false;
 
-  if (pins_.request_fires()) {
+  if (now.request_fires()) {
     busy = true;
-    const stbus::RequestCell cell = pins_.sample_request();
+    const stbus::RequestCell& cell = now.request;
     ++stats_.request_cells;
     const auto opc = static_cast<std::size_t>(cell.opc);
     if (opc < stats_.request_opcode_cells.size()) {
@@ -40,9 +34,9 @@ void Monitor::sample() {
       req_acc_.cycles.clear();
     }
   }
-  if (pins_.response_fires()) {
+  if (now.response_fires()) {
     busy = true;
-    const stbus::ResponseCell cell = pins_.sample_response();
+    const stbus::ResponseCell& cell = now.response;
     ++stats_.response_cells;
     for (auto* l : listeners_) l->on_response_cell(cell, cycle);
     rsp_acc_.cells.push_back(cell);

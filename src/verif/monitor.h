@@ -1,11 +1,12 @@
 // Port monitor: the passive traffic-collection element of the environment.
 //
-// A monitor attaches to one PortPins bundle and samples the settled pin
-// values once per cycle, reconstructing request and response packets from
-// granted cells. Everything downstream — protocol checkers, scoreboard,
-// functional coverage — subscribes to monitors, never to the DUT, so the
-// same instances work unchanged on the RTL view, the BCA view, or any
-// wrapped variant (paper Fig. 2).
+// A monitor belongs to one PortPins bundle. Its port's PortAgent hands it
+// the settled, decoded view of every cycle, from which it reconstructs
+// request and response packets out of granted cells. Everything
+// downstream — scoreboard, reference model, functional coverage —
+// subscribes to monitors, never to the DUT, so the same instances work
+// unchanged on the RTL view, the BCA view, or any wrapped variant (paper
+// Fig. 2).
 #pragma once
 
 #include <array>
@@ -50,7 +51,15 @@ class MonitorListener {
 class Monitor {
  public:
   // `name` identifies the port in reports (e.g. "init0", "targ1").
-  Monitor(sim::Context& ctx, std::string name, const stbus::PortPins& pins);
+  Monitor(std::string name, const stbus::PortPins& pins);
+
+  // One settled cycle of the port, called by its PortAgent. Reads only
+  // the cells of channels that fire.
+  void observe(std::uint64_t cycle, const stbus::PortCycle& now);
+
+  // Design-lint declaration: the full bundle (payload is read only when a
+  // channel fires).
+  sim::ClockedOpts declarations() const;
 
   void subscribe(MonitorListener* l) { listeners_.push_back(l); }
 
@@ -75,10 +84,7 @@ class Monitor {
   bool response_in_progress() const { return !rsp_acc_.cells.empty(); }
 
  private:
-  void sample();
-
   std::string name_;
-  sim::Context& ctx_;
   const stbus::PortPins& pins_;
   std::vector<MonitorListener*> listeners_;
   ObservedRequest req_acc_;

@@ -22,12 +22,12 @@ ProtocolChecker::ProtocolChecker(sim::Context& ctx, std::string name,
       type_(type),
       role_(role),
       expected_src_(expected_src),
-      map_(map) {
-  // Design-lint declaration: payload pins are sampled only around active
-  // handshakes, so the recorded read set misses them on an idle bus.
+      map_(map) {}
+
+sim::ClockedOpts ProtocolChecker::declarations() const {
   sim::ClockedOpts decl;
-  decl.reads = pins.all_signals();
-  ctx.add_clocked("chk." + name_, [this] { sample(); }, std::move(decl));
+  decl.reads = pins_.all_signals();
+  return decl;
 }
 
 void ProtocolChecker::report(std::uint64_t cycle, const std::string& rule,
@@ -38,38 +38,44 @@ void ProtocolChecker::report(std::uint64_t cycle, const std::string& rule,
   }
 }
 
-void ProtocolChecker::sample() {
-  const std::uint64_t cycle = ctx_.cycle() - 1;
+namespace {
 
-  const bool req = pins_.req.read();
-  const bool gnt = pins_.gnt.read();
-  const bool r_req = pins_.r_req.read();
-  const bool r_gnt = pins_.r_gnt.read();
+bool same_payload(const RequestCell& a, const RequestCell& b) {
+  return a.opc == b.opc && a.add == b.add && a.data == b.data &&
+         a.be == b.be && a.eop == b.eop && a.lck == b.lck && a.src == b.src &&
+         a.tid == b.tid;
+}
+
+bool same_payload(const ResponseCell& a, const ResponseCell& b) {
+  return a.opc == b.opc && a.data == b.data && a.eop == b.eop &&
+         a.src == b.src && a.tid == b.tid;
+}
+
+bool legal(Opcode opc) {
+  return static_cast<int>(opc) < stbus::kNumOpcodes;
+}
+
+}  // namespace
+
+void ProtocolChecker::observe(std::uint64_t cycle, const stbus::PortCycle& now,
+                              const stbus::PortCycle& prev) {
+  // Idle now and before: nothing to hold, fire or stall, and the stall
+  // counters were reset on the first idle cycle.
+  if (now.idle() && prev.idle()) return;
 
   // HOLD rules: a stalled channel must not change its payload or retract.
-  if (prev_valid_ && prev_req_ && !prev_gnt_) {
-    if (!req) {
+  if (prev.req && !prev.gnt) {
+    if (!now.req) {
       report(cycle, "HOLD_REQ", "request retracted while ungranted");
-    } else {
-      const RequestCell now = pins_.sample_request();
-      const RequestCell& p = prev_req_cell_;
-      if (now.opc != p.opc || now.add != p.add || !(now.data == p.data) ||
-          !(now.be == p.be) || now.eop != p.eop || now.lck != p.lck ||
-          now.src != p.src || now.tid != p.tid) {
-        report(cycle, "HOLD_REQ", "request payload changed while ungranted");
-      }
+    } else if (!same_payload(now.request, prev.request)) {
+      report(cycle, "HOLD_REQ", "request payload changed while ungranted");
     }
   }
-  if (prev_valid_ && prev_r_req_ && !prev_r_gnt_) {
-    if (!r_req) {
+  if (prev.r_req && !prev.r_gnt) {
+    if (!now.r_req) {
       report(cycle, "HOLD_RSP", "response retracted while ungranted");
-    } else {
-      const ResponseCell now = pins_.sample_response();
-      const ResponseCell& p = prev_rsp_cell_;
-      if (now.opc != p.opc || !(now.data == p.data) || now.eop != p.eop ||
-          now.src != p.src || now.tid != p.tid) {
-        report(cycle, "HOLD_RSP", "response payload changed while ungranted");
-      }
+    } else if (!same_payload(now.response, prev.response)) {
+      report(cycle, "HOLD_RSP", "response payload changed while ungranted");
     }
   }
 
@@ -90,28 +96,31 @@ void ProtocolChecker::sample() {
                  std::to_string(counter) + " cycles");
     }
   };
-  watch(req && !gnt, req_stalled_, req_starved_reported_, "request");
-  watch(r_req && !r_gnt, rsp_stalled_, rsp_starved_reported_, "response");
+  watch(now.req && !now.gnt, req_stalled_, req_starved_reported_, "request");
+  watch(now.r_req && !now.r_gnt, rsp_stalled_, rsp_starved_reported_,
+        "response");
 
-  if (req && gnt) check_request_fire(cycle);
-  if (r_req && r_gnt) check_response_fire(cycle);
-
-  prev_valid_ = true;
-  prev_req_ = req;
-  prev_gnt_ = gnt;
-  if (req) prev_req_cell_ = pins_.sample_request();
-  prev_r_req_ = r_req;
-  prev_r_gnt_ = r_gnt;
-  if (r_req) prev_rsp_cell_ = pins_.sample_response();
+  if (now.request_fires()) check_request_fire(cycle, now.request);
+  if (now.response_fires()) check_response_fire(cycle, now.response);
 }
 
-void ProtocolChecker::check_request_fire(std::uint64_t cycle) {
-  const RequestCell cell = pins_.sample_request();
+void ProtocolChecker::check_request_fire(std::uint64_t cycle,
+                                         const RequestCell& cell) {
   const int bus = pins_.bus_bytes;
   const int beat = static_cast<int>(req_pkt_.size());
+  const Opcode pkt_opc = req_pkt_.empty() ? cell.opc : req_pkt_.front().opc;
+
+  // An illegal opcode has no size: report it, and skip the rules that
+  // depend on one (ALIGN, BE, PKT_LEN) for the cell.
+  if (!legal(cell.opc)) {
+    report(cycle, "REQ_OPC",
+           "illegal opc encoding " +
+               std::to_string(static_cast<int>(cell.opc)));
+  }
+  const bool sized = legal(cell.opc) && legal(pkt_opc);
 
   if (beat == 0) {
-    if (!stbus::aligned(cell.opc, cell.add)) {
+    if (sized && !stbus::aligned(cell.opc, cell.add)) {
       report(cycle, "ALIGN",
              "address 0x" + crve::Bits(32, cell.add).to_hex_string() +
                  " unaligned for " + stbus::to_string(cell.opc));
@@ -150,24 +159,27 @@ void ProtocolChecker::check_request_fire(std::uint64_t cycle) {
   // Byte enables: multi-beat packets use full enables; sub-bus single-cell
   // packets use the aligned lane mask. A (opcode, address) pair whose lanes
   // cannot fit the bus word at all is itself a violation.
-  const int size = stbus::size_bytes(cell.opc);
-  const std::uint32_t be_add =
-      req_pkt_.empty() ? cell.add : req_pkt_.front().add;
-  if (!stbus::lanes_legal(cell.opc, be_add, bus)) {
-    report(cycle, "BE", "operation lanes straddle the bus word");
-  } else {
-    const crve::Bits expect_be =
-        size >= bus ? crve::Bits::all_ones(bus)
-                    : stbus::byte_enables(cell.opc, be_add, bus, 0);
-    if (!(cell.be == expect_be)) {
-      report(cycle, "BE", "byte enables do not match opcode/address");
+  if (sized) {
+    const int size = stbus::size_bytes(cell.opc);
+    const std::uint32_t be_add =
+        req_pkt_.empty() ? cell.add : req_pkt_.front().add;
+    if (!stbus::lanes_legal(cell.opc, be_add, bus)) {
+      report(cycle, "BE", "operation lanes straddle the bus word");
+    } else {
+      const crve::Bits expect_be =
+          size >= bus ? crve::Bits::all_ones(bus)
+                      : stbus::byte_enables(cell.opc, be_add, bus, 0);
+      if (!(cell.be == expect_be)) {
+        report(cycle, "BE", "byte enables do not match opcode/address");
+      }
     }
   }
 
-  const int expect_cells = stbus::request_cells(
-      req_pkt_.empty() ? cell.opc : req_pkt_.front().opc, bus, type_);
+  // An unsized packet has no expected length: it ends on its eop.
+  const int expect_cells =
+      sized ? stbus::request_cells(pkt_opc, bus, type_) : 0;
   const bool should_be_last = beat + 1 == expect_cells;
-  if (cell.eop != should_be_last) {
+  if (sized && cell.eop != should_be_last) {
     report(cycle, "PKT_LEN",
            "eop on beat " + std::to_string(beat + 1) + " of " +
                std::to_string(expect_cells));
@@ -177,7 +189,7 @@ void ProtocolChecker::check_request_fire(std::uint64_t cycle) {
   }
 
   req_pkt_.push_back(cell);
-  if (cell.eop || beat + 1 >= expect_cells) {
+  if (cell.eop || (sized && beat + 1 >= expect_cells)) {
     // Packet complete (treat a bad-eop packet as complete to resync).
     if (type_ == stbus::ProtocolType::kType3) {
       for (const auto& o : outstanding_) {
@@ -201,8 +213,8 @@ void ProtocolChecker::check_request_fire(std::uint64_t cycle) {
   }
 }
 
-void ProtocolChecker::check_response_fire(std::uint64_t cycle) {
-  const ResponseCell cell = pins_.sample_response();
+void ProtocolChecker::check_response_fire(std::uint64_t cycle,
+                                          const ResponseCell& cell) {
 
   if (cell.opc != RspOpcode::kOk && cell.opc != RspOpcode::kError) {
     report(cycle, "RSP_OPC", "illegal r_opc encoding");

@@ -1,9 +1,9 @@
 // STBus interface protocol checker.
 //
 // One checker watches one port and enforces the protocol rule set of
-// DESIGN.md §4 on the settled pin values of every cycle. It is entirely
-// DUT-agnostic: the same instance checks the RTL view, the BCA view, or a
-// wrapped model. Violations are collected, not thrown, so a run can report
+// DESIGN.md §4 on the settled, decoded view its port's PortAgent hands it
+// every cycle. It is entirely DUT-agnostic: the same instance checks the
+// RTL view, the BCA view, or a wrapped model. Violations are collected, not thrown, so a run can report
 // every failure it saw (the regression tool aggregates them per test).
 //
 // Rule identifiers:
@@ -11,6 +11,8 @@
 //   HOLD_RSP   response payload must hold while r_req=1 and r_gnt=0
 //   ALIGN      packet address naturally aligned to the operation size
 //   ADDR_SEQ   beat addresses increment by the bus width within a packet
+//   REQ_OPC    illegal opc encoding (6-bit field, 16 opcodes); the
+//              size-dependent rules (ALIGN, BE, PKT_LEN) skip such a cell
 //   OPC_STABLE opcode constant within a packet
 //   BE         byte enables match opcode/address/beat
 //   PKT_LEN    eop exactly on cell request_cells(opc) of the packet
@@ -59,6 +61,16 @@ class ProtocolChecker {
                   Role role, int expected_src = -1,
                   const stbus::NodeConfig* map = nullptr);
 
+  // One settled cycle of the port, called by its PortAgent: `now` carries
+  // each requested channel's decoded cell, `prev` the previous cycle's view
+  // (all idle before the first cycle).
+  void observe(std::uint64_t cycle, const stbus::PortCycle& now,
+               const stbus::PortCycle& prev);
+
+  // Design-lint declaration: the full bundle (payload is read only while a
+  // channel is requested).
+  sim::ClockedOpts declarations() const;
+
   // Final quiescence checks; call once after the run completes.
   void end_of_test();
 
@@ -79,9 +91,9 @@ class ProtocolChecker {
     int rsp_cells = 0;
   };
 
-  void sample();
-  void check_request_fire(std::uint64_t cycle);
-  void check_response_fire(std::uint64_t cycle);
+  void check_request_fire(std::uint64_t cycle, const stbus::RequestCell& cell);
+  void check_response_fire(std::uint64_t cycle,
+                           const stbus::ResponseCell& cell);
   void report(std::uint64_t cycle, const std::string& rule,
               const std::string& message);
 
@@ -92,13 +104,6 @@ class ProtocolChecker {
   Role role_;
   int expected_src_;
   const stbus::NodeConfig* map_;
-
-  // Previous-cycle snapshot for the hold rules.
-  bool prev_valid_ = false;
-  bool prev_req_ = false, prev_gnt_ = false;
-  stbus::RequestCell prev_req_cell_;
-  bool prev_r_req_ = false, prev_r_gnt_ = false;
-  stbus::ResponseCell prev_rsp_cell_;
 
   // Request packet assembly state.
   std::vector<stbus::RequestCell> req_pkt_;

@@ -1,5 +1,7 @@
 #include "verif/scoreboard.h"
 
+#include <utility>
+
 #include "stbus/packet.h"
 
 namespace crve::verif {
@@ -148,7 +150,7 @@ void Scoreboard::target_request(int id, const ObservedRequest& pkt) {
              " was never issued at the initiator port");
     return;
   }
-  const ObservedRequest expect = fifo.front();
+  const ObservedRequest expect = std::move(fifo.front());
   fifo.pop_front();
   if (expect.cells.size() != pkt.cells.size()) {
     fail(pkt.end_cycle(), "targ" + std::to_string(id),

@@ -231,12 +231,12 @@ Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
   if (opts_.enable_monitors) {
     for (int i = 0; i < cfg_.n_initiators; ++i) {
       imons_.push_back(std::make_unique<Monitor>(
-          ctx_, "init" + std::to_string(i),
+          "init" + std::to_string(i),
           *ipins_[static_cast<std::size_t>(i)]));
     }
     for (int t = 0; t < cfg_.n_targets; ++t) {
       tmons_.push_back(std::make_unique<Monitor>(
-          ctx_, "targ" + std::to_string(t),
+          "targ" + std::to_string(t),
           *tpins_[static_cast<std::size_t>(t)]));
     }
   }
@@ -257,6 +257,30 @@ Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
       prog_checker_ =
           std::make_unique<Type1Checker>(ctx_, "prog", *prog_pins_);
     }
+  }
+  // One agent per port, initiator ports first: monitor listeners (the
+  // scoreboard, reference model and txn tracer below) see each cycle's
+  // packets in that port order.
+  auto part = [](const auto& parts, std::size_t k) {
+    return k < parts.size() ? parts[k].get() : nullptr;
+  };
+  for (int i = 0; i < cfg_.n_initiators; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    agents_.push_back(std::make_unique<PortAgent>(
+        ctx_, "init" + std::to_string(i), *ipins_[k],
+        PortAgent::Parts{.initiator = bfms_[k].get(),
+                         .checker = part(checkers_, k),
+                         .monitor = part(imons_, k)}));
+  }
+  for (int t = 0; t < cfg_.n_targets; ++t) {
+    const auto k = static_cast<std::size_t>(t);
+    agents_.push_back(std::make_unique<PortAgent>(
+        ctx_, "targ" + std::to_string(t), *tpins_[k],
+        PortAgent::Parts{
+            .target = targets_[k].get(),
+            .checker = part(checkers_,
+                            static_cast<std::size_t>(cfg_.n_initiators) + k),
+            .monitor = part(tmons_, k)}));
   }
   if (opts_.enable_scoreboard) {
     scoreboard_ = std::make_unique<Scoreboard>(cfg_);

@@ -1,9 +1,10 @@
 // Generic testbench (paper Fig. 2 / Fig. 6).
 //
 // Builds, for one node configuration and one test specification, the full
-// common verification environment — initiator/target BFMs, monitors,
-// protocol checkers, scoreboard, functional coverage, optional programming
-// initiator, VCD dump and in-process trace recorder — around either view of
+// common verification environment — initiator/target BFMs, monitors and
+// protocol checkers stepped by one PortAgent per port, scoreboard,
+// functional coverage, optional programming initiator, VCD dump and
+// in-process trace recorder — around either view of
 // the DUT. The choice of model (RTL, BCA, or BCA-behind-wrappers) is a
 // single enum: nothing else in the environment changes, which is the
 // paper's central claim.
@@ -26,6 +27,7 @@
 #include "stbus/config.h"
 #include "stbus/pins.h"
 #include "vcd/recorder.h"
+#include "verif/agent.h"
 #include "verif/bfm_initiator.h"
 #include "verif/bfm_target.h"
 #include "verif/coverage.h"
@@ -203,6 +205,8 @@ class Testbench {
   std::vector<std::unique_ptr<MonitorListener>> cov_taps_;
   std::unique_ptr<obs::TxnTracer> txn_tracer_;
   std::vector<std::unique_ptr<MonitorListener>> txn_taps_;
+  // One per environment-side port: steps its BFM, checker and monitor.
+  std::vector<std::unique_ptr<PortAgent>> agents_;
   // The attached recorder: opts.recorder, or wave_recorder_ when only a
   // dump target (wave_os_: wave_file_ or opts.vcd_stream) needs one.
   vcd::Recorder* recorder_ = nullptr;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "verif/agent.h"
 #include "verif/bfm_initiator.h"
 #include "verif/bfm_target.h"
 
@@ -35,6 +36,7 @@ struct DirectRig {
 
   std::unique_ptr<InitiatorBfm> init;
   std::unique_ptr<TargetBfm> targ;
+  std::unique_ptr<verif::PortAgent> agent;
 
   DirectRig(InitiatorProfile prof, ProtocolType type = ProtocolType::kType2,
             std::vector<stbus::Request> directed = {}) {
@@ -50,6 +52,10 @@ struct DirectRig {
     TargetProfile tp;
     tp.fixed_latency = 1;
     targ = std::make_unique<TargetBfm>(ctx, "t", pins, type, tp, Rng(4));
+    agent = std::make_unique<verif::PortAgent>(
+        ctx, "p", pins,
+        verif::PortAgent::Parts{.initiator = init.get(),
+                                .target = targ.get()});
   }
 
   bool run(int max_cycles = 50000) {
@@ -176,6 +182,8 @@ TEST(TargetBfm, RandomErrorsReported) {
   tp.fixed_latency = 1;
   tp.error_permille = 400;
   TargetBfm targ(ctx, "t", pins, ProtocolType::kType2, tp, Rng(4));
+  verif::PortAgent agent(ctx, "p", pins,
+                         {.initiator = &init, .target = &targ});
   ctx.initialize();
   while (ctx.cycle() < 50000 && !(init.done() && targ.idle())) ctx.step();
   ASSERT_TRUE(init.done());
@@ -204,6 +212,8 @@ TEST(TargetBfm, WaitStatesSlowButComplete) {
   tp.fixed_latency = 1;
   tp.gnt_stall_permille = 500;
   TargetBfm targ(ctx, "t", pins, ProtocolType::kType2, tp, Rng(4));
+  verif::PortAgent agent(ctx, "p", pins,
+                         {.initiator = &init, .target = &targ});
   ctx.initialize();
   while (ctx.cycle() < 50000 && !(init.done() && targ.idle())) ctx.step();
   ASSERT_TRUE(init.done());

@@ -11,6 +11,7 @@
 #include "sim/context.h"
 #include "stbus/packet.h"
 #include "stbus/pins.h"
+#include "verif/agent.h"
 #include "verif/bfm_target.h"
 
 namespace crve {
@@ -260,6 +261,7 @@ TEST(BcaBridgeFault, EndiannessBugReversesWideLoads) {
   bca::Bridge bridge(ctx, "conv", up, ProtocolType::kType2, dn,
                      ProtocolType::kType2, faults);
   verif::TargetBfm tgt(ctx, "t", dn, ProtocolType::kType2, {}, Rng(1));
+  verif::PortAgent agent(ctx, "t", dn, {.target = &tgt});
   SimpleMaster master{ctx, up, ProtocolType::kType2};
   // Two adjacent words hold distinct patterns.
   for (std::uint32_t i = 0; i < 4; ++i) tgt.poke(i, 0x11);
@@ -277,6 +279,7 @@ TEST(BcaBridgeFault, CleanBridgeKeepsWordOrder) {
   bca::Bridge bridge(ctx, "conv", up, ProtocolType::kType2, dn,
                      ProtocolType::kType2, {});
   verif::TargetBfm tgt(ctx, "t", dn, ProtocolType::kType2, {}, Rng(1));
+  verif::PortAgent agent(ctx, "t", dn, {.target = &tgt});
   SimpleMaster master{ctx, up, ProtocolType::kType2};
   for (std::uint32_t i = 0; i < 4; ++i) tgt.poke(i, 0x11);
   for (std::uint32_t i = 4; i < 8; ++i) tgt.poke(i, 0x22);

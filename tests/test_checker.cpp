@@ -5,6 +5,7 @@
 #include "sim/context.h"
 #include "stbus/packet.h"
 #include "stbus/pins.h"
+#include "verif/agent.h"
 #include "verif/protocol_checker.h"
 
 namespace crve {
@@ -15,6 +16,7 @@ using stbus::PortPins;
 using stbus::ProtocolType;
 using stbus::RequestCell;
 using stbus::ResponseCell;
+using verif::PortAgent;
 using verif::ProtocolChecker;
 
 // Drives scripted cell sequences on a lone pin bundle with a checker
@@ -24,11 +26,13 @@ struct CheckerRig {
   stbus::NodeConfig cfg;
   PortPins pins;
   ProtocolChecker checker;
+  PortAgent agent;
 
   CheckerRig(ProtocolType type = ProtocolType::kType2, int expected_src = 0)
       : pins(ctx, "tb.p", make_cfg()),
         checker(ctx, "p", pins, type, ProtocolChecker::Role::kInitiatorPort,
-                expected_src, &cfg) {
+                expected_src, &cfg),
+        agent(ctx, "p", pins, {.checker = &checker}) {
     cfg = make_cfg();
     // Always-granting environment.
     ctx.add_comb("gnt", [this] {
@@ -48,7 +52,7 @@ struct CheckerRig {
     return cfg;
   }
 
-  RequestCell legal_ld4(std::uint32_t add = 0x100) {
+  static RequestCell legal_ld4(std::uint32_t add = 0x100) {
     RequestCell c;
     c.opc = Opcode::kLd4;
     c.add = add;
@@ -83,6 +87,36 @@ struct CheckerRig {
   }
 };
 
+// A port whose node side never grants either channel: every requested cell
+// stalls, so the hold and starvation rules see it.
+struct StallRig {
+  sim::Context ctx;
+  stbus::NodeConfig cfg = CheckerRig::make_cfg();
+  PortPins pins{ctx, "tb.q", cfg};
+  ProtocolChecker checker{ctx, "q", pins, ProtocolType::kType2,
+                          ProtocolChecker::Role::kInitiatorPort, 0, &cfg};
+  PortAgent agent{ctx, "q", pins, {.checker = &checker}};
+
+  StallRig() { ctx.initialize(); }
+
+  static ResponseCell ok_rsp() {
+    ResponseCell r;
+    r.data = Bits(32);
+    r.eop = true;
+    return r;
+  }
+
+  // The violations of `rule`, as (cycle, message) pairs.
+  std::vector<std::pair<std::uint64_t, std::string>> of(
+      const std::string& rule) const {
+    std::vector<std::pair<std::uint64_t, std::string>> out;
+    for (const auto& v : checker.violations()) {
+      if (v.rule == rule) out.emplace_back(v.cycle, v.message);
+    }
+    return out;
+  }
+};
+
 TEST(Checker, CleanSingleCellTransaction) {
   CheckerRig rig;
   rig.drive_cell(rig.legal_ld4());
@@ -96,49 +130,151 @@ TEST(Checker, CleanSingleCellTransaction) {
 }
 
 TEST(Checker, HoldReqFiresOnRetraction) {
-  // Environment that never grants.
-  sim::Context ctx;
-  auto cfg = CheckerRig::make_cfg();
-  PortPins pins(ctx, "tb.q", cfg);
-  ProtocolChecker chk(ctx, "q", pins, ProtocolType::kType2,
-                      ProtocolChecker::Role::kInitiatorPort, 0, &cfg);
-  ctx.initialize();
-  RequestCell c;
-  c.opc = Opcode::kLd4;
-  c.add = 0x100;
-  c.data = Bits(32);
-  c.be = Bits::all_ones(4);
-  c.eop = true;
-  pins.drive_request(c);
-  ctx.step(2);      // req=1, gnt=0, sampled by the checker
-  pins.idle_request();
-  ctx.step(2);      // retracted while ungranted, sampled
-  bool found = false;
-  for (const auto& v : chk.violations()) found |= v.rule == "HOLD_REQ";
-  EXPECT_TRUE(found);
+  StallRig rig;
+  rig.pins.drive_request(CheckerRig::legal_ld4());
+  rig.ctx.step(2);      // req=1, gnt=0, sampled by the checker
+  rig.pins.idle_request();
+  rig.ctx.step(2);      // retracted while ungranted, sampled
+  EXPECT_FALSE(rig.of("HOLD_REQ").empty());
 }
 
 TEST(Checker, HoldReqFiresOnPayloadChange) {
-  sim::Context ctx;
-  auto cfg = CheckerRig::make_cfg();
-  PortPins pins(ctx, "tb.q", cfg);
-  ProtocolChecker chk(ctx, "q", pins, ProtocolType::kType2,
-                      ProtocolChecker::Role::kInitiatorPort, 0, &cfg);
-  ctx.initialize();
-  RequestCell c;
-  c.opc = Opcode::kLd4;
-  c.add = 0x100;
-  c.data = Bits(32);
-  c.be = Bits::all_ones(4);
-  c.eop = true;
-  pins.drive_request(c);
-  ctx.step(2);
+  StallRig rig;
+  RequestCell c = CheckerRig::legal_ld4();
+  rig.pins.drive_request(c);
+  rig.ctx.step(2);
   c.add = 0x104;  // change address while stalled
-  pins.drive_request(c);
-  ctx.step(2);
-  bool found = false;
-  for (const auto& v : chk.violations()) found |= v.rule == "HOLD_REQ";
-  EXPECT_TRUE(found);
+  rig.pins.drive_request(c);
+  rig.ctx.step(2);
+  EXPECT_FALSE(rig.of("HOLD_REQ").empty());
+}
+
+
+TEST(Checker, HoldRspFiresOnPayloadChange) {
+  StallRig rig;
+  ResponseCell r = StallRig::ok_rsp();
+  rig.pins.drive_response(r);
+  rig.ctx.step(2);
+  r.data.set_byte(0, 0x5a);  // change data while stalled
+  rig.pins.drive_response(r);
+  rig.ctx.step(2);
+  const auto hold = rig.of("HOLD_RSP");
+  ASSERT_EQ(hold.size(), 1u);
+  EXPECT_EQ(hold[0].second, "response payload changed while ungranted");
+}
+
+TEST(Checker, HoldRspFiresOnRetraction) {
+  StallRig rig;
+  rig.pins.drive_response(StallRig::ok_rsp());
+  rig.ctx.step(2);
+  rig.pins.idle_response();
+  rig.ctx.step(2);
+  const auto hold = rig.of("HOLD_RSP");
+  ASSERT_EQ(hold.size(), 1u);
+  EXPECT_EQ(hold[0].second, "response retracted while ungranted");
+}
+
+TEST(Checker, HoldRspQuietWhileHeldUnchanged) {
+  StallRig rig;
+  rig.checker.set_starvation_limit(0);
+  rig.pins.drive_response(StallRig::ok_rsp());
+  rig.ctx.step(10);
+  EXPECT_TRUE(rig.of("HOLD_RSP").empty());
+}
+
+TEST(Checker, RspOpcFiresOnIllegalEncoding) {
+  CheckerRig rig;
+  rig.drive_cell(rig.legal_ld4());
+  ResponseCell r;
+  r.opc = static_cast<stbus::RspOpcode>(2);  // r_opc is 2 bits: 2, 3 illegal
+  r.data = Bits(32);
+  r.eop = true;
+  rig.drive_rsp(r);
+  EXPECT_TRUE(rig.fired("RSP_OPC"));
+  EXPECT_FALSE(rig.fired("RSP_SPUR"));
+}
+
+TEST(Checker, ReqOpcFiresOnIllegalEncodingAndSkipsSizeRules) {
+  // opc is 6 bits wide but only 16 opcodes exist. Such a cell has no size,
+  // so ALIGN, BE and PKT_LEN must stay quiet rather than misreport it.
+  for (const std::uint32_t add : {0x102u, 0x0u}) {
+    CheckerRig rig;
+    auto c = rig.legal_ld4(add);
+    c.opc = static_cast<Opcode>(17);
+    rig.drive_cell(c);
+    ASSERT_TRUE(rig.fired("REQ_OPC")) << add;
+    EXPECT_EQ(rig.checker.violations().front().message,
+              "illegal opc encoding 17");
+    EXPECT_FALSE(rig.fired("ALIGN")) << add;
+    EXPECT_FALSE(rig.fired("BE")) << add;
+    EXPECT_FALSE(rig.fired("PKT_LEN")) << add;
+  }
+}
+
+TEST(Checker, ReqOpcPacketEndsOnItsEop) {
+  // The unsized packet closes on its eop cell: the next legal packet is
+  // checked from its own head.
+  CheckerRig rig;
+  auto bad = rig.legal_ld4(0x100);
+  bad.opc = static_cast<Opcode>(40);
+  rig.drive_cell(bad);
+  rig.drive_cell(rig.legal_ld4(0x104));
+  EXPECT_EQ(rig.checker.violation_count(), 1u)
+      << rig.checker.violations().back().rule;
+}
+
+// The checker returns at once while both channels are idle now and were
+// idle the cycle before. Each rule must still fire on the first active
+// cycles that follow an idle stretch.
+TEST(Checker, HoldReqRetractionRightAfterIdleStretch) {
+  StallRig rig;
+  rig.ctx.step(20);  // idle stretch
+  rig.pins.drive_request(CheckerRig::legal_ld4());
+  rig.ctx.step();    // commits: req rises
+  rig.pins.idle_request();
+  rig.ctx.step();    // first requested cycle sampled; req falls
+  rig.ctx.step();    // the retraction sampled
+  const auto hold = rig.of("HOLD_REQ");
+  ASSERT_EQ(hold.size(), 1u);
+  EXPECT_EQ(hold[0].second, "request retracted while ungranted");
+  EXPECT_EQ(hold[0].first, 22u);
+}
+
+TEST(Checker, HoldRspChangeRightAfterIdleStretch) {
+  StallRig rig;
+  rig.ctx.step(20);
+  ResponseCell r = StallRig::ok_rsp();
+  rig.pins.drive_response(r);
+  rig.ctx.step();
+  r.tid = 3;
+  rig.pins.drive_response(r);
+  rig.ctx.step();
+  rig.ctx.step();
+  const auto hold = rig.of("HOLD_RSP");
+  ASSERT_EQ(hold.size(), 1u);
+  EXPECT_EQ(hold[0].second, "response payload changed while ungranted");
+  EXPECT_EQ(hold[0].first, 22u);
+}
+
+TEST(Checker, StarveEpisodesSeparatedByIdleStretches) {
+  StallRig rig;
+  rig.checker.set_starvation_limit(5);
+  const auto c = CheckerRig::legal_ld4();
+  auto episode = [&rig, &c](int stalled_cycles) {
+    rig.pins.drive_request(c);
+    rig.ctx.step(stalled_cycles);
+    rig.pins.idle_request();
+    rig.ctx.step(10);  // idle stretch: the stall counter must restart
+  };
+  episode(4);  // below the limit, twice: no accumulation across the gap
+  episode(4);
+  EXPECT_TRUE(rig.of("STARVE").empty());
+  episode(5);  // exactly the limit right after an idle stretch
+  episode(7);  // and a second episode reports again
+  const auto starve = rig.of("STARVE");
+  ASSERT_EQ(starve.size(), 2u);
+  EXPECT_EQ(starve[0].second, "request ungranted for 5 cycles");
+  EXPECT_EQ(starve[1].second, "request ungranted for 5 cycles");
 }
 
 TEST(Checker, AlignFiresOnMisalignedAddress) {
@@ -284,49 +420,23 @@ TEST(Checker, EotFiresOnOpenChunk) {
 }
 
 TEST(Checker, StarvationWatchdogFires) {
-  sim::Context ctx;
-  auto cfg = CheckerRig::make_cfg();
-  PortPins pins(ctx, "tb.q", cfg);
-  ProtocolChecker chk(ctx, "q", pins, ProtocolType::kType2,
-                      ProtocolChecker::Role::kInitiatorPort, 0, &cfg);
-  chk.set_starvation_limit(10);
-  ctx.initialize();
-  RequestCell c;
-  c.opc = Opcode::kLd4;
-  c.add = 0x100;
-  c.data = Bits(32);
-  c.be = Bits::all_ones(4);
-  c.eop = true;
-  pins.drive_request(c);
-  ctx.step(20);  // never granted
-  bool found = false;
-  for (const auto& v : chk.violations()) found |= v.rule == "STARVE";
-  EXPECT_TRUE(found);
+  StallRig rig;
+  rig.checker.set_starvation_limit(10);
+  rig.pins.drive_request(CheckerRig::legal_ld4());
+  rig.ctx.step(20);  // never granted
+  EXPECT_FALSE(rig.of("STARVE").empty());
   // One report per episode, not per cycle.
-  EXPECT_EQ(chk.violation_count(), 1u);
+  EXPECT_EQ(rig.checker.violation_count(), 1u);
 }
 
 TEST(Checker, StarvationWatchdogQuietBelowLimit) {
-  sim::Context ctx;
-  auto cfg = CheckerRig::make_cfg();
-  PortPins pins(ctx, "tb.q", cfg);
-  ProtocolChecker chk(ctx, "q", pins, ProtocolType::kType2,
-                      ProtocolChecker::Role::kInitiatorPort, 0, &cfg);
-  chk.set_starvation_limit(50);
-  ctx.initialize();
-  RequestCell c;
-  c.opc = Opcode::kLd4;
-  c.add = 0x100;
-  c.data = Bits(32);
-  c.be = Bits::all_ones(4);
-  c.eop = true;
-  pins.drive_request(c);
-  ctx.step(20);
-  pins.gnt.write(true);
-  ctx.step(2);
-  for (const auto& v : chk.violations()) {
-    EXPECT_NE(v.rule, "STARVE") << v.message;
-  }
+  StallRig rig;
+  rig.checker.set_starvation_limit(50);
+  rig.pins.drive_request(CheckerRig::legal_ld4());
+  rig.ctx.step(20);
+  rig.pins.gnt.write(true);
+  rig.ctx.step(2);
+  EXPECT_TRUE(rig.of("STARVE").empty());
 }
 
 TEST(Checker, ViolationCountKeepsCountingPastStorageCap) {

@@ -17,6 +17,7 @@
 #include "rtl/type_converter.h"
 #include "stba/analyzer.h"
 #include "vcd/recorder.h"
+#include "verif/agent.h"
 #include "verif/bfm_initiator.h"
 #include "verif/bfm_target.h"
 #include "verif/protocol_checker.h"
@@ -37,6 +38,7 @@ struct Hierarchy {
   std::vector<std::unique_ptr<verif::InitiatorBfm>> bfms;
   std::vector<std::unique_ptr<verif::TargetBfm>> targets;
   std::vector<std::unique_ptr<verif::ProtocolChecker>> checkers;
+  std::vector<std::unique_ptr<verif::PortAgent>> agents;
   std::unique_ptr<rtl::Node> rtlA, rtlB;
   std::unique_ptr<bca::Node> bcaA, bcaB;
   std::unique_ptr<rtl::SizeConverter> rtl_conv;
@@ -145,6 +147,19 @@ std::unique_ptr<Hierarchy> build(View view, bca::Faults faults = {}) {
         ctx, "init" + std::to_string(i), h->pin(ext_init[i]),
         ProtocolType::kType2, verif::ProtocolChecker::Role::kInitiatorPort,
         i));
+  }
+  for (int i = 0; i < 4; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    h->agents.push_back(std::make_unique<verif::PortAgent>(
+        ctx, "init" + std::to_string(i), h->pin(ext_init[i]),
+        verif::PortAgent::Parts{.initiator = h->bfms[k].get(),
+                                .checker = h->checkers[k].get()}));
+  }
+  for (int t = 0; t < 4; ++t) {
+    h->agents.push_back(std::make_unique<verif::PortAgent>(
+        ctx, "targ" + std::to_string(t + 1), h->pin(tgt_pins[t]),
+        verif::PortAgent::Parts{
+            .target = h->targets[static_cast<std::size_t>(t)].get()}));
   }
   ctx.attach_tracer(&h->recorder);
   return h;

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "stba/analyzer.h"
+#include "verif/agent.h"
 #include "verif/monitor.h"
 #include "verif/testbench.h"
 #include "verif/tests.h"
@@ -47,7 +48,8 @@ struct Listener : verif::MonitorListener {
 TEST(Monitor, AssemblesPacketsAndCountsCycles) {
   sim::Context ctx;
   PortPins pins(ctx, "tb.p", mcfg());
-  verif::Monitor mon(ctx, "p", pins);
+  verif::Monitor mon("p", pins);
+  verif::PortAgent agent(ctx, "p", pins, {.monitor = &mon});
   Listener lst;
   mon.subscribe(&lst);
   ctx.initialize();
@@ -79,7 +81,8 @@ TEST(Monitor, AssemblesPacketsAndCountsCycles) {
 TEST(Monitor, UngatedRequestNotCounted) {
   sim::Context ctx;
   PortPins pins(ctx, "tb.p", mcfg());
-  verif::Monitor mon(ctx, "p", pins);
+  verif::Monitor mon("p", pins);
+  verif::PortAgent agent(ctx, "p", pins, {.monitor = &mon});
   ctx.initialize();
   stbus::RequestCell c;
   c.opc = Opcode::kLd4;
@@ -96,7 +99,8 @@ TEST(Monitor, UngatedRequestNotCounted) {
 TEST(Monitor, PartialPacketReported) {
   sim::Context ctx;
   PortPins pins(ctx, "tb.p", mcfg());
-  verif::Monitor mon(ctx, "p", pins);
+  verif::Monitor mon("p", pins);
+  verif::PortAgent agent(ctx, "p", pins, {.monitor = &mon});
   ctx.initialize();
   stbus::RequestCell c;
   c.opc = Opcode::kLd8;

@@ -2,6 +2,7 @@
 // and functional-coverage unit tests.
 #include <gtest/gtest.h>
 
+#include "verif/agent.h"
 #include "verif/coverage.h"
 #include "verif/monitor.h"
 #include "verif/scoreboard.h"
@@ -67,8 +68,10 @@ struct SbRig {
   stbus::NodeConfig cfg = cfg2x2();
   stbus::PortPins ipins{ctx, "tb.i0", cfg};
   stbus::PortPins tpins{ctx, "tb.t0", cfg};
-  verif::Monitor imon{ctx, "i0", ipins};
-  verif::Monitor tmon{ctx, "t0", tpins};
+  verif::Monitor imon{"i0", ipins};
+  verif::Monitor tmon{"t0", tpins};
+  verif::PortAgent iagent{ctx, "i0", ipins, {.monitor = &imon}};
+  verif::PortAgent tagent{ctx, "t0", tpins, {.monitor = &tmon}};
   Scoreboard sb{cfg};
 
   SbRig() {

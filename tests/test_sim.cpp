@@ -2,6 +2,9 @@
 // clocked/combinational process ordering, tracing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/context.h"
 #include "sim/module.h"
 
@@ -152,6 +155,56 @@ TEST(Context, TracerSampledOncePerCyclePlusInit) {
   EXPECT_EQ(tr.samples, 5);  // initialize() + 4 steps
   EXPECT_EQ(tr.last_cycle, 4u);
 }
+
+// The changed-set reaches tracers unsorted (commit order) but never holds
+// an index twice in one cycle — not even for a signal committed on several
+// delta passes, or one that changes and reverts within the cycle.
+class ChangedSet : public ::testing::TestWithParam<KernelKind> {};
+
+TEST_P(ChangedSet, EachIndexAppearsOncePerCycle) {
+  Context ctx;
+  ctx.set_kernel(GetParam());
+  SignalU64 a(ctx, "a", 8);
+  SignalU64 c(ctx, "c", 8);
+  SignalU64 d(ctx, "d", 8);
+  SignalBool glitch(ctx, "glitch");
+  ctx.add_clocked("p", [&] {
+    a.write(a.read() + 3);
+    a.write(a.read() + 1);  // last write wins
+  });
+  // Registered before its producer: the interpreter evaluates it on stale
+  // `c` first, so `glitch` rises and falls again within every cycle there.
+  ctx.add_comb("d", [&] {
+    d.write(c.read() * 2);
+    glitch.write(c.read() != ((a.read() + 1) & 0xff));
+  });
+  ctx.add_comb("c", [&] { c.write(a.read() + 1); });
+  CountingTracer tr;
+  ctx.attach_tracer(&tr);
+  ctx.step(50);
+  ASSERT_EQ(tr.changed_sets.size(), 51u);
+  for (std::size_t cyc = 1; cyc < tr.changed_sets.size(); ++cyc) {
+    std::vector<int> seen = tr.changed_sets[cyc];
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
+        << "cycle " << cyc;
+    for (const SignalBase* s : {static_cast<const SignalBase*>(&a),
+                                static_cast<const SignalBase*>(&c),
+                                static_cast<const SignalBase*>(&d)}) {
+      EXPECT_TRUE(std::binary_search(seen.begin(), seen.end(), s->index()))
+          << s->name() << " cycle " << cyc;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, ChangedSet,
+                         ::testing::Values(KernelKind::kCompiled,
+                                           KernelKind::kInterp),
+                         [](const auto& info) {
+                           return info.param == KernelKind::kCompiled
+                                      ? "Compiled"
+                                      : "Interp";
+                         });
 
 TEST(Module, HierarchicalNames) {
   Context ctx;
