@@ -250,7 +250,7 @@ bool Node::initiator_slot_free(int initiator) const {
 }
 
 void Node::evaluate() {
-  const int nres = cfg_.num_resources();
+  const int nres = static_cast<int>(arb_.size());  // one per resource
   const int T = cfg_.n_targets;
   Outcome& out = out_;
   std::fill(out.req_mask.begin(), out.req_mask.end(), 0);
@@ -388,7 +388,7 @@ void Node::tick() {
   tag_.bump();
   const Outcome& out = out_;
   const int T = cfg_.n_targets;
-  const int nres = cfg_.num_resources();
+  const int nres = static_cast<int>(arb_.size());  // one per resource
 
   // Response slots: retire delivered cells, then land the picked cells.
   for (int i = 0; i < cfg_.n_initiators; ++i) {

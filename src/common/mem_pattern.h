@@ -22,8 +22,9 @@ inline std::uint8_t default_mem_byte(std::uint32_t addr,
 
 // Byte-addressed sparse memory stored as 64-byte lines. A line is created on
 // its first write, filled with default_mem_byte(); bytes of lines never
-// written read as the pattern without being stored. Reads remember the last
-// line they found, so a packet's consecutive bytes cost one map lookup.
+// written read as the pattern without being stored. Reads and writes
+// remember the last line they found, so a packet's consecutive bytes cost
+// one map lookup.
 class SparseMemory {
  public:
   static constexpr std::uint32_t kLineBytes = 64;
@@ -45,25 +46,28 @@ class SparseMemory {
     if (cached_ == nullptr || cached_tag_ != tag) {
       const auto it = lines_.find(tag);
       if (it == lines_.end()) return default_mem_byte(addr, pattern_);
-      // Map nodes never move, so the pointer survives later rehashes.
+      // Map nodes never move, so the pointer survives later rehashes. The
+      // line is this object's own: only write() stores through it.
       cached_tag_ = tag;
-      cached_ = &it->second;
+      cached_ = const_cast<Line*>(&it->second);
     }
     return (*cached_)[addr % kLineBytes];
   }
 
   void write(std::uint32_t addr, std::uint8_t value) {
     const std::uint32_t tag = addr / kLineBytes;
-    const auto [it, fresh] = lines_.try_emplace(tag);
-    Line& line = it->second;
-    if (fresh) {
-      for (std::uint32_t i = 0; i < kLineBytes; ++i) {
-        line[i] = default_mem_byte(tag * kLineBytes + i, pattern_);
+    if (cached_ == nullptr || cached_tag_ != tag) {
+      const auto [it, fresh] = lines_.try_emplace(tag);
+      Line& line = it->second;
+      if (fresh) {
+        for (std::uint32_t i = 0; i < kLineBytes; ++i) {
+          line[i] = default_mem_byte(tag * kLineBytes + i, pattern_);
+        }
       }
+      cached_tag_ = tag;
+      cached_ = &line;
     }
-    line[addr % kLineBytes] = value;
-    cached_tag_ = tag;
-    cached_ = &line;
+    (*cached_)[addr % kLineBytes] = value;
   }
 
  private:
@@ -72,7 +76,7 @@ class SparseMemory {
   std::uint64_t pattern_;
   std::unordered_map<std::uint32_t, Line> lines_;  // keyed by addr / 64
   mutable std::uint32_t cached_tag_ = 0;
-  mutable const Line* cached_ = nullptr;
+  mutable Line* cached_ = nullptr;
 };
 
 }  // namespace crve

@@ -52,11 +52,16 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-// Environment-side port prefixes to align for a given (config, test).
-std::vector<std::string> alignment_ports(stbus::NodeConfig cfg,
-                                         const TestSpec& spec) {
+// The configuration a (config, test) job's Testbench elaborates.
+stbus::NodeConfig job_config(stbus::NodeConfig cfg, const TestSpec& spec) {
   if (spec.adjust) spec.adjust(cfg);
+  if (spec.prog) cfg.programming_port = true;
   cfg.validate_and_normalize();
+  return cfg;
+}
+
+// Environment-side port prefixes to align for a job's configuration.
+std::vector<std::string> alignment_ports(const stbus::NodeConfig& cfg) {
   std::vector<std::string> ports;
   for (int i = 0; i < cfg.n_initiators; ++i) {
     ports.push_back(Testbench::initiator_port_name(i));
@@ -107,6 +112,15 @@ std::string run_report(const TestOutcome& o) {
 // serial order no matter which worker ran what. A pair's alignment is no
 // separate job: whichever view job finishes the pair second runs it
 // (run_job), then frees both recordings.
+//
+// In an aligned campaign that injects no BCA fault and traces no
+// transactions, a BCA view job runs lean: only the active side that drives
+// the pins (TestbenchOptions::drop_passive_environment). The pair's align
+// step then settles the BCA result from the RTL view's (settle_lean_bca),
+// or re-runs the BCA view with its full environment when the recordings
+// do not prove the pins identical. Everything that reads the BCA verdict
+// (its report, log line, counters, flight-recorder dump and job_finish
+// event) waits for the settled result (finish_unit).
 struct Campaign {
   RunPlan plan;
   std::vector<TestSpec> tests;
@@ -125,6 +139,15 @@ struct Campaign {
   std::vector<char> pair_cached;
   std::vector<std::size_t> missing_units;
   std::string cache_build_json;  // originating build of the replayed pairs
+  // BCA view jobs start lean (see above). bca_full is raised by the first
+  // pair whose proof fails, so later BCA jobs of the campaign run their
+  // full environment from the start: a near-miss BCA model costs one
+  // re-run per campaign (plus, with several workers, the lean jobs
+  // already under way), not one per pair. Settled results equal full
+  // ones, so no result depends on when it flips.
+  bool lean_bca = false;
+  std::atomic<bool> bca_full{false};
+  std::vector<char> bca_unsettled;  // per pair: the BCA view ran lean
 
   void prepare() {
     tests = plan.tests.empty() ? verif::catg_test_suite() : plan.tests;
@@ -133,7 +156,10 @@ struct Campaign {
     if (plan.run_alignment) {
       traces.resize(2 * n_pairs);
       aligns.resize(n_pairs);
+      bca_unsettled.assign(n_pairs, 0);
     }
+    lean_bca = plan.run_alignment && !plan.faults.any() &&
+               plan.txn_trace_out.empty();
     views_pending = std::make_unique<std::atomic<int>[]>(n_pairs);
     for (std::size_t p = 0; p < n_pairs; ++p) views_pending[p] = 2;
     pair_cached.assign(n_pairs, 0);
@@ -153,6 +179,28 @@ struct Campaign {
   std::uint64_t seed_of(std::size_t pair) const {
     return plan.seeds[pair % plan.seeds.size()];
   }
+  std::string stem_of(std::size_t pair) const {
+    return sanitize_artifact_name(spec_of(pair).name) + "_s" +
+           std::to_string(seed_of(pair));
+  }
+
+  // A view job's test and options, before any recorder or wave target.
+  TestSpec sized_spec(std::size_t pair) const {
+    TestSpec s = spec_of(pair);
+    if (plan.n_transactions > 0) s.n_transactions = plan.n_transactions;
+    return s;
+  }
+  TestbenchOptions view_options(std::size_t pair, ModelKind model) const {
+    TestbenchOptions opts;
+    opts.model = model;
+    opts.kernel = plan.kernel;
+    opts.seed = seed_of(pair);
+    opts.max_cycles = plan.max_cycles;
+    opts.profile = !plan.profile_out.empty();
+    opts.txn_trace = !plan.txn_trace_out.empty();
+    if (model != ModelKind::kRtl) opts.faults = plan.faults;
+    return opts;
+  }
 
   // Runs one view job; when it is the pair's second view to finish (and
   // the campaign aligns), aligns the pair right away.
@@ -165,17 +213,15 @@ struct Campaign {
     }
   }
 
-  // Runs one (test, seed, view) job into its slot.
+  // Runs one (test, seed, view) job into its slot. A lean BCA view job
+  // leaves its unit unfinished for the pair's settle step.
   void run_unit(std::size_t unit) {
     const std::size_t pair = unit / 2;
     const int m = static_cast<int>(unit % 2);
     const TestSpec& spec = spec_of(pair);
     const std::uint64_t seed = seed_of(pair);
-    const bool to_disk = !plan.out_dir.empty();
     const ModelKind model = m == 0 ? ModelKind::kRtl : ModelKind::kBca;
     const std::string view = m == 0 ? "rtl" : "bca";
-    const std::string stem =
-        sanitize_artifact_name(spec.name) + "_s" + std::to_string(seed);
 
     obs::SpanGuard job_span("job");
     if (obs::tracing_enabled()) {
@@ -183,23 +229,17 @@ struct Campaign {
                           std::to_string(seed) + ":" + view);
     }
 
-    TestbenchOptions opts;
-    opts.model = model;
-    opts.kernel = plan.kernel;
-    opts.seed = seed;
-    opts.max_cycles = plan.max_cycles;
-    opts.profile = !plan.profile_out.empty();
-    opts.txn_trace = !plan.txn_trace_out.empty();
-    if (model != ModelKind::kRtl) opts.faults = plan.faults;
+    TestbenchOptions opts = view_options(pair, model);
+    const bool lean = model == ModelKind::kBca && lean_bca &&
+                      !bca_full.load(std::memory_order_relaxed);
+    if (lean) opts.drop_passive_environment();
     // Alignment reads the in-process recording; the full VCD is written
     // only as an on-disk artifact.
     vcd::Recorder recorder;
     if (plan.run_alignment) opts.recorder = &recorder;
-    if (to_disk) {
-      opts.vcd_path = plan.out_dir + "/" + stem + "_" + view + ".vcd";
+    if (!plan.out_dir.empty()) {
+      opts.vcd_path = plan.out_dir + "/" + stem_of(pair) + "_" + view + ".vcd";
     }
-    TestSpec s = spec;
-    if (plan.n_transactions > 0) s.n_transactions = plan.n_transactions;
 
     if (plan.progress) {
       plan.progress->job_start(plan.cfg.name, spec.name, seed, view);
@@ -210,7 +250,7 @@ struct Campaign {
     try {
       {
         CRVE_SPAN("build");
-        tb.emplace(plan.cfg, s, opts);
+        tb.emplace(plan.cfg, sized_spec(pair), opts);
       }
       {
         CRVE_SPAN("sim");
@@ -218,8 +258,9 @@ struct Campaign {
       }
     } catch (...) {
       // A job that throws (elaboration failure, resource exhaustion) never
-      // reaches the !passed() dump below; preserve the flight-recorder
-      // context for it too, before the exception unwinds the pool.
+      // reaches the !passed() dump in finish_unit; preserve the
+      // flight-recorder context for it too, before the exception unwinds
+      // the pool.
       dump_flight_recorder(spec.name, seed, view);
       if (plan.progress) {
         plan.progress->job_finish(plan.cfg.name, spec.name, seed, view,
@@ -229,8 +270,32 @@ struct Campaign {
     }
     tb.reset();  // detaches the recorder and closes the VCD artifact
     if (plan.run_alignment) traces[unit] = recorder.take();
-    log_info() << plan.cfg.name << ": " << spec.name << " seed " << seed
-               << " " << to_string(model) << " -> "
+
+    TestOutcome& out = outcomes[unit];
+    out.test = spec.name;
+    out.seed = seed;
+    out.model = model;
+    // A copy, not a move: the slots live until the campaign ends, and the
+    // copy's vectors (txn spans, profile) drop their growth slack.
+    out.result = r;
+    out.wall_ms = ms_since(t0);
+    if (lean) {
+      bca_unsettled[pair] = 1;
+    } else {
+      finish_unit(unit);
+    }
+  }
+
+  // The side effects of a unit's final result: log line, job and verdict
+  // counters, flight-recorder dump on failure, per-run artifacts and the
+  // job_finish event.
+  void finish_unit(std::size_t unit) {
+    const std::size_t pair = unit / 2;
+    const TestOutcome& out = outcomes[unit];
+    const RunResult& r = out.result;
+    const std::string view = unit % 2 == 0 ? "rtl" : "bca";
+    log_info() << plan.cfg.name << ": " << out.test << " seed " << out.seed
+               << " " << to_string(out.model) << " -> "
                << (r.passed() ? "pass" : "FAIL") << " (" << r.cycles
                << " cycles)";
     if (obs::metrics_enabled()) {
@@ -238,38 +303,56 @@ struct Campaign {
       // add(0) still registers the metric, so reports always carry an
       // explicit failure count.
       obs::counter("regress.failures").add(r.passed() ? 0 : 1);
+      verif::publish_verdict_metrics(r);
     }
-    if (!r.passed()) dump_flight_recorder(spec.name, seed, view);
+    if (!r.passed()) dump_flight_recorder(out.test, out.seed, view);
 
-    TestOutcome& out = outcomes[unit];
-    out.test = spec.name;
-    out.seed = seed;
-    out.model = model;
-    out.result = r;
-    out.wall_ms = ms_since(t0);
-    {
+    if (!plan.out_dir.empty()) {
       CRVE_SPAN("artifacts");
-      if (to_disk) {
-        write_text(plan.out_dir + "/report_" + stem + "_" + view + ".txt",
-                   run_report(out));
-        if (opts.profile) {
-          write_text(plan.out_dir + "/profile_" + stem + "_" + view + ".json",
-                     obs::profile_json(r.profile));
-        }
-        if (opts.txn_trace) {
-          write_text(plan.out_dir + "/txn_" + stem + "_" + view + ".json",
-                     obs::txn_json(r.txn, /*with_spans=*/true));
-          write_text(
-              plan.out_dir + "/txn_" + stem + "_" + view + ".trace.json",
-              obs::txn_chrome_trace(r.txn));
-        }
+      const std::string base = plan.out_dir + "/";
+      const std::string name = stem_of(pair) + "_" + view;
+      write_text(base + "report_" + name + ".txt", run_report(out));
+      if (!plan.profile_out.empty()) {
+        write_text(base + "profile_" + name + ".json",
+                   obs::profile_json(r.profile));
+      }
+      if (!plan.txn_trace_out.empty()) {
+        write_text(base + "txn_" + name + ".json",
+                   obs::txn_json(r.txn, /*with_spans=*/true));
+        write_text(base + "txn_" + name + ".trace.json",
+                   obs::txn_chrome_trace(r.txn));
       }
     }
     if (plan.progress) {
-      plan.progress->job_finish(plan.cfg.name, spec.name, seed, view,
+      plan.progress->job_finish(plan.cfg.name, out.test, out.seed, view,
                                 r.passed() ? "pass" : "fail",
                                 /*cached=*/false, out.wall_ms);
     }
+  }
+
+  // Settles the pair's lean BCA view from the RTL view (settle_lean_bca),
+  // or re-runs it with its full environment when the proof fails, then
+  // finishes the unit.
+  void settle_bca(std::size_t pair, const vcd::Trace& ta, const vcd::Trace& tb,
+                  bool ports_identical, bool programming_port) {
+    RunResult& bca = outcomes[2 * pair + 1].result;
+    if (settle_lean_bca(ta, tb, ports_identical, programming_port,
+                        outcomes[2 * pair].result, bca)) {
+      if (obs::metrics_enabled()) {
+        obs::counter("regress.lean_settled", obs::MetricClass::kTiming).inc();
+      }
+    } else {
+      CRVE_SPAN("rerun");
+      bca_full.store(true, std::memory_order_relaxed);
+      // The re-run repeats a simulation the lean job already recorded and
+      // counted, so it records and publishes nothing.
+      TestbenchOptions opts = view_options(pair, ModelKind::kBca);
+      bca = Testbench(plan.cfg, sized_spec(pair), opts).simulate();
+      if (obs::metrics_enabled()) {
+        obs::counter("regress.lean_reruns", obs::MetricClass::kTiming).inc();
+      }
+    }
+    finish_unit(2 * pair + 1);
   }
 
   // Failure forensics: when a flight recorder is installed, preserve the
@@ -300,7 +383,8 @@ struct Campaign {
     const TestSpec& spec = spec_of(pair);
     const std::uint64_t seed = seed_of(pair);
     const bool to_disk = !plan.out_dir.empty();
-    const auto ports = alignment_ports(plan.cfg, spec);
+    const stbus::NodeConfig cfg = job_config(plan.cfg, spec);
+    const auto ports = alignment_ports(cfg);
 
     obs::SpanGuard align_span("align");
     if (obs::tracing_enabled()) {
@@ -319,7 +403,11 @@ struct Campaign {
     const vcd::Trace ta = std::move(traces[2 * pair]);
     const vcd::Trace tb = std::move(traces[2 * pair + 1]);
     try {
-      rep = stba::Analyzer::compare(ta, tb, ports);
+      bool ports_identical = false;
+      rep = stba::Analyzer::compare(ta, tb, ports, &ports_identical);
+      if (bca_unsettled[pair]) {
+        settle_bca(pair, ta, tb, ports_identical, cfg.programming_port);
+      }
       if (to_disk) {
         write_text(plan.out_dir + "/alignment_" +
                        sanitize_artifact_name(spec.name) + "_s" +
@@ -759,8 +847,10 @@ RegressionResult Regression::run(const RunPlan& plan) {
   return res;
 }
 
-MatrixResult Regression::run_matrix(
-    const std::vector<stbus::NodeConfig>& configs, const RunPlan& base) {
+namespace {
+
+MatrixResult run_matrix_with(const std::vector<stbus::NodeConfig>& configs,
+                             const RunPlan& base, bool force_lean_bca) {
   const auto t0 = Clock::now();
   // Intentionally the same span name as Regression::run's campaign guard:
   // both cover one whole campaign entry point, whichever was called, so
@@ -778,6 +868,9 @@ MatrixResult Regression::run_matrix(
       camps[i].plan.out_dir = base.out_dir + "/" + configs[i].name;
     }
     camps[i].prepare();
+    if (force_lean_bca) {
+      camps[i].lean_bca = base.run_alignment && base.txn_trace_out.empty();
+    }
   }
   CachePlanner planner(base);
   for (auto& camp : camps) planner.probe(camp);
@@ -862,6 +955,36 @@ MatrixResult Regression::run_matrix(
   }
   if (base.progress) base.progress->campaign_end(mres.all_signed_off);
   return mres;
+}
+
+}  // namespace
+
+bool settle_lean_bca(const vcd::Trace& rtl_trace, const vcd::Trace& bca_trace,
+                     bool ports_identical, bool programming_port,
+                     const RunResult& rtl, RunResult& bca) {
+  if (!ports_identical || rtl.cycles != bca.cycles) return false;
+  if (programming_port) {
+    // Only the Type1 checker watches this bundle; the alignment ports
+    // leave it out, so it is proved here.
+    const std::string prog = Testbench::prog_port_name();
+    if (!stba::Analyzer::identical(
+            rtl_trace, stba::Analyzer::resolve_port_fields(rtl_trace, prog),
+            bca_trace, stba::Analyzer::resolve_port_fields(bca_trace, prog))) {
+      return false;
+    }
+  }
+  bca.take_passive_verdict(rtl);
+  return true;
+}
+
+MatrixResult Regression::run_matrix(
+    const std::vector<stbus::NodeConfig>& configs, const RunPlan& base) {
+  return run_matrix_with(configs, base, /*force_lean_bca=*/false);
+}
+
+MatrixResult Regression::run_matrix_lean_bca_for_testing(
+    const std::vector<stbus::NodeConfig>& configs, const RunPlan& base) {
+  return run_matrix_with(configs, base, /*force_lean_bca=*/true);
 }
 
 MatrixPlan Regression::plan_matrix(

@@ -253,6 +253,13 @@ class Regression {
   static MatrixResult run_matrix(const std::vector<stbus::NodeConfig>& configs,
                                  const RunPlan& base);
 
+  // Test-only: run_matrix() with the BCA view jobs of an aligned campaign
+  // started lean even under base.faults, so tests can drive the settle
+  // step's re-run fallback. Campaigns otherwise derive the choice
+  // (DESIGN.md §8).
+  static MatrixResult run_matrix_lean_bca_for_testing(
+      const std::vector<stbus::NodeConfig>& configs, const RunPlan& base);
+
   // Planner half on its own: hash every pair job of the batch, probe the
   // cache (base.cache_dir; an empty cache dir reports everything missing)
   // and return the specs a fleet of workers would have to execute. Does
@@ -268,5 +275,19 @@ class Regression {
   static std::vector<WorkerOutcome> run_worker(
       const std::vector<JobSpec>& specs, const WorkerOptions& opts);
 };
+
+// The settle step of a lean BCA view job (DESIGN.md §8). The lean run
+// drove the pins but observed nothing. Its passive verdict is the RTL
+// view's when the pair's recordings prove that the passive environment
+// would have seen the same pins: every alignment port identical
+// (`ports_identical`, as stba::Analyzer::compare decided it), the
+// programming-port bundle identical when the configuration has one, and
+// equal cycle counts. Then `bca` takes the RTL result's passive fields
+// (RunResult::take_passive_verdict) and the call returns true. Otherwise
+// `bca` is left as it is and the call returns false: the BCA view must be
+// re-run with its full environment.
+bool settle_lean_bca(const vcd::Trace& rtl_trace, const vcd::Trace& bca_trace,
+                     bool ports_identical, bool programming_port,
+                     const verif::RunResult& rtl, verif::RunResult& bca);
 
 }  // namespace crve::regress

@@ -161,7 +161,7 @@ bool Node::ireg_can_accept(int initiator) const {
 }
 
 void Node::decide_requests() {
-  const int nres = cfg_.num_resources();
+  const int nres = static_cast<int>(arbs_.size());  // one per resource
   ReqDecision& d = req_wires_;
   std::fill(d.requesting.begin(), d.requesting.end(), 0);
   std::fill(d.eligible.begin(), d.eligible.end(), 0);
@@ -314,7 +314,7 @@ void Node::edge() {
   const ReqDecision& rd = req_wires_;
   const RspDecision& sd = rsp_wires_;
   const int T = cfg_.n_targets;
-  const int nres = cfg_.num_resources();
+  const int nres = static_cast<int>(arbs_.size());  // one per resource
 
   // --- response path: drain, then fill ----------------------------------
   for (int i = 0; i < cfg_.n_initiators; ++i) {

@@ -393,8 +393,9 @@ void walk_port(const vcd::Trace& a, const std::vector<int>& ia,
 
 AlignmentReport compare_ports(const vcd::Trace& a, const vcd::Trace& b,
                               const std::vector<std::string>& ports,
-                              bool prove_identical) {
+                              bool prove_identical, bool* all_identical) {
   AlignmentReport report;
+  bool all_proven = true;
   const bool metrics = obs::metrics_enabled();
   const std::uint64_t total = std::max(a.max_time(), b.max_time()) + 1;
   const auto fa = Analyzer::resolve_ports(a, ports);
@@ -407,6 +408,7 @@ AlignmentReport compare_ports(const vcd::Trace& a, const vcd::Trace& b,
     pa.total_cycles = total;
     pa.note = Analyzer::activity_note(a, ia, b, ib);
     const bool proven = prove_identical && Analyzer::identical(a, ia, b, ib);
+    all_proven = all_proven && proven;
     if (proven) {
       credit_identical(a, ia, b, ib, pa);
     } else {
@@ -422,20 +424,22 @@ AlignmentReport compare_ports(const vcd::Trace& a, const vcd::Trace& b,
     report.ports.push_back(std::move(pa));
   }
   if (metrics) obs::counter("stba.compares").inc();
+  if (all_identical != nullptr) *all_identical = all_proven;
   return report;
 }
 
 }  // namespace
 
 AlignmentReport Analyzer::compare(const vcd::Trace& a, const vcd::Trace& b,
-                                  const std::vector<std::string>& ports) {
-  return compare_ports(a, b, ports, /*prove_identical=*/true);
+                                  const std::vector<std::string>& ports,
+                                  bool* all_identical) {
+  return compare_ports(a, b, ports, /*prove_identical=*/true, all_identical);
 }
 
 AlignmentReport Analyzer::compare_by_merge(
     const vcd::Trace& a, const vcd::Trace& b,
     const std::vector<std::string>& ports) {
-  return compare_ports(a, b, ports, /*prove_identical=*/false);
+  return compare_ports(a, b, ports, /*prove_identical=*/false, nullptr);
 }
 
 AlignmentReport Analyzer::compare_files(const std::string& path_a,

@@ -106,8 +106,13 @@ class Analyzer {
   // unchanged cycles are credited at once. O(total changes) instead of
   // O(cycles x fields x log changes), with results identical to the
   // per-cycle scan (tests/test_trace_path.cpp holds the equivalence).
+  //
+  // When `all_identical` is given, it is set to whether every port took
+  // the identity proof: the one decision a caller needs to know that the
+  // two dumps carry the same values on all of `ports`.
   static AlignmentReport compare(const vcd::Trace& a, const vcd::Trace& b,
-                                 const std::vector<std::string>& ports);
+                                 const std::vector<std::string>& ports,
+                                 bool* all_identical = nullptr);
 
   // compare() without the identity shortcut: every port takes the
   // RunWalker merge and the cell diff. Its report equals compare()'s; it

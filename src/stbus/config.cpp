@@ -170,8 +170,12 @@ int NodeConfig::num_resources() const {
     case Architecture::kFullCrossbar:
       return n_targets;
     case Architecture::kPartialCrossbar: {
-      std::set<int> groups(xbar_group.begin(), xbar_group.end());
-      return static_cast<int>(groups.size());
+      // Distinct group ids, counted in place so the call allocates nothing.
+      int groups = 0;
+      for (auto g = xbar_group.begin(); g != xbar_group.end(); ++g) {
+        groups += std::find(xbar_group.begin(), g, *g) == g ? 1 : 0;
+      }
+      return groups;
     }
   }
   return 1;

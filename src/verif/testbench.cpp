@@ -1,6 +1,5 @@
 #include "verif/testbench.h"
 
-#include <array>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -134,7 +133,7 @@ Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
         ctx_, target_port_name(t), cfg_));
   }
   if (cfg_.programming_port) {
-    prog_pins_ = std::make_unique<stbus::PortPins>(ctx_, "tb.prog", 4,
+    prog_pins_ = std::make_unique<stbus::PortPins>(ctx_, prog_port_name(), 4,
                                                    cfg_.address_bits,
                                                    cfg_.src_bits,
                                                    cfg_.tid_bits);
@@ -253,10 +252,9 @@ Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
           *tpins_[static_cast<std::size_t>(t)], cfg_.type,
           ProtocolChecker::Role::kTargetPort, -1, &cfg_));
     }
-    if (prog_pins_) {
-      prog_checker_ =
-          std::make_unique<Type1Checker>(ctx_, "prog", *prog_pins_);
-    }
+  }
+  if (prog_pins_) {
+    prog_checker_ = std::make_unique<Type1Checker>(ctx_, "prog", *prog_pins_);
   }
   // One agent per port, initiator ports first: monitor listeners (the
   // scoreboard, reference model and txn tracer below) see each cycle's
@@ -366,7 +364,62 @@ bool Testbench::traffic_drained() const {
   return true;
 }
 
+void RunResult::take_passive_verdict(const RunResult& other) {
+  checker_violations = other.checker_violations;
+  violations = other.violations;
+  scoreboard_errors = other.scoreboard_errors;
+  sb_errors = other.sb_errors;
+  reference_mismatches = other.reference_mismatches;
+  ref_errors = other.ref_errors;
+  coverage_percent = other.coverage_percent;
+  coverage_digest = other.coverage_digest;
+  utilisation = other.utilisation;
+  request_packets = other.request_packets;
+  response_packets = other.response_packets;
+  request_opcode_cells = other.request_opcode_cells;
+}
+
+void publish_verdict_metrics(const RunResult& r) {
+  if (!obs::metrics_enabled()) return;
+  obs::counter("verif.runs").inc();
+  if (r.completed) obs::counter("verif.runs_completed").inc();
+  obs::counter("verif.checker_violations").add(r.checker_violations);
+  obs::counter("verif.scoreboard_errors").add(r.scoreboard_errors);
+  obs::counter("verif.reference_mismatches").add(r.reference_mismatches);
+  obs::counter("verif.request_packets").add(r.request_packets);
+  obs::counter("verif.response_packets").add(r.response_packets);
+  for (int o = 0; o < stbus::kNumOpcodes; ++o) {
+    const std::uint64_t n = r.request_opcode_cells[static_cast<std::size_t>(o)];
+    if (n != 0) {
+      obs::counter("verif.opc." +
+                   stbus::to_string(static_cast<stbus::Opcode>(o)))
+          .add(n);
+    }
+  }
+  obs::histogram("verif.request_packets_per_run").observe(r.request_packets);
+}
+
 RunResult Testbench::run() {
+  RunResult res = simulate();
+  if (txn_tracer_ && obs::metrics_enabled()) {
+    obs::counter("txn.spans").add(res.txn.total_spans());
+    for (const auto& p : res.txn.ports) {
+      obs::counter("txn.incomplete").add(p.incomplete);
+      obs::gauge("txn.max_in_flight").observe_max(p.max_in_flight);
+    }
+    // Exact per-span values (the port histograms are already binned).
+    for (const auto& s : res.txn.spans) {
+      if (s.complete()) {
+        obs::histogram("txn.total_cycles").observe(s.total());
+        obs::histogram("txn.queue_wait_cycles").observe(s.queue_wait());
+      }
+    }
+  }
+  ctx_.publish_metrics();
+  return res;
+}
+
+RunResult Testbench::simulate() {
   RunResult res;
   ctx_.initialize();
   while (ctx_.cycle() < opts_.max_cycles) {
@@ -420,58 +473,17 @@ RunResult Testbench::run() {
                                m.stats().request_packets,
                                m.stats().response_packets});
   };
-  for (const auto& m : imons_) add_util(*m);
+  for (const auto& m : imons_) {
+    add_util(*m);
+    res.request_packets += m->stats().request_packets;
+    res.response_packets += m->stats().response_packets;
+    for (std::size_t o = 0; o < res.request_opcode_cells.size(); ++o) {
+      res.request_opcode_cells[o] += m->stats().request_opcode_cells[o];
+    }
+  }
   for (const auto& m : tmons_) add_util(*m);
   if (opts_.profile) res.profile = ctx_.profile();
-  if (txn_tracer_) {
-    res.txn = txn_tracer_->finish();
-    if (obs::metrics_enabled()) {
-      obs::counter("txn.spans").add(res.txn.total_spans());
-      for (const auto& p : res.txn.ports) {
-        obs::counter("txn.incomplete").add(p.incomplete);
-        obs::gauge("txn.max_in_flight").observe_max(p.max_in_flight);
-      }
-      // Exact per-span values (the port histograms are already binned).
-      for (const auto& s : res.txn.spans) {
-        if (s.complete()) {
-          obs::histogram("txn.total_cycles").observe(s.total());
-          obs::histogram("txn.queue_wait_cycles").observe(s.queue_wait());
-        }
-      }
-    }
-  }
-  ctx_.publish_metrics();
-  if (obs::metrics_enabled()) {
-    obs::counter("verif.runs").inc();
-    if (res.completed) obs::counter("verif.runs_completed").inc();
-    obs::counter("verif.checker_violations").add(res.checker_violations);
-    obs::counter("verif.scoreboard_errors").add(res.scoreboard_errors);
-    obs::counter("verif.reference_mismatches").add(res.reference_mismatches);
-    // Traffic mix from the initiator-side monitors only (target-side
-    // monitors see the same packets again after arbitration).
-    std::uint64_t req_pkts = 0;
-    std::uint64_t rsp_pkts = 0;
-    std::array<std::uint64_t, stbus::kNumOpcodes> opc{};
-    for (const auto& m : imons_) {
-      req_pkts += m->stats().request_packets;
-      rsp_pkts += m->stats().response_packets;
-      for (int o = 0; o < stbus::kNumOpcodes; ++o) {
-        opc[static_cast<std::size_t>(o)] +=
-            m->stats().request_opcode_cells[static_cast<std::size_t>(o)];
-      }
-    }
-    obs::counter("verif.request_packets").add(req_pkts);
-    obs::counter("verif.response_packets").add(rsp_pkts);
-    for (int o = 0; o < stbus::kNumOpcodes; ++o) {
-      const std::uint64_t n = opc[static_cast<std::size_t>(o)];
-      if (n != 0) {
-        obs::counter("verif.opc." +
-                     stbus::to_string(static_cast<stbus::Opcode>(o)))
-            .add(n);
-      }
-    }
-    obs::histogram("verif.request_packets_per_run").observe(req_pkts);
-  }
+  if (txn_tracer_) res.txn = txn_tracer_->finish();
   return res;
 }
 

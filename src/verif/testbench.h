@@ -10,6 +10,7 @@
 // paper's central claim.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -77,6 +78,8 @@ struct TestbenchOptions {
   // without a VCD round trip. A dump target above is written from this
   // recording when one is set, else from a recorder of the Testbench's own.
   vcd::Recorder* recorder = nullptr;
+  // Port protocol checkers. The programming port's Type1 checker belongs to
+  // the port's active side with its initiator and is always built.
   bool enable_checkers = true;
   bool enable_scoreboard = true;
   bool enable_coverage = true;
@@ -86,7 +89,8 @@ struct TestbenchOptions {
   bool enable_reference_model = true;
   // Monitors are required by the scoreboard, coverage and the reference
   // model; disabling them is only legal (and only useful) for raw
-  // model-speed measurements.
+  // model-speed measurements and active-side-only runs
+  // (drop_passive_environment).
   bool enable_monitors = true;
   // Per-bit toggle coverage over all traced signals (the both-view analog
   // of the paper's RTL-only code coverage). Opt-in: it samples every signal
@@ -104,6 +108,19 @@ struct TestbenchOptions {
   // carries the per-run data. Requires monitors. Off by default — when off,
   // no tracer, no taps and no BFM hooks exist at all.
   bool txn_trace = false;
+
+  // Turns the passive environment off — monitors, port protocol checkers,
+  // scoreboard, coverage and reference model — and keeps the active side
+  // that drives the pins: the BFMs, the programming-port initiator and its
+  // Type1 checker. Every port agent stays registered, so the run costs the
+  // kernel the same evaluations (DESIGN.md §4.2).
+  void drop_passive_environment() {
+    enable_monitors = false;
+    enable_checkers = false;
+    enable_scoreboard = false;
+    enable_coverage = false;
+    enable_reference_model = false;
+  }
 };
 
 struct RunResult {
@@ -131,12 +148,29 @@ struct RunResult {
   obs::ProfileData profile;
   // Transaction spans (empty unless TestbenchOptions::txn_trace).
   obs::TxnTraceData txn;
+  // Traffic mix seen by the initiator-side monitors (target-side monitors
+  // see the same packets again after arbitration): packets each way and
+  // request cells per opcode, indexed by static_cast<int>(Opcode).
+  std::uint64_t request_packets = 0;
+  std::uint64_t response_packets = 0;
+  std::array<std::uint64_t, stbus::kNumOpcodes> request_opcode_cells{};
 
   bool passed() const {
     return completed && checker_violations == 0 && scoreboard_errors == 0 &&
            reference_mismatches == 0;
   }
+
+  // Takes from `other` every field the passive environment and the Type1
+  // checker compute: checker violations, scoreboard errors, reference
+  // mismatches, functional coverage, utilisation and the traffic mix.
+  // completed, cycles, evaluations, toggle coverage, profile and txn stay.
+  void take_passive_verdict(const RunResult& other);
 };
+
+// Publishes a run's verdict counters (verif.*: runs, violations, errors,
+// traffic mix). The caller publishes once the verdict is final — for a
+// lean BCA view job, after its settle step (DESIGN.md §8).
+void publish_verdict_metrics(const RunResult& r);
 
 class Testbench {
  public:
@@ -147,7 +181,13 @@ class Testbench {
   Testbench(const Testbench&) = delete;
   Testbench& operator=(const Testbench&) = delete;
 
-  // Runs to completion (or opts.max_cycles) and gathers the result.
+  // Runs to completion (or opts.max_cycles) and gathers the result,
+  // publishing nothing.
+  RunResult simulate();
+
+  // simulate(), then publishes the run's kernel (sim.*) and transaction
+  // tracer (txn.*) counters; the verdict counters are the caller's
+  // (publish_verdict_metrics).
   RunResult run();
 
   // --- component access for tests and benches -----------------------------
@@ -172,6 +212,7 @@ class Testbench {
   static std::vector<std::string> port_signal_names(const std::string& port);
   static std::string initiator_port_name(int i);
   static std::string target_port_name(int t);
+  static std::string prog_port_name() { return "tb.prog"; }
 
  private:
   bool traffic_drained() const;

@@ -47,6 +47,14 @@ stbus::NodeConfig c2_shape() {
   return cfg;
 }
 
+// The C2 partial-crossbar shape: four targets in two shared groups.
+stbus::NodeConfig partial_xbar_shape() {
+  stbus::NodeConfig cfg = c2_shape();
+  cfg.n_targets = 4;
+  cfg.arch = stbus::Architecture::kPartialCrossbar;
+  return cfg;
+}
+
 verif::TestbenchOptions full_environment(ModelKind model) {
   verif::TestbenchOptions opts;
   opts.model = model;
@@ -66,12 +74,11 @@ std::uint64_t allocations_over(verif::Testbench& tb, int cycles) {
   return g_allocations.load() - before;
 }
 
-class AllocFree : public ::testing::TestWithParam<ModelKind> {};
-
-TEST_P(AllocFree, IdleCyclesAllocateNothing) {
+void expect_idle_cycles_allocate_nothing(const stbus::NodeConfig& shape,
+                                         ModelKind model) {
   verif::TestSpec spec = verif::t02_random_all_opcodes();
   spec.n_transactions = 30;
-  verif::Testbench tb(c2_shape(), spec, full_environment(GetParam()));
+  verif::Testbench tb(shape, spec, full_environment(model));
   const stbus::NodeConfig& cfg = tb.config();
   auto drained = [&] {
     for (int i = 0; i < cfg.n_initiators; ++i) {
@@ -91,7 +98,8 @@ TEST_P(AllocFree, IdleCyclesAllocateNothing) {
   EXPECT_TRUE(tb.run().passed());
 }
 
-TEST_P(AllocFree, HeldRequestCyclesAllocateNothing) {
+void expect_held_request_cycles_allocate_nothing(
+    const stbus::NodeConfig& shape, ModelKind model) {
   // Targets never raise gnt: each target's first cell parks in the node,
   // and every later request to it waits ungranted at its initiator port.
   verif::TestSpec spec = verif::t02_random_all_opcodes();
@@ -100,7 +108,7 @@ TEST_P(AllocFree, HeldRequestCyclesAllocateNothing) {
     p.gnt_stall_permille = 1000;
     return p;
   };
-  verif::Testbench tb(c2_shape(), spec, full_environment(GetParam()));
+  verif::Testbench tb(shape, spec, full_environment(model));
   tb.ctx().step(100);
   const stbus::NodeConfig& cfg = tb.config();
   int held = 0;
@@ -113,11 +121,53 @@ TEST_P(AllocFree, HeldRequestCyclesAllocateNothing) {
   EXPECT_EQ(allocations_over(tb, 1000), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Views, AllocFree,
-                         ::testing::Values(ModelKind::kRtl, ModelKind::kBca),
-                         [](const auto& info) {
-                           return verif::to_string(info.param);
-                         });
+class AllocFree : public ::testing::TestWithParam<ModelKind> {};
+
+TEST_P(AllocFree, IdleCyclesAllocateNothing) {
+  expect_idle_cycles_allocate_nothing(c2_shape(), GetParam());
+}
+
+TEST_P(AllocFree, HeldRequestCyclesAllocateNothing) {
+  expect_held_request_cycles_allocate_nothing(c2_shape(), GetParam());
+}
+
+// Both nodes size their per-resource state by the number of crossbar
+// groups; a partial crossbar must not pay for counting them every cycle.
+class AllocFreePartialXbar : public ::testing::TestWithParam<ModelKind> {};
+
+TEST_P(AllocFreePartialXbar, IdleCyclesAllocateNothing) {
+  expect_idle_cycles_allocate_nothing(partial_xbar_shape(), GetParam());
+}
+
+TEST_P(AllocFreePartialXbar, HeldRequestCyclesAllocateNothing) {
+  expect_held_request_cycles_allocate_nothing(partial_xbar_shape(),
+                                              GetParam());
+}
+
+const auto kViews = ::testing::Values(ModelKind::kRtl, ModelKind::kBca);
+std::string view_name(const ::testing::TestParamInfo<ModelKind>& info) {
+  return verif::to_string(info.param);
+}
+INSTANTIATE_TEST_SUITE_P(Views, AllocFree, kViews, view_name);
+INSTANTIATE_TEST_SUITE_P(Views, AllocFreePartialXbar, kViews, view_name);
+
+TEST(AllocFreeConfig, NumResourcesAllocatesNothing) {
+  for (const auto arch : {stbus::Architecture::kSharedBus,
+                          stbus::Architecture::kFullCrossbar,
+                          stbus::Architecture::kPartialCrossbar}) {
+    stbus::NodeConfig cfg = c2_shape();
+    cfg.n_targets = 5;
+    cfg.arch = arch;
+    cfg.xbar_group = {0, 0, 1, 1, 2};
+    cfg.validate_and_normalize();
+    const std::uint64_t before = g_allocations.load();
+    const int n = cfg.num_resources();
+    EXPECT_EQ(g_allocations.load() - before, 0u) << static_cast<int>(arch);
+    EXPECT_EQ(n, arch == stbus::Architecture::kSharedBus      ? 1
+                 : arch == stbus::Architecture::kFullCrossbar ? 5
+                                                               : 3);
+  }
+}
 
 }  // namespace
 }  // namespace crve

@@ -26,23 +26,13 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "regress/runner.h"
+#include "metrics_guard.h"
 #include "verif/tests.h"
 
 namespace crve {
 namespace {
 
-// Every test that enables collection must leave the process-wide registry
-// disabled and zeroed, so unrelated tests stay unaffected.
-struct MetricsGuard {
-  MetricsGuard() {
-    obs::registry().reset();
-    obs::set_metrics_enabled(true);
-  }
-  ~MetricsGuard() {
-    obs::set_metrics_enabled(false);
-    obs::registry().reset();
-  }
-};
+using test::MetricsGuard;
 
 // Name-based lookups: descriptors registered by other tests persist for the
 // process lifetime (reset() only zeroes values), so positional or

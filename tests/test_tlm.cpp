@@ -98,6 +98,36 @@ TEST(SparseMemory, CachedLineSurvivesRehash) {
   EXPECT_EQ(copy.read(0x40), 0x22);
 }
 
+TEST(SparseMemory, WritesThroughTheCachedLineAcrossTwoLines) {
+  SparseMemory mem(0x31);
+  // Alternate between two lines so every write either hits the cached line
+  // or has to switch it, with reads of both lines in between.
+  for (std::uint32_t k = 0; k < SparseMemory::kLineBytes; ++k) {
+    mem.write(0x80 + k, static_cast<std::uint8_t>(k));
+    mem.write(0xc0 + k, static_cast<std::uint8_t>(0xff - k));
+    mem.write(0xc0 + k, static_cast<std::uint8_t>(0x80 + k));  // cached hit
+    ASSERT_EQ(mem.read(0x80 + k), static_cast<std::uint8_t>(k)) << k;
+    ASSERT_EQ(mem.read(0xc0 + k), static_cast<std::uint8_t>(0x80 + k)) << k;
+    if (k + 1 < SparseMemory::kLineBytes) {
+      ASSERT_EQ(mem.read(0x81 + k), default_mem_byte(0x81 + k, 0x31)) << k;
+    }
+  }
+  // A copy keeps every value and starts with an empty cache: its writes
+  // land in its own lines, even to the line the source last cached.
+  SparseMemory copy = mem;
+  copy.write(0xc0, 0x5e);
+  copy.write(0x80, 0x5f);
+  EXPECT_EQ(mem.read(0xc0), 0x80);
+  EXPECT_EQ(mem.read(0x80), 0x00);
+  EXPECT_EQ(copy.read(0xc0), 0x5e);
+  EXPECT_EQ(copy.read(0x80), 0x5f);
+  for (std::uint32_t k = 1; k < SparseMemory::kLineBytes; ++k) {
+    EXPECT_EQ(copy.read(0x80 + k), static_cast<std::uint8_t>(k)) << k;
+    EXPECT_EQ(copy.read(0xc0 + k), static_cast<std::uint8_t>(0x80 + k)) << k;
+  }
+  EXPECT_EQ(copy.read(0x100), default_mem_byte(0x100, 0x31));
+}
+
 TEST(SparseMemory, TargetBfmAndTlmMemoryAgree) {
   sim::Context ctx;
   const NodeConfig cfg = tcfg();
