@@ -1,159 +1,35 @@
 // Config / campaign rule family (CRVE001..CRVE042).
 //
-// The scan is deliberately tolerant where parse_config throws: it walks the
-// whole file collecting every problem instead of stopping at the first, so
-// one lint run over a directory reports everything a campaign would trip
-// over. The key grammar (including '#' and "//" comments) mirrors
-// regress/config_file.cpp exactly — a config the linter passes clean must
-// parse, and vice versa.
+// Config texts are read through the parser's own scanner
+// (regress::scan_config), so the grammar exists once: every problem the
+// scanner finds becomes its CRVE001..005 finding, and the semantic rules
+// (CRVE010..021) run over the typed values and the line each key came from.
+// The pass is tolerant where parse_config throws — it collects every problem
+// of every file instead of stopping at the first, so one lint run over a
+// directory reports everything a campaign would trip over. A config that
+// lints without a finding parses, and one the parser rejects gets an error.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 
 #include "common/json.h"
 #include "lint/lint.h"
+#include "regress/config_file.h"
 
 namespace crve::lint {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
-}
+using regress::ConfigScan;
+using stbus::ArbPolicy;
 
-struct Entry {
-  std::string value;
-  int line = 0;
-};
-
-// Last-assignment-wins view of a config text, matching parse_config.
-struct RawConfig {
-  std::map<std::string, Entry> entries;
-  Report findings;  // syntax-level findings collected during the scan
-
-  bool has(const std::string& key) const { return entries.count(key) > 0; }
-  const Entry* get(const std::string& key) const {
-    const auto it = entries.find(key);
-    return it == entries.end() ? nullptr : &it->second;
-  }
-};
-
-const std::set<std::string>& known_keys() {
-  static const std::set<std::string> kKeys = {
-      "name",          "n_initiators",     "n_targets",
-      "bus_bytes",     "type",             "arch",
-      "arb",           "programming_port", "priorities",
-      "latency_deadline", "bandwidth_quota", "bandwidth_window",
-      "xbar_group"};
-  return kKeys;
-}
-
-RawConfig scan_config_text(const std::string& text,
-                           const std::string& origin) {
-  RawConfig raw;
-  std::istringstream is(text);
-  std::string line;
-  int lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    const auto slashes = line.find("//");
-    if (slashes != std::string::npos) line.erase(slashes);
-    line = trim(line);
-    if (line.empty()) continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      raw.findings.add("CRVE001", origin, lineno,
-                       "expected key=value, got '" + line + "'");
-      continue;
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string val = trim(line.substr(eq + 1));
-    if (key.empty()) {
-      raw.findings.add("CRVE001", origin, lineno, "empty key before '='");
-      continue;
-    }
-    if (!known_keys().count(key)) {
-      raw.findings.add("CRVE002", origin, lineno,
-                       "unknown key '" + key + "'");
-      continue;
-    }
-    const auto [it, inserted] = raw.entries.insert({key, {val, lineno}});
-    if (!inserted) {
-      raw.findings.add("CRVE003", origin, lineno,
-                       "'" + key + "' already set on line " +
-                           std::to_string(it->second.line) +
-                           "; the earlier value is shadowed");
-      it->second = {val, lineno};  // last assignment wins, like the parser
-    }
-  }
-  return raw;
-}
-
-std::optional<long> to_int(const std::string& v) {
-  if (v.empty()) return std::nullopt;
-  std::size_t pos = 0;
-  long out = 0;
-  try {
-    out = std::stol(v, &pos);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (pos != v.size()) return std::nullopt;
-  return out;
-}
-
-std::optional<std::vector<int>> to_int_list(const std::string& v) {
-  std::vector<int> out;
-  std::istringstream is(v);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    item = trim(item);
-    if (item.empty()) continue;
-    const auto n = to_int(item);
-    if (!n) return std::nullopt;
-    out.push_back(static_cast<int>(*n));
-  }
-  return out;
-}
-
-bool is_pow2(long v) { return v > 0 && (v & (v - 1)) == 0; }
-
-// Everything the semantic rules need, independent of whether the source
-// was a text scan or an already-parsed NodeConfig.
-struct Semantics {
-  std::string origin;
-  int n_initiators = 2;
-  int n_targets = 2;
-  long bus_bytes = 4;
-  std::string arch = "full";  // shared | full | partial
-  std::string arb = "fixed";  // fixed | rr | lru | latency | bandwidth | prog
-  bool programming_port = false;
-  long bandwidth_window = 64;
-
-  // Present flags carry the source line for findings (0 = struct source).
-  std::optional<std::pair<std::vector<int>, int>> priorities;
-  std::optional<std::pair<std::vector<int>, int>> latency_deadline;
-  std::optional<std::pair<std::vector<int>, int>> bandwidth_quota;
-  std::optional<std::pair<std::vector<int>, int>> xbar_group;
-
-  int arb_line = 0;   // line the arb key was set on (0 when defaulted)
-  int arch_line = 0;
-  int n_initiators_line = 0;
-  int n_targets_line = 0;
-  int bus_bytes_line = 0;
-};
+bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
 
 void check_port_count(Report& out, const std::string& origin, int line,
-                      const char* key, const char* rule, long v,
+                      const char* key, const char* rule, int v,
                       bool& valid) {
   if (v < 1 || v > 32) {
     out.add(rule, origin, line,
@@ -163,208 +39,132 @@ void check_port_count(Report& out, const std::string& origin, int line,
   }
 }
 
-// The shared semantic pass (CRVE010..CRVE021).
-void lint_semantics(const Semantics& s, Report& out) {
+// The semantic pass (CRVE010..CRVE021). A list key counts as given when
+// the scan holds a line for it.
+void lint_semantics(const ConfigScan& s, const std::string& origin,
+                    Report& out) {
+  const stbus::NodeConfig& c = s.cfg;
   bool ports_valid = true;
-  check_port_count(out, s.origin, s.n_initiators_line, "n_initiators",
-                   "CRVE010", s.n_initiators, ports_valid);
-  check_port_count(out, s.origin, s.n_targets_line, "n_targets", "CRVE011",
-                   s.n_targets, ports_valid);
-  if (!is_pow2(s.bus_bytes) || s.bus_bytes > 32) {
-    out.add("CRVE012", s.origin, s.bus_bytes_line,
-            "bus_bytes = " + std::to_string(s.bus_bytes) +
+  check_port_count(out, origin, s.line("n_initiators"), "n_initiators",
+                   "CRVE010", c.n_initiators, ports_valid);
+  check_port_count(out, origin, s.line("n_targets"), "n_targets", "CRVE011",
+                   c.n_targets, ports_valid);
+  if (!is_pow2(c.bus_bytes) || c.bus_bytes > 32) {
+    out.add("CRVE012", origin, s.line("bus_bytes"),
+            "bus_bytes = " + std::to_string(c.bus_bytes) +
                 " must be a power of two in 1..32 (8..256 bits)");
   }
 
-  auto check_list = [&](const char* key,
-                        const std::optional<std::pair<std::vector<int>, int>>&
-                            list) {
-    if (!list || !ports_valid) return;
-    if (static_cast<int>(list->first.size()) != s.n_initiators) {
-      out.add("CRVE014", s.origin, list->second,
-              std::string(key) + " has " +
-                  std::to_string(list->first.size()) + " entries for " +
-                  std::to_string(s.n_initiators) + " initiators");
+  auto check_list = [&](const char* key, const std::vector<int>& list) {
+    if (!s.line(key) || !ports_valid) return;
+    if (static_cast<int>(list.size()) != c.n_initiators) {
+      out.add("CRVE014", origin, s.line(key),
+              std::string(key) + " has " + std::to_string(list.size()) +
+                  " entries for " + std::to_string(c.n_initiators) +
+                  " initiators");
     }
   };
-  check_list("priorities", s.priorities);
-  check_list("latency_deadline", s.latency_deadline);
-  check_list("bandwidth_quota", s.bandwidth_quota);
+  check_list("priorities", c.priorities);
+  check_list("latency_deadline", c.latency_deadline);
+  check_list("bandwidth_quota", c.bandwidth_quota);
 
-  if (s.arb == "latency") {
-    if (!s.latency_deadline) {
-      out.add("CRVE013", s.origin, s.arb_line,
+  const std::string arb = regress::config_name(c.arb);
+  const int arb_line = s.line("arb");
+  const int deadline_line = s.line("latency_deadline");
+  if (c.arb == ArbPolicy::kLatencyBased) {
+    if (!deadline_line) {
+      out.add("CRVE013", origin, arb_line,
               "arb = latency needs a latency_deadline list (one deadline "
               "per initiator); without it every initiator gets the default "
               "16 and the policy degenerates");
     } else {
-      for (std::size_t i = 0; i < s.latency_deadline->first.size(); ++i) {
-        if (s.latency_deadline->first[i] <= 0) {
-          out.add("CRVE021", s.origin, s.latency_deadline->second,
+      for (std::size_t i = 0; i < c.latency_deadline.size(); ++i) {
+        if (c.latency_deadline[i] <= 0) {
+          out.add("CRVE021", origin, deadline_line,
                   "latency_deadline[" + std::to_string(i) + "] = " +
-                      std::to_string(s.latency_deadline->first[i]) +
+                      std::to_string(c.latency_deadline[i]) +
                       " is not a positive cycle count");
         }
       }
     }
-  } else if (s.latency_deadline && s.latency_deadline->second > 0) {
-    out.add("CRVE020", s.origin, s.latency_deadline->second,
-            "latency_deadline is ignored unless arb = latency (arb = " +
-                s.arb + ")");
+  } else if (deadline_line) {
+    out.add("CRVE020", origin, deadline_line,
+            "latency_deadline is ignored unless arb = latency (arb = " + arb +
+                ")");
   }
 
-  if (s.arb == "bandwidth") {
-    if (!s.bandwidth_quota) {
-      out.add("CRVE015", s.origin, s.arb_line,
+  const int quota_line = s.line("bandwidth_quota");
+  if (c.arb == ArbPolicy::kBandwidthLimited) {
+    if (!quota_line) {
+      out.add("CRVE015", origin, arb_line,
               "arb = bandwidth needs a bandwidth_quota list (grants per "
               "window, 0 = unlimited)");
     }
-    if (s.bandwidth_window < 1) {
-      out.add("CRVE015", s.origin, s.arb_line,
-              "bandwidth_window = " + std::to_string(s.bandwidth_window) +
-                  " must be >= 1");
-    }
-  } else if (s.bandwidth_quota && s.bandwidth_quota->second > 0) {
-    out.add("CRVE020", s.origin, s.bandwidth_quota->second,
+  } else if (quota_line) {
+    out.add("CRVE020", origin, quota_line,
             "bandwidth_quota is ignored unless arb = bandwidth (arb = " +
-                s.arb + ")");
+                arb + ")");
+  }
+  // validate_and_normalize rejects the window under every policy.
+  if (c.bandwidth_window < 1) {
+    out.add("CRVE015", origin, s.line("bandwidth_window"),
+            "bandwidth_window = " + std::to_string(c.bandwidth_window) +
+                " must be >= 1");
   }
 
-  if (s.arb == "prog" && !s.programming_port) {
-    out.add("CRVE016", s.origin, s.arb_line,
+  if (c.arb == ArbPolicy::kProgrammable && !c.programming_port) {
+    out.add("CRVE016", origin, arb_line,
             "arb = prog needs programming_port = 1: the programmable "
             "priorities live in the Type1 programming-port registers");
   }
 
-  if (s.arch == "partial") {
-    if (s.xbar_group && ports_valid) {
-      const auto& groups = s.xbar_group->first;
-      const int line = s.xbar_group->second;
-      if (static_cast<int>(groups.size()) != s.n_targets) {
-        out.add("CRVE017", s.origin, line,
-                "xbar_group has " + std::to_string(groups.size()) +
-                    " entries for " + std::to_string(s.n_targets) +
-                    " targets");
-      } else {
-        int max_used = -1;
-        for (std::size_t t = 0; t < groups.size(); ++t) {
-          if (groups[t] < 0 || groups[t] >= s.n_targets) {
-            out.add("CRVE018", s.origin, line,
-                    "xbar_group[" + std::to_string(t) + "] = " +
-                        std::to_string(groups[t]) + " outside 0.." +
-                        std::to_string(s.n_targets - 1));
-          } else {
-            max_used = std::max(max_used, groups[t]);
-          }
-        }
-        const std::set<int> used(groups.begin(), groups.end());
-        for (int g = 0; g <= max_used; ++g) {
-          if (!used.count(g)) {
-            out.add("CRVE019", s.origin, line,
-                    "group " + std::to_string(g) +
-                        " is empty; ids are remapped densely, so the "
-                        "declared grouping is not what will run");
-          }
-        }
-      }
+  const int group_line = s.line("xbar_group");
+  if (!group_line) return;
+  if (c.arch != stbus::Architecture::kPartialCrossbar) {
+    out.add("CRVE020", origin, group_line,
+            "xbar_group is ignored unless arch = partial (arch = " +
+                std::string(regress::config_name(c.arch)) + ")");
+    return;
+  }
+  if (!ports_valid) return;
+  const auto& groups = c.xbar_group;
+  if (static_cast<int>(groups.size()) != c.n_targets) {
+    out.add("CRVE017", origin, group_line,
+            "xbar_group has " + std::to_string(groups.size()) +
+                " entries for " + std::to_string(c.n_targets) + " targets");
+    return;
+  }
+  int max_used = -1;
+  for (std::size_t t = 0; t < groups.size(); ++t) {
+    if (groups[t] < 0 || groups[t] >= c.n_targets) {
+      out.add("CRVE018", origin, group_line,
+              "xbar_group[" + std::to_string(t) + "] = " +
+                  std::to_string(groups[t]) + " outside 0.." +
+                  std::to_string(c.n_targets - 1));
+    } else {
+      max_used = std::max(max_used, groups[t]);
     }
-  } else if (s.xbar_group && s.xbar_group->second > 0) {
-    out.add("CRVE020", s.origin, s.xbar_group->second,
-            "xbar_group is ignored unless arch = partial (arch = " + s.arch +
-                ")");
+  }
+  const std::set<int> used(groups.begin(), groups.end());
+  for (int g = 0; g <= max_used; ++g) {
+    if (!used.count(g)) {
+      out.add("CRVE019", origin, group_line,
+              "group " + std::to_string(g) +
+                  " is empty; ids are remapped densely, so the declared "
+                  "grouping is not what will run");
+    }
   }
 }
 
-// Fills a Semantics view from a raw scan, reporting value-level problems
-// (bad integers, bad enums) along the way.
-Semantics semantics_from_raw(const RawConfig& raw, const std::string& origin,
-                             Report& out) {
-  Semantics s;
-  s.origin = origin;
-
-  auto take_int = [&](const char* key, auto setter) {
-    const Entry* e = raw.get(key);
-    if (!e) return;
-    const auto v = to_int(e->value);
-    if (!v) {
-      out.add("CRVE004", origin, e->line,
-              std::string(key) + ": bad integer '" + e->value + "'");
-      return;
-    }
-    setter(*v, e->line);
-  };
-  auto take_list = [&](const char* key,
-                       std::optional<std::pair<std::vector<int>, int>>& dst) {
-    const Entry* e = raw.get(key);
-    if (!e) return;
-    const auto v = to_int_list(e->value);
-    if (!v) {
-      out.add("CRVE004", origin, e->line,
-              std::string(key) + ": bad integer list '" + e->value + "'");
-      return;
-    }
-    dst = {{*v, e->line}};
-  };
-
-  take_int("n_initiators", [&](long v, int line) {
-    s.n_initiators = static_cast<int>(v);
-    s.n_initiators_line = line;
-  });
-  take_int("n_targets", [&](long v, int line) {
-    s.n_targets = static_cast<int>(v);
-    s.n_targets_line = line;
-  });
-  take_int("bus_bytes", [&](long v, int line) {
-    s.bus_bytes = v;
-    s.bus_bytes_line = line;
-  });
-  take_int("bandwidth_window", [&](long v, int) { s.bandwidth_window = v; });
-  take_int("programming_port",
-           [&](long v, int) { s.programming_port = v != 0; });
-
-  if (const Entry* e = raw.get("type")) {
-    const auto v = to_int(e->value);
-    if (!v || (*v != 2 && *v != 3)) {
-      out.add("CRVE005", origin, e->line,
-              "type: bad value '" + e->value + "' (accepted: 2, 3)");
-    }
+// The scan's problems as CRVE001..005 findings plus the semantic pass.
+Report lint_scan(const ConfigScan& s, const std::string& origin) {
+  static const char* const kIssueRule[] = {"CRVE001", "CRVE002", "CRVE003",
+                                           "CRVE004", "CRVE005"};
+  Report out;
+  for (const auto& i : s.issues) {
+    out.add(kIssueRule[i.kind], origin, i.line, i.message);
   }
-  if (const Entry* e = raw.get("arch")) {
-    if (e->value == "shared" || e->value == "full" ||
-        e->value == "partial") {
-      s.arch = e->value;
-      s.arch_line = e->line;
-    } else {
-      out.add("CRVE005", origin, e->line,
-              "arch: unknown value '" + e->value +
-                  "' (accepted: shared, full, partial)");
-    }
-  }
-  if (const Entry* e = raw.get("arb")) {
-    static const std::set<std::string> kArbs = {
-        "fixed", "rr", "lru", "latency", "bandwidth", "prog"};
-    if (kArbs.count(e->value)) {
-      s.arb = e->value;
-      s.arb_line = e->line;
-    } else {
-      out.add("CRVE005", origin, e->line,
-              "arb: unknown value '" + e->value +
-                  "' (accepted: fixed, rr, lru, latency, bandwidth, prog)");
-    }
-  }
-
-  take_list("priorities", s.priorities);
-  take_list("latency_deadline", s.latency_deadline);
-  take_list("bandwidth_quota", s.bandwidth_quota);
-  take_list("xbar_group", s.xbar_group);
-  return s;
-}
-
-// Syntax findings from the scan plus the semantic pass over what parsed.
-Report lint_raw(RawConfig&& raw, const std::string& origin) {
-  Report out = std::move(raw.findings);
-  const Semantics s = semantics_from_raw(raw, origin, out);
-  lint_semantics(s, out);
+  lint_semantics(s, origin, out);
   out.sort();
   return out;
 }
@@ -372,7 +172,8 @@ Report lint_raw(RawConfig&& raw, const std::string& origin) {
 }  // namespace
 
 Report lint_config_text(const std::string& text, const std::string& origin) {
-  return lint_raw(scan_config_text(text, origin), origin);
+  std::istringstream is(text);
+  return lint_scan(regress::scan_config(is), origin);
 }
 
 Report lint_config_file(const std::string& path) {
@@ -382,21 +183,18 @@ Report lint_config_file(const std::string& path) {
     out.add("CRVE001", path, 0, "cannot open file");
     return out;
   }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return lint_config_text(buf.str(), path);
+  return lint_scan(regress::scan_config(is), path);
 }
 
 Report lint_config_dir(const std::string& dir) {
-  namespace fs = std::filesystem;
   Report out;
   std::vector<std::string> files;
-  for (const auto& e : fs::directory_iterator(dir)) {
-    if (e.is_regular_file() && e.path().extension() == ".cfg") {
-      files.push_back(e.path().string());
-    }
+  try {
+    files = regress::config_files(dir);
+  } catch (const std::invalid_argument& e) {
+    out.add("CRVE001", dir, 0, e.what());
+    return out;
   }
-  std::sort(files.begin(), files.end());
   if (files.empty()) {
     out.add("CRVE031", dir, 0, "no .cfg files found");
     return out;
@@ -406,76 +204,19 @@ Report lint_config_dir(const std::string& dir) {
   std::map<std::string, std::string> names;
   for (const auto& f : files) {
     std::ifstream is(f);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    RawConfig raw = scan_config_text(buf.str(), f);
-    const Entry* name = raw.get("name");
-    const std::string value = name ? name->value : "node";  // parser default
-    const int name_line = name ? name->line : 0;
-    out.merge(lint_raw(std::move(raw), f));
-    const auto [it, inserted] = names.insert({value, f});
+    if (!is) {
+      out.add("CRVE001", f, 0, "cannot open file");
+      continue;
+    }
+    const ConfigScan scan = regress::scan_config(is);
+    out.merge(lint_scan(scan, f));
+    const auto [it, inserted] = names.insert({scan.cfg.name, f});
     if (!inserted) {
-      out.add("CRVE030", f, name_line,
-              "name '" + value + "' already used by " + it->second +
+      out.add("CRVE030", f, scan.line("name"),
+              "name '" + scan.cfg.name + "' already used by " + it->second +
                   "; artifact directories and report sections would merge");
     }
   }
-  out.sort();
-  return out;
-}
-
-Report lint_node_config(const stbus::NodeConfig& cfg,
-                        const std::string& origin) {
-  Semantics s;
-  s.origin = origin;
-  s.n_initiators = cfg.n_initiators;
-  s.n_targets = cfg.n_targets;
-  s.bus_bytes = cfg.bus_bytes;
-  s.bandwidth_window = cfg.bandwidth_window;
-  s.programming_port = cfg.programming_port;
-  switch (cfg.arch) {
-    case stbus::Architecture::kSharedBus:
-      s.arch = "shared";
-      break;
-    case stbus::Architecture::kFullCrossbar:
-      s.arch = "full";
-      break;
-    case stbus::Architecture::kPartialCrossbar:
-      s.arch = "partial";
-      break;
-  }
-  switch (cfg.arb) {
-    case stbus::ArbPolicy::kFixedPriority:
-      s.arb = "fixed";
-      break;
-    case stbus::ArbPolicy::kRoundRobin:
-      s.arb = "rr";
-      break;
-    case stbus::ArbPolicy::kLru:
-      s.arb = "lru";
-      break;
-    case stbus::ArbPolicy::kLatencyBased:
-      s.arb = "latency";
-      break;
-    case stbus::ArbPolicy::kBandwidthLimited:
-      s.arb = "bandwidth";
-      break;
-    case stbus::ArbPolicy::kProgrammable:
-      s.arb = "prog";
-      break;
-  }
-  // Struct sources carry no "key present" information, so a normalized
-  // config (lists default-filled) is checked for consistency, not absence.
-  if (!cfg.priorities.empty()) s.priorities = {{cfg.priorities, 0}};
-  if (!cfg.latency_deadline.empty()) {
-    s.latency_deadline = {{cfg.latency_deadline, 0}};
-  }
-  if (!cfg.bandwidth_quota.empty()) {
-    s.bandwidth_quota = {{cfg.bandwidth_quota, 0}};
-  }
-  if (!cfg.xbar_group.empty()) s.xbar_group = {{cfg.xbar_group, 0}};
-  Report out;
-  lint_semantics(s, out);
   out.sort();
   return out;
 }

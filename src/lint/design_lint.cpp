@@ -1,7 +1,6 @@
 #include "lint/design_lint.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <stdexcept>
 
 #include "common/build_info.h"
@@ -128,7 +127,6 @@ DesignLintResult lint_design_file(const std::string& cfg_path,
   stbus::NodeConfig cfg;
   try {
     cfg = regress::parse_config_file(cfg_path);
-    cfg.validate_and_normalize();
   } catch (const std::exception& e) {
     // The config rule family owns parse diagnostics; here the parse failure
     // only has to make the design pass fail loudly.
@@ -147,16 +145,14 @@ DesignLintResult lint_design_file(const std::string& cfg_path,
 
 DesignLintResult lint_design_dir(const std::string& dir,
                                  const DesignRuleOptions& opts) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> files;
-  std::error_code ec;
-  for (const auto& e : fs::directory_iterator(dir, ec)) {
-    if (e.is_regular_file() && e.path().extension() == ".cfg") {
-      files.push_back(e.path().string());
-    }
-  }
-  std::sort(files.begin(), files.end());
   DesignLintResult res;
+  std::vector<std::string> files;
+  try {
+    files = regress::config_files(dir);
+  } catch (const std::invalid_argument& e) {
+    res.report.add("CRVE001", dir, 0, e.what());
+    return res;
+  }
   for (const auto& f : files) {
     DesignLintResult one = lint_design_file(f, opts);
     res.report.merge(std::move(one.report));

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "lint/lint.h"
+#include "stbus/config.h"
 
 namespace crve::lint {
 
@@ -51,8 +52,8 @@ struct DesignLintResult {
 DesignLintResult lint_design_file(const std::string& cfg_path,
                                   const DesignRuleOptions& opts = {});
 
-// Lints every *.cfg in `dir`, sorted by filename (the configs_from_dir
-// order), concatenating reports and summaries.
+// Lints every regress::config_files(dir) entry, concatenating reports and
+// summaries. A directory that cannot be listed is a CRVE001 error.
 DesignLintResult lint_design_dir(const std::string& dir,
                                  const DesignRuleOptions& opts = {});
 

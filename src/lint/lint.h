@@ -37,8 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "stbus/config.h"
-
 namespace crve::sim {
 struct DesignGraph;
 }
@@ -94,22 +92,18 @@ struct Report {
 };
 
 // --- Config / campaign rules (config_rules.cpp) ---------------------------
+// Built into crve_design_lint, next to the .cfg grammar they read through.
 
-// Lints one configuration text without throwing: tolerant key=value scan
-// (unknown/duplicate keys, bad integers, bad enums) followed by the
-// semantic rules over whatever parsed. `origin` tags every finding.
+// Lints one configuration text without throwing: every problem
+// regress::scan_config finds (malformed lines, unknown/duplicate keys, bad
+// integers, bad enums) followed by the semantic rules over whatever parsed.
+// `origin` tags every finding.
 Report lint_config_text(const std::string& text, const std::string& origin);
 Report lint_config_file(const std::string& path);
 
-// Lints every *.cfg in `dir` (sorted by filename, like configs_from_dir)
-// plus the cross-file rules (duplicate `name`).
+// Lints every regress::config_files(dir) entry plus the cross-file rules
+// (duplicate `name`). A directory that cannot be listed is a CRVE001 error.
 Report lint_config_dir(const std::string& dir);
-
-// Semantic rules over an already-parsed NodeConfig (no text available, so
-// the key-level rules don't apply). Lists that validate_and_normalize()
-// would default-fill are only checked when non-empty.
-Report lint_node_config(const stbus::NodeConfig& cfg,
-                        const std::string& origin);
 
 // What crve_regress is about to run: the (test, seed) matrix and the
 // sign-off threshold. Kept free of regress types so lint stays below

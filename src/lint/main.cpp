@@ -26,11 +26,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "lint/design_lint.h"
 #include "lint/lint.h"
+#include "regress/config_file.h"
 
 namespace {
 
@@ -51,6 +53,16 @@ bool has_ext(const std::filesystem::path& p,
     if (e == x) return true;
   }
   return false;
+}
+
+// A directory with .cfg files is a config set, any other a source tree.
+// One that cannot be listed goes to lint_config_dir, which reports it.
+bool holds_configs(const std::string& dir) {
+  try {
+    return !crve::regress::config_files(dir).empty();
+  } catch (const std::invalid_argument&) {
+    return true;
+  }
 }
 
 }  // namespace
@@ -132,15 +144,8 @@ int main(int argc, char** argv) {
       const fs::path path(p);
       std::error_code ec;
       if (fs::is_directory(path, ec)) {
-        bool has_cfg = false;
-        for (const auto& e : fs::directory_iterator(path, ec)) {
-          if (e.is_regular_file() && e.path().extension() == ".cfg") {
-            has_cfg = true;
-            break;
-          }
-        }
-        report.merge(has_cfg ? crve::lint::lint_config_dir(p)
-                             : crve::lint::lint_source_tree(p));
+        report.merge(holds_configs(p) ? crve::lint::lint_config_dir(p)
+                                      : crve::lint::lint_source_tree(p));
       } else if (fs::is_regular_file(path, ec)) {
         if (has_ext(path, {".cfg"})) {
           report.merge(crve::lint::lint_config_file(p));

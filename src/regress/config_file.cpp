@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 namespace crve::regress {
 
@@ -15,124 +18,212 @@ using stbus::ProtocolType;
 
 namespace {
 
-std::string trim(const std::string& s) {
+constexpr std::pair<ProtocolType, const char*> kTypeNames[] = {
+    {ProtocolType::kType2, "2"}, {ProtocolType::kType3, "3"}};
+constexpr std::pair<Architecture, const char*> kArchNames[] = {
+    {Architecture::kSharedBus, "shared"},
+    {Architecture::kFullCrossbar, "full"},
+    {Architecture::kPartialCrossbar, "partial"}};
+constexpr std::pair<ArbPolicy, const char*> kArbNames[] = {
+    {ArbPolicy::kFixedPriority, "fixed"},
+    {ArbPolicy::kRoundRobin, "rr"},
+    {ArbPolicy::kLru, "lru"},
+    {ArbPolicy::kLatencyBased, "latency"},
+    {ArbPolicy::kBandwidthLimited, "bandwidth"},
+    {ArbPolicy::kProgrammable, "prog"}};
+
+template <class E, std::size_t N>
+const char* name_in(const std::pair<E, const char*> (&names)[N], E e) {
+  for (const auto& [value, name] : names) {
+    if (value == e) return name;
+  }
+  return "?";
+}
+
+// `miss` words the message for a value outside the table.
+template <class E, std::size_t N>
+E value_in(const std::pair<E, const char*> (&names)[N], const char* key,
+           const char* miss, std::string_view v) {
+  std::string accepted;
+  for (const auto& [value, name] : names) {
+    if (v == name) return value;
+    accepted += (accepted.empty() ? "" : ", ") + std::string(name);
+  }
+  throw std::invalid_argument(std::string(key) + ": " + miss + " '" +
+                              std::string(v) + "' (accepted: " + accepted +
+                              ")");
+}
+
+std::string_view trim(std::string_view s) {
   const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
+  if (b == std::string_view::npos) return {};
+  return s.substr(b, s.find_last_not_of(" \t\r") - b + 1);
 }
 
-// Whole-value integer; rejects trailing junk ("4x") so a typo can't
-// silently truncate. The message names the key and the offending value.
-int parse_int(const std::string& v, const std::string& key) {
-  std::size_t pos = 0;
-  int out = 0;
-  try {
-    out = std::stoi(v, &pos);
-  } catch (const std::exception&) {
-    pos = std::string::npos;
-  }
-  if (pos != v.size()) {
-    throw std::invalid_argument(key + ": bad integer '" + v + "'");
-  }
-  return out;
+int to_int(const char* key, std::string_view v) {
+  if (const auto n = parse_integer<int>(v)) return *n;
+  throw std::invalid_argument(std::string(key) + ": bad integer '" +
+                              std::string(v) + "'");
 }
 
-std::vector<int> parse_int_list(const std::string& v, const std::string& key) {
+// Comma-separated integers; empty items are skipped.
+std::vector<int> to_int_list(const char* key, std::string_view v) {
   std::vector<int> out;
-  std::istringstream is(v);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    item = trim(item);
+  for (std::size_t b = 0; b <= v.size();) {
+    const std::size_t e = std::min(v.find(',', b), v.size());
+    const std::string_view item = trim(v.substr(b, e - b));
+    b = e + 1;
     if (item.empty()) continue;
-    out.push_back(parse_int(item, key));
+    const auto n = parse_integer<int>(item);
+    if (!n) {
+      throw std::invalid_argument(std::string(key) + ": bad integer list '" +
+                                  std::string(v) + "'");
+    }
+    out.push_back(*n);
   }
   return out;
 }
 
-Architecture parse_arch(const std::string& v) {
-  if (v == "shared") return Architecture::kSharedBus;
-  if (v == "full") return Architecture::kFullCrossbar;
-  if (v == "partial") return Architecture::kPartialCrossbar;
-  throw std::invalid_argument("arch: unknown value '" + v +
-                              "' (accepted: shared, full, partial)");
-}
+// Every key of the grammar and how its value is typed into a NodeConfig.
+// `set` throws std::invalid_argument with the problem's message when the
+// value does not parse; `bad` is that problem's kind.
+struct Key {
+  const char* name;
+  ConfigIssue::Kind bad;
+  void (*set)(NodeConfig& c, const char* key, std::string_view v);
+};
 
-ArbPolicy parse_arb(const std::string& v) {
-  if (v == "fixed") return ArbPolicy::kFixedPriority;
-  if (v == "rr") return ArbPolicy::kRoundRobin;
-  if (v == "lru") return ArbPolicy::kLru;
-  if (v == "latency") return ArbPolicy::kLatencyBased;
-  if (v == "bandwidth") return ArbPolicy::kBandwidthLimited;
-  if (v == "prog") return ArbPolicy::kProgrammable;
-  throw std::invalid_argument(
-      "arb: unknown value '" + v +
-      "' (accepted: fixed, rr, lru, latency, bandwidth, prog)");
+using V = std::string_view;
+const Key kKeys[] = {
+    {"name", ConfigIssue::kBadInteger,  // any text is a name
+     [](NodeConfig& c, const char*, V v) { c.name = v; }},
+    {"n_initiators", ConfigIssue::kBadInteger,
+     [](NodeConfig& c, const char* k, V v) { c.n_initiators = to_int(k, v); }},
+    {"n_targets", ConfigIssue::kBadInteger,
+     [](NodeConfig& c, const char* k, V v) { c.n_targets = to_int(k, v); }},
+    {"bus_bytes", ConfigIssue::kBadInteger,
+     [](NodeConfig& c, const char* k, V v) { c.bus_bytes = to_int(k, v); }},
+    {"type", ConfigIssue::kBadEnum,
+     [](NodeConfig& c, const char* k, V v) {
+       c.type = value_in(kTypeNames, k, "bad value", v);
+     }},
+    {"arch", ConfigIssue::kBadEnum,
+     [](NodeConfig& c, const char* k, V v) {
+       c.arch = value_in(kArchNames, k, "unknown value", v);
+     }},
+    {"arb", ConfigIssue::kBadEnum,
+     [](NodeConfig& c, const char* k, V v) {
+       c.arb = value_in(kArbNames, k, "unknown value", v);
+     }},
+    {"programming_port", ConfigIssue::kBadInteger,
+     [](NodeConfig& c, const char* k, V v) {
+       c.programming_port = to_int(k, v) != 0;
+     }},
+    {"priorities", ConfigIssue::kBadInteger,
+     [](NodeConfig& c, const char* k, V v) {
+       c.priorities = to_int_list(k, v);
+     }},
+    {"latency_deadline", ConfigIssue::kBadInteger,
+     [](NodeConfig& c, const char* k, V v) {
+       c.latency_deadline = to_int_list(k, v);
+     }},
+    {"bandwidth_quota", ConfigIssue::kBadInteger,
+     [](NodeConfig& c, const char* k, V v) {
+       c.bandwidth_quota = to_int_list(k, v);
+     }},
+    {"bandwidth_window", ConfigIssue::kBadInteger,
+     [](NodeConfig& c, const char* k, V v) {
+       c.bandwidth_window = to_int(k, v);
+     }},
+    {"xbar_group", ConfigIssue::kBadInteger,
+     [](NodeConfig& c, const char* k, V v) {
+       c.xbar_group = to_int_list(k, v);
+     }},
+};
+static_assert(std::size(kKeys) == ConfigScan::kKeyCount);
+
+// Index of `key` in kKeys; kKeyCount when it is not a key of the grammar.
+std::size_t key_index(std::string_view key) {
+  std::size_t i = 0;
+  while (i < std::size(kKeys) && key != kKeys[i].name) ++i;
+  return i;
 }
 
 }  // namespace
 
-NodeConfig parse_config(std::istream& is, const std::string& origin) {
-  NodeConfig cfg;
-  std::string line;
+const char* config_name(ProtocolType t) { return name_in(kTypeNames, t); }
+const char* config_name(Architecture a) { return name_in(kArchNames, a); }
+const char* config_name(ArbPolicy p) { return name_in(kArbNames, p); }
+
+int ConfigScan::line(std::string_view key) const {
+  const std::size_t i = key_index(key);
+  return i < kKeyCount ? lines[i] : 0;
+}
+
+ConfigScan scan_config(std::istream& is) {
+  ConfigScan scan;
+  int assigned[ConfigScan::kKeyCount] = {};  // last line, parsed or not
+  std::string text;
   int lineno = 0;
-  while (std::getline(is, line)) {
+  auto issue = [&](ConfigIssue::Kind kind, std::string message) {
+    scan.issues.push_back({kind, lineno, std::move(message)});
+  };
+  while (std::getline(is, text)) {
     ++lineno;
     // Both comment styles, whole-line or trailing (see config_file.h).
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    const auto slashes = line.find("//");
-    if (slashes != std::string::npos) line.erase(slashes);
-    line = trim(line);
+    std::string_view line = text;
+    line = line.substr(0, line.find('#'));
+    line = trim(line.substr(0, line.find("//")));
     if (line.empty()) continue;
     const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument(origin + ":" + std::to_string(lineno) +
-                                  ": expected key=value");
+    if (eq == std::string_view::npos) {
+      issue(ConfigIssue::kNotKeyValue,
+            "expected key=value, got '" + std::string(line) + "'");
+      continue;
     }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string val = trim(line.substr(eq + 1));
+    const std::string_view key = trim(line.substr(0, eq));
+    if (key.empty()) {
+      issue(ConfigIssue::kNotKeyValue, "empty key before '='");
+      continue;
+    }
+    const std::size_t k = key_index(key);
+    if (k == ConfigScan::kKeyCount) {
+      issue(ConfigIssue::kUnknownKey,
+            "unknown key '" + std::string(key) + "'");
+      continue;
+    }
+    if (assigned[k]) {
+      issue(ConfigIssue::kDuplicateKey,
+            "'" + std::string(key) + "' already set on line " +
+                std::to_string(assigned[k]) +
+                "; the earlier value is shadowed");
+    }
+    assigned[k] = lineno;
     try {
-      if (key == "name") {
-        cfg.name = val;
-      } else if (key == "n_initiators") {
-        cfg.n_initiators = parse_int(val, key);
-      } else if (key == "n_targets") {
-        cfg.n_targets = parse_int(val, key);
-      } else if (key == "bus_bytes") {
-        cfg.bus_bytes = parse_int(val, key);
-      } else if (key == "type") {
-        if (val != "2" && val != "3") {
-          throw std::invalid_argument("type: bad value '" + val +
-                                      "' (accepted: 2, 3)");
-        }
-        cfg.type = val == "2" ? ProtocolType::kType2 : ProtocolType::kType3;
-      } else if (key == "arch") {
-        cfg.arch = parse_arch(val);
-      } else if (key == "arb") {
-        cfg.arb = parse_arb(val);
-      } else if (key == "programming_port") {
-        cfg.programming_port = parse_int(val, key) != 0;
-      } else if (key == "priorities") {
-        cfg.priorities = parse_int_list(val, key);
-      } else if (key == "latency_deadline") {
-        cfg.latency_deadline = parse_int_list(val, key);
-      } else if (key == "bandwidth_quota") {
-        cfg.bandwidth_quota = parse_int_list(val, key);
-      } else if (key == "bandwidth_window") {
-        cfg.bandwidth_window = parse_int(val, key);
-      } else if (key == "xbar_group") {
-        cfg.xbar_group = parse_int_list(val, key);
-      } else {
-        throw std::invalid_argument("unknown key '" + key + "'");
-      }
+      kKeys[k].set(scan.cfg, kKeys[k].name, trim(line.substr(eq + 1)));
+      scan.lines[k] = lineno;
     } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument(origin + ":" + std::to_string(lineno) +
-                                  ": " + e.what());
+      issue(kKeys[k].bad, e.what());
+      scan.lines[k] = 0;
     }
   }
-  cfg.validate_and_normalize();
-  return cfg;
+  return scan;
+}
+
+NodeConfig parse_config(std::istream& is, const std::string& origin) {
+  ConfigScan scan = scan_config(is);
+  for (const ConfigIssue& i : scan.issues) {
+    if (i.kind != ConfigIssue::kDuplicateKey) {
+      throw std::invalid_argument(origin + ":" + std::to_string(i.line) +
+                                  ": " + i.message);
+    }
+  }
+  try {
+    scan.cfg.validate_and_normalize();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(origin + ": " + e.what());
+  }
+  return std::move(scan.cfg);
 }
 
 NodeConfig parse_config_file(const std::string& path) {
@@ -147,34 +238,9 @@ std::string format_config(const stbus::NodeConfig& cfg) {
   os << "n_initiators = " << cfg.n_initiators << "\n";
   os << "n_targets = " << cfg.n_targets << "\n";
   os << "bus_bytes = " << cfg.bus_bytes << "\n";
-  os << "type = " << (cfg.type == ProtocolType::kType2 ? 2 : 3) << "\n";
-  os << "arch = "
-     << (cfg.arch == Architecture::kSharedBus
-             ? "shared"
-             : cfg.arch == Architecture::kFullCrossbar ? "full" : "partial")
-     << "\n";
-  const char* arb = "fixed";
-  switch (cfg.arb) {
-    case ArbPolicy::kFixedPriority:
-      arb = "fixed";
-      break;
-    case ArbPolicy::kRoundRobin:
-      arb = "rr";
-      break;
-    case ArbPolicy::kLru:
-      arb = "lru";
-      break;
-    case ArbPolicy::kLatencyBased:
-      arb = "latency";
-      break;
-    case ArbPolicy::kBandwidthLimited:
-      arb = "bandwidth";
-      break;
-    case ArbPolicy::kProgrammable:
-      arb = "prog";
-      break;
-  }
-  os << "arb = " << arb << "\n";
+  os << "type = " << config_name(cfg.type) << "\n";
+  os << "arch = " << config_name(cfg.arch) << "\n";
+  os << "arb = " << config_name(cfg.arb) << "\n";
   os << "programming_port = " << (cfg.programming_port ? 1 : 0) << "\n";
   auto list = [&os](const char* key, const std::vector<int>& v) {
     if (v.empty()) return;
@@ -192,18 +258,28 @@ std::string format_config(const stbus::NodeConfig& cfg) {
   return os.str();
 }
 
-std::vector<stbus::NodeConfig> configs_from_dir(const std::string& dir) {
+std::vector<std::string> config_files(const std::string& dir) {
   namespace fs = std::filesystem;
   std::vector<std::string> files;
-  for (const auto& e : fs::directory_iterator(dir)) {
-    if (e.is_regular_file() && e.path().extension() == ".cfg") {
-      files.push_back(e.path().string());
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    std::error_code stat_ec;  // an entry that cannot be stat'ed is skipped
+    if (it->is_regular_file(stat_ec) && it->path().extension() == ".cfg") {
+      files.push_back(it->path().string());
     }
   }
+  if (ec) {
+    throw std::invalid_argument("cannot list config directory " + dir +
+                                ": " + ec.message());
+  }
   std::sort(files.begin(), files.end());
+  return files;
+}
+
+std::vector<stbus::NodeConfig> configs_from_dir(const std::string& dir) {
   std::vector<stbus::NodeConfig> out;
-  out.reserve(files.size());
-  for (const auto& f : files) out.push_back(parse_config_file(f));
+  for (const auto& f : config_files(dir)) out.push_back(parse_config_file(f));
   return out;
 }
 

@@ -8,7 +8,7 @@
 //   crve_regress --configs DIR [options]
 //   crve_regress --sample-configs DIR        # write example .cfg files
 //
-// Options:
+// Options (integer values take decimal digits only: no sign, no junk):
 //   --configs DIR      run every *.cfg in DIR (sorted)
 //   --out DIR          write VCDs, per-run reports, alignment reports
 //   --seeds a,b,c      seeds to run every test with        (default: 1)
@@ -18,7 +18,8 @@
 //   --fault NAME       inject a named BCA fault (see bca/faults.h)
 //   --no-alignment     skip VCD dump + STBA comparison
 //   --jobs N           worker threads for the (config,test,seed,view)
-//                      matrix (default: 0 = one per hardware thread)
+//                      matrix, at most 1024 (default: 0 = one per hardware
+//                      thread)
 //   --json FILE        also write the batch JSON report to FILE
 //   --sim-kernel K     simulation kernel: "compiled" (levelized static
 //                      schedule, the default) or "interp" (reference
@@ -43,7 +44,8 @@
 //                      re-simulating; missing pairs are stored after they
 //                      run. A rebuild changes the hash, so a stale cache
 //                      degrades to misses, never to wrong results.
-//   --cache-max-mb N   cache size budget (LRU eviction); 0 = unbounded
+//   --cache-max-mb N   cache size budget (LRU eviction); 0 = unbounded;
+//                      at most 2^44 - 1, so the budget in bytes fits 64 bits
 //   --cache-stats FILE write {"build": ..., "cache": {hits, misses, ...}}
 //                      after the batch (requires --cache-dir)
 //   --emit-specs FILE  planner half only: probe the cache and write the
@@ -64,6 +66,7 @@
 //                         fraction (default: 0.001 = 0.1pp)
 //   --gate-coverage-drop X  max tolerated coverage drop in percentage
 //                           points (default: 0 = any drop fails)
+//   Both take a finite number >= 0.
 //
 // Observability (DESIGN.md §10, §15):
 //   --metrics-out FILE enable metrics collection; write the full registry
@@ -77,7 +80,8 @@
 //   --trace-out FILE   record phase spans; write a Chrome trace-event file
 //                      loadable in Perfetto / chrome://tracing
 //   --flight-recorder N
-//                      keep the last N log lines (info and up) in a ring;
+//                      keep the last N log lines (info and up, N at most
+//                      1000000) in a ring;
 //                      a failing, throwing or timing-out job dumps them
 //                      next to its artifacts
 //   --profile-out FILE enable the kernel hotspot profiler on every job;
@@ -114,11 +118,15 @@
 // file inside the --out directory works before the runner makes it); only
 // a path that cannot be created fails.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -166,8 +174,45 @@ int usage() {
                "                    [--out DIR] [--jobs N] [--cache-dir DIR]\n"
                "       crve_regress --ingest FILE --cache-dir DIR\n"
                "       crve_regress --sample-configs DIR\n"
-               "       crve_regress --design-selftest\n");
+               "       crve_regress --design-selftest\n"
+               "integer flags take decimal digits only; --jobs is at most "
+               "1024 and\n--flight-recorder at most 1000000 lines\n");
   return 2;
+}
+
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kMaxTx = std::numeric_limits<int>::max();
+constexpr std::uint64_t kMaxJobs = 1024;
+constexpr std::uint64_t kMaxFlightLines = 1000000;
+constexpr std::uint64_t kMaxCacheMb = kMaxU64 >> 20;  // MB -> bytes fits
+
+// An integer flag's value through the config grammar's whole-value parser:
+// decimal digits only, at most `max`. nullopt (reported when there is a
+// value) on anything else.
+std::optional<std::uint64_t> uint_flag(const char* flag, const char* v,
+                                       std::uint64_t max) {
+  if (!v) return std::nullopt;
+  const auto n = regress::parse_integer<std::uint64_t>(v, max);
+  if (!n) {
+    std::fprintf(stderr, "invalid %s '%s': expected an integer in 0..%llu\n",
+                 flag, v, static_cast<unsigned long long>(max));
+  }
+  return n;
+}
+
+// A drift-gate tolerance: a finite number >= 0. A nan one never trips the
+// gate and a negative one trips on identical reports.
+std::optional<double> tolerance_flag(const char* flag, const char* v) {
+  if (!v) return std::nullopt;
+  double x = 0.0;
+  const char* end = v + std::strlen(v);
+  const auto [ptr, ec] = std::from_chars(v, end, x);
+  if (ec != std::errc() || ptr != end || !std::isfinite(x) || x < 0.0) {
+    std::fprintf(stderr, "invalid %s '%s': expected a finite number >= 0\n",
+                 flag, v);
+    return std::nullopt;
+  }
+  return x;
 }
 
 void write_sample_configs(const std::string& dir) {
@@ -260,7 +305,6 @@ int main(int argc, char** argv) {
   unsigned jobs = 0;  // 0 = one worker per hardware thread
   sim::KernelKind kernel = sim::KernelKind::kCompiled;
 
-  try {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -282,15 +326,19 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage();
       seeds.clear();
-      for (const auto& s : split_csv(v)) seeds.push_back(std::stoull(s));
+      for (const auto& s : split_csv(v)) {
+        const auto seed = uint_flag("--seeds", s.c_str(), kMaxU64);
+        if (!seed) return usage();
+        seeds.push_back(*seed);
+      }
     } else if (arg == "--tests") {
       const char* v = next();
       if (!v) return usage();
       test_filter = split_csv(v);
     } else if (arg == "--tx") {
-      const char* v = next();
-      if (!v) return usage();
-      tx = std::stoi(v);
+      const auto n = uint_flag("--tx", next(), kMaxTx);
+      if (!n) return usage();
+      tx = static_cast<int>(*n);
     } else if (arg == "--threshold") {
       const char* v = next();
       if (!v) return usage();
@@ -311,9 +359,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-alignment") {
       alignment = false;
     } else if (arg == "--jobs") {
-      const char* v = next();
-      if (!v) return usage();
-      jobs = static_cast<unsigned>(std::stoul(v));
+      const auto n = uint_flag("--jobs", next(), kMaxJobs);
+      if (!n) return usage();
+      jobs = static_cast<unsigned>(*n);
     } else if (arg == "--sim-kernel") {
       const char* v = next();
       if (!v) return usage();
@@ -343,9 +391,9 @@ int main(int argc, char** argv) {
       if (!v) return usage();
       cache_dir = v;
     } else if (arg == "--cache-max-mb") {
-      const char* v = next();
-      if (!v) return usage();
-      cache_max_mb = std::stoull(v);
+      const auto n = uint_flag("--cache-max-mb", next(), kMaxCacheMb);
+      if (!n) return usage();
+      cache_max_mb = *n;
     } else if (arg == "--cache-stats") {
       const char* v = next();
       if (!v) return usage();
@@ -367,9 +415,9 @@ int main(int argc, char** argv) {
       if (!v) return usage();
       ingest_path = v;
     } else if (arg == "--triage-window") {
-      const char* v = next();
-      if (!v) return usage();
-      triage_window = std::stoull(v);
+      const auto n = uint_flag("--triage-window", next(), kMaxU64);
+      if (!n) return usage();
+      triage_window = *n;
     } else if (arg == "--baseline") {
       const char* v = next();
       if (!v) return usage();
@@ -379,13 +427,13 @@ int main(int argc, char** argv) {
       if (!v) return usage();
       diff_path = v;
     } else if (arg == "--gate-rate-drop") {
-      const char* v = next();
-      if (!v) return usage();
-      gates.max_rate_drop = std::stod(v);
+      const auto x = tolerance_flag("--gate-rate-drop", next());
+      if (!x) return usage();
+      gates.max_rate_drop = *x;
     } else if (arg == "--gate-coverage-drop") {
-      const char* v = next();
-      if (!v) return usage();
-      gates.max_coverage_drop = std::stod(v);
+      const auto x = tolerance_flag("--gate-coverage-drop", next());
+      if (!x) return usage();
+      gates.max_coverage_drop = *x;
     } else if (arg == "--metrics-out") {
       const char* v = next();
       if (!v) return usage();
@@ -409,17 +457,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--progress") {
       progress_tty = true;
     } else if (arg == "--flight-recorder") {
-      const char* v = next();
-      if (!v) return usage();
-      flight_lines = std::stoul(v);
+      const auto n = uint_flag("--flight-recorder", next(), kMaxFlightLines);
+      if (!n) return usage();
+      flight_lines = *n;
     } else {
       return usage();
     }
-  }
-  } catch (const std::exception&) {
-    // std::stoi/stoul/stod reject malformed numeric arguments.
-    std::fprintf(stderr, "invalid numeric argument\n");
-    return usage();
   }
 
   if (!sample_dir.empty()) {

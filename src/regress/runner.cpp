@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -471,7 +472,12 @@ struct Campaign {
       const std::uint64_t w = plan.triage_window;
       const std::uint64_t begin =
           tri.first_divergence > w ? tri.first_divergence - w : 0;
-      const std::uint64_t end = tri.first_divergence + w;
+      // Saturating: a wrapped end would cut the divergence out of the
+      // excerpt (the window comes from the CLI or a worker spec file).
+      constexpr std::uint64_t kLast = std::numeric_limits<std::uint64_t>::max();
+      const std::uint64_t end = w > kLast - tri.first_divergence
+                                    ? kLast
+                                    : tri.first_divergence + w;
       vcd::write_excerpt_file(ta, begin, end,
                               plan.out_dir + "/excerpt_" + stem + "_rtl.vcd");
       vcd::write_excerpt_file(tb, begin, end,

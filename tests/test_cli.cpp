@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stba/analyzer.h"
@@ -108,6 +109,58 @@ TEST(StbaCli, TextVerdictFollowsThreshold) {
             std::string::npos)
       << at99.output;
   fs::remove_all(dir);
+}
+
+// A --configs directory that does not exist is a reported error with
+// exit 2, from the lint preflight and from the loader alike.
+TEST(RegressCli, MissingConfigDirExitsTwo) {
+  const std::string missing =
+      (fs::temp_directory_path() / "crve_cli_no_such_dir").string();
+  fs::remove_all(missing);
+  for (const char* lint : {"", " --no-lint"}) {
+    const Outcome r =
+        run(std::string(CRVE_REGRESS_BIN) + " --configs " + missing + lint);
+    EXPECT_EQ(r.status, 2) << lint << ": " << r.output;
+    EXPECT_NE(r.output.find("cannot list config directory " + missing),
+              std::string::npos)
+        << r.output;
+  }
+}
+
+// Numeric flags take the whole value or exit 2 before any campaign starts:
+// no sign, no trailing junk, nothing past the flag's bound, and no gate
+// tolerance that is not a finite number >= 0.
+TEST(RegressCli, RejectsMisreadNumericFlagsWithUsageExit) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"--jobs", "-1"},
+      {"--jobs", "5x"},
+      {"--jobs", "1025"},
+      {"--flight-recorder", "-1"},
+      {"--flight-recorder", "1000001"},
+      {"--gate-rate-drop", "nan"},
+      {"--gate-rate-drop", "inf"},
+      {"--gate-rate-drop", "-0.1"},
+      {"--gate-coverage-drop", "nan"},
+      {"--cache-max-mb", "17592186044416"},
+      {"--seeds", "-3"},
+      {"--seeds", "1,2x"},
+      {"--tx", "5x"},
+      {"--tx", "+5"},
+      {"--tx", "2147483648"},
+      {"--triage-window", "-1"},
+  };
+  for (const auto& [flag, value] : bad) {
+    const Outcome r = run(std::string(CRVE_REGRESS_BIN) +
+                          " --configs " CRVE_SOURCE_DIR "/configs " + flag +
+                          " " + value);
+    EXPECT_EQ(r.status, 2) << flag << " " << value << ": " << r.output;
+    const std::string item = std::string(value) == "1,2x" ? "2x" : value;
+    EXPECT_NE(r.output.find("invalid " + std::string(flag) + " '" + item +
+                            "'"),
+              std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("signed off"), std::string::npos) << r.output;
+  }
 }
 
 }  // namespace

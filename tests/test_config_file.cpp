@@ -164,6 +164,14 @@ TEST(ConfigFile, ErrorMessagesCarryLineNumbers) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("myfile.cfg:2"), std::string::npos);
   }
+  // Validation failures name the file too.
+  std::istringstream window("bandwidth_window = 0\n");
+  try {
+    parse_config(window, "myfile.cfg");
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("myfile.cfg: ", 0), 0u) << e.what();
+  }
 }
 
 TEST(ConfigFile, RoundTripsThroughFormat) {
@@ -197,6 +205,8 @@ TEST(ConfigFile, LoadsDirectorySorted) {
   ASSERT_EQ(cfgs.size(), 2u);
   EXPECT_EQ(cfgs[0].name, "aaa");
   EXPECT_EQ(cfgs[1].name, "bbb");
+  EXPECT_THROW(configs_from_dir((dir / "missing").string()),
+               std::invalid_argument);
   fs::remove_all(dir);
 }
 

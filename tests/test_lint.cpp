@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
+#include <sstream>
 
 #include "common/json.h"
+#include "common/rng.h"
 #include "lint/lint.h"
 #include "regress/config_file.h"
 
@@ -162,28 +166,181 @@ TEST(LintConfig, PartialCrossbarRules) {
   EXPECT_EQ(ignored.exit_code(), 0);  // notes never fail a run
 }
 
-// Parser and linter must agree: what the linter flags as an error, the
-// parser rejects; what the linter passes, the parser accepts.
-TEST(LintConfig, VerdictsAgreeWithParser) {
-  const char* broken[] = {
-      "n_initiators = 0\n",                             // zero ports
-      "bus_bytes = 6\n",                                // non-power-of-two
-      "n_targets = 2\narch = partial\nxbar_group = 0,5\n",  // out of range
-      "n_initiators = 2\npriorities = 1,2,3\n",         // length mismatch
-  };
-  for (const char* text : broken) {
-    EXPECT_GE(lint_config_text(text, "agree.cfg").exit_code(), 2) << text;
-    std::istringstream is(text);
-    EXPECT_THROW(regress::parse_config(is, "agree.cfg"),
-                 std::invalid_argument)
-        << text;
+// The agreement property between the linter and the parser: a config
+// parse_config rejects gets at least one lint error, and a config with no
+// lint finding parses. parse_config throws nothing but
+// std::invalid_argument. Returns whether the text parsed.
+bool expect_agreement(const std::string& text) {
+  const Report lint = lint_config_text(text, "agree.cfg");
+  std::istringstream is(text);
+  bool parsed = true;
+  try {
+    regress::parse_config(is, "agree.cfg");
+  } catch (const std::invalid_argument&) {
+    parsed = false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "parse_config threw " << e.what() << " on\n" << text;
+    parsed = false;
   }
-  const char* fine =
-      "name = ok\nn_initiators = 2\nn_targets = 2\narch = partial\n"
-      "xbar_group = 0,1\n";
-  EXPECT_EQ(lint_config_text(fine, "ok.cfg").exit_code(), 0);
-  std::istringstream is(fine);
-  EXPECT_NO_THROW(regress::parse_config(is, "ok.cfg"));
+  if (!parsed) {
+    EXPECT_GE(lint.exit_code(), 2) << text;
+  }
+  if (lint.findings.empty()) {
+    EXPECT_TRUE(parsed) << text;
+  }
+  return parsed;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream is(path);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+const char* const kBrokenTexts[] = {
+    "n_initiators = 0\n",                                  // zero ports
+    "bus_bytes = 6\n",                                     // non-power-of-two
+    "n_targets = 2\narch = partial\nxbar_group = 0,5\n",  // out of range
+    "n_initiators = 2\npriorities = 1,2,3\n",             // length mismatch
+};
+const char* const kFineText =
+    "name = ok\nn_initiators = 2\nn_targets = 2\narch = partial\n"
+    "xbar_group = 0,1\n";
+
+TEST(LintConfig, VerdictsAgreeWithParser) {
+  for (const char* text : kBrokenTexts) {
+    EXPECT_FALSE(expect_agreement(text)) << text;
+  }
+  EXPECT_TRUE(expect_agreement(kFineText));
+  EXPECT_EQ(lint_config_text(kFineText, "ok.cfg").exit_code(), 0);
+
+  // Variants of a shipped config that a lint-side copy of the grammar once
+  // passed clean while the parser rejected them. Each needs an error
+  // finding on the line it changed.
+  struct Variant {
+    const char* from;
+    const char* to;
+    int line;
+  };
+  const Variant variants[] = {
+      {"n_initiators = 3", "n_initiators = 4294967299", 2},
+      {"type = 2", "type = 02", 5},
+      {"type = 2", "type = +3", 5},
+      {"bandwidth_window = 64", "bandwidth_window = 0", 9},
+      {"arb = lru", "arb = fixed\npriorities = 4294967296,1,2", 8},
+  };
+  const std::string shipped =
+      slurp(CRVE_SOURCE_DIR "/configs/a_node_t2_xbar_lru.cfg");
+  for (const Variant& v : variants) {
+    std::string text = shipped;
+    const auto at = text.find(v.from);
+    ASSERT_NE(at, std::string::npos) << v.from;
+    text.replace(at, std::string(v.from).size(), v.to);
+    EXPECT_FALSE(expect_agreement(text)) << text;
+    const Report r = lint_config_text(text, "variant.cfg");
+    EXPECT_TRUE(std::any_of(r.findings.begin(), r.findings.end(),
+                            [&](const Finding& f) {
+                              return f.severity == Severity::kError &&
+                                     f.line == v.line;
+                            }))
+        << v.to << "\n" << render_text(r);
+  }
+}
+
+// A seeded mutation sweep over the config grammar, no external fuzzer:
+// mutants of the shipped configs and this file's texts — lines dropped,
+// duplicated, truncated or key-swapped, values set to out-of-range,
+// signed, zero-padded, empty or random printable text — must all keep the
+// agreement property, and nothing may crash.
+TEST(LintConfig, SeededMutantsAgreeWithParser) {
+  std::vector<std::string> bases = {
+      slurp(CRVE_SOURCE_DIR "/configs/a_node_t2_xbar_lru.cfg"),
+      slurp(CRVE_SOURCE_DIR "/configs/b_node_t3_shared_latency.cfg"),
+      slurp(CRVE_SOURCE_DIR "/configs/c_node_t2_wide_prog.cfg"),
+      kFineText,
+      "name = ok\nn_initiators = 3\nn_targets = 2\narb = latency\n"
+      "latency_deadline = 4, 8, 12\n",
+      "arb = bandwidth\nbandwidth_quota = 1,1\nbandwidth_window = 0\n",
+      "# hash comment\n// slash comment\nname = c   // trailing\n"
+      "n_initiators = 2 # trailing hash\n",
+  };
+  bases.insert(bases.end(), std::begin(kBrokenTexts), std::end(kBrokenTexts));
+  const char* const keys[] = {
+      "name",       "n_initiators",     "n_targets",        "bus_bytes",
+      "type",       "arch",             "arb",              "programming_port",
+      "priorities", "latency_deadline", "bandwidth_quota",  "bandwidth_window",
+      "xbar_group"};
+  const char* const numbers[] = {
+      "4294967296", "-2147483649", "2147483648", "99999999999999999999",
+      "+2",         "-1",          "02",         "0",
+      "1,2",        "0,0,1",       "3,,4",       "1,x"};
+
+  Rng rng(20);
+  auto key_of = [](const std::string& line) {
+    const auto eq = line.find('=');
+    return eq == std::string::npos ? line : line.substr(0, eq);
+  };
+  int mutants = 0;
+  int parsed = 0;
+  for (int round = 0; round < 3000; ++round) {
+    std::vector<std::string> lines;
+    {
+      std::istringstream is(bases[rng.index(bases.size())]);
+      for (std::string l; std::getline(is, l);) lines.push_back(l);
+    }
+    const int edits = 1 + rng.index(3);
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t i = lines.empty() ? 0 : rng.index(lines.size());
+      const bool have = i < lines.size();
+      std::string value;
+      switch (rng.index(8)) {
+        case 0:  // drop a line
+          if (have) lines.erase(lines.begin() + static_cast<long>(i));
+          continue;
+        case 1:  // duplicate a line
+          if (have) lines.insert(lines.begin() + static_cast<long>(i), lines[i]);
+          continue;
+        case 2:  // truncate a line
+          if (have) lines[i].resize(rng.index(lines[i].size() + 1));
+          continue;
+        case 3: {  // swap the keys of two lines
+          if (lines.size() < 2) continue;
+          const std::size_t j = rng.index(lines.size());
+          const std::string ki = key_of(lines[i]);
+          const std::string kj = key_of(lines[j]);
+          lines[i] = kj + lines[i].substr(ki.size());
+          lines[j] = ki + lines[j].substr(kj.size());
+          continue;
+        }
+        case 4:  // a number out of range, signed, zero-padded or a list
+        case 5:
+          value = numbers[rng.index(std::size(numbers))];
+          break;
+        case 6:  // empty
+          break;
+        default:  // random printable bytes
+          for (int n = 1 + rng.index(10); n > 0; --n) {
+            value += static_cast<char>(' ' + rng.index(95));
+          }
+          break;
+      }
+      const std::string line =
+          std::string(keys[rng.index(std::size(keys))]) + " = " + value;
+      if (have && rng.chance(1, 2)) {
+        lines[i] = line;
+      } else {
+        lines.push_back(line);
+      }
+    }
+    std::string text;
+    for (const auto& l : lines) text += l + "\n";
+    parsed += expect_agreement(text) ? 1 : 0;
+    ++mutants;
+  }
+  std::printf("[ sweep    ] %d config mutants, %d parsed\n", mutants, parsed);
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, mutants);
 }
 
 // --- directory rules ------------------------------------------------------
@@ -207,6 +364,10 @@ TEST(LintConfigDir, DuplicateNamesAndEmptyDir) {
   const Report e = lint_config_dir(empty.string());
   EXPECT_TRUE(has_rule(e, "CRVE031"));
   EXPECT_EQ(e.exit_code(), 0);
+
+  const Report missing = lint_config_dir((empty / "missing").string());
+  EXPECT_TRUE(has_rule(missing, "CRVE001"));
+  EXPECT_EQ(missing.exit_code(), 2);
   fs::remove_all(dir);
   fs::remove_all(empty);
 }
@@ -215,25 +376,6 @@ TEST(LintConfigDir, ShippedConfigsPassClean) {
   const Report r = lint_config_dir(CRVE_SOURCE_DIR "/configs");
   for (const auto& f : r.findings) ADD_FAILURE() << f.text();
   EXPECT_EQ(r.exit_code(), 0);
-}
-
-// --- NodeConfig struct rules ----------------------------------------------
-
-TEST(LintNodeConfig, CatchesCouplingOnParsedStructs) {
-  stbus::NodeConfig cfg;
-  cfg.arb = stbus::ArbPolicy::kProgrammable;
-  cfg.programming_port = false;
-  EXPECT_TRUE(has_rule(lint_node_config(cfg, "<cfg>"), "CRVE016"));
-
-  stbus::NodeConfig part;
-  part.n_targets = 3;
-  part.arch = stbus::Architecture::kPartialCrossbar;
-  part.xbar_group = {0, 1};  // wrong length
-  EXPECT_TRUE(has_rule(lint_node_config(part, "<cfg>"), "CRVE017"));
-
-  stbus::NodeConfig ok;
-  ok.validate_and_normalize();
-  EXPECT_TRUE(lint_node_config(ok, "<cfg>").findings.empty());
 }
 
 // --- campaign rules -------------------------------------------------------

@@ -5,8 +5,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
+#include "common/json.h"
 #include "regress/runner.h"
 #include "verif/tests.h"
 
@@ -75,6 +77,46 @@ TEST(RegressArtifacts, AllFilesWrittenAndWellFormed) {
   const std::string summary = slurp(dir / "summary.txt");
   EXPECT_NE(summary.find("sign-off:   YES"), std::string::npos);
 
+  fs::remove_all(dir);
+}
+
+// The triage excerpts must show the first divergence at any window width,
+// the widest included: there the excerpt's end saturates instead of
+// wrapping to just before the divergence.
+TEST(RegressArtifacts, TriageExcerptsCoverDivergenceAtWidestWindow) {
+  const fs::path dir = fs::temp_directory_path() / "crve_triage_window_test";
+  fs::remove_all(dir);
+
+  regress::RunPlan plan;
+  plan.cfg.n_initiators = 3;
+  plan.cfg.n_targets = 2;
+  plan.cfg.arb = stbus::ArbPolicy::kLru;
+  plan.tests = {verif::t05_chunked_traffic()};
+  plan.seeds = {3};
+  plan.n_transactions = 60;
+  plan.faults.grant_during_lock = true;
+  plan.alignment_threshold = 1.0;  // triage any divergence
+  plan.triage_window = std::numeric_limits<std::uint64_t>::max();
+  plan.out_dir = dir.string();
+  const auto res = regress::Regression::run(plan);
+  ASSERT_LT(res.min_alignment, 1.0) << res.summary();
+
+  const std::string stem = "t05_chunked_traffic_s3";
+  const json::Value tri = json::parse(slurp(dir / ("triage_" + stem + ".json")));
+  const double first = tri.number_or("first_divergence", -1.0);
+  ASSERT_GE(first, 0.0);
+  for (const char* view : {"rtl", "bca"}) {
+    const std::string excerpt =
+        slurp(dir / ("excerpt_" + stem + "_" + view + ".vcd"));
+    const auto at = excerpt.find("$comment window ");
+    ASSERT_NE(at, std::string::npos) << view;
+    std::istringstream window(excerpt.substr(at + 16));
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+    window >> begin >> end;
+    EXPECT_LE(static_cast<double>(begin), first) << view;
+    EXPECT_GE(static_cast<double>(end), first) << view;
+  }
   fs::remove_all(dir);
 }
 
