@@ -28,7 +28,6 @@
 #include "vcd/recorder.h"
 #include "verif/testbench.h"
 #include "verif/tests.h"
-#include "verif/toggle_coverage.h"
 
 namespace {
 
@@ -397,13 +396,11 @@ BENCHMARK_CAPTURE(BM_EnvDense, bca, verif::ModelKind::kBca)
 BENCHMARK_CAPTURE(BM_EnvDenseOff, bca, verif::ModelKind::kBca)
     ->Apply(sparse_shapes);
 
-// Long sparse trace through the full tracer stack (recorder + toggle
-// coverage), then the recording written once as a VCD wave, as a Testbench
-// with a dump target does: `n_signals` registered signals, only `n_active`
-// of them written per cycle. The change-driven kernel hands tracers just the
-// changed indices, so the per-cycle tracing cost scales with n_active, not
-// n_signals — the fast path this PR introduced. Before it, every tracer
-// materialized a string per signal per cycle.
+// Long sparse trace through the shipped tracer (the vcd::Recorder), then the
+// recording written once as a VCD wave, as a Testbench with a dump target
+// does: `n_signals` registered signals, only `n_active` of them written per
+// cycle. The change-driven kernel hands tracers just the changed indices, so
+// the per-cycle tracing cost scales with n_active, not n_signals.
 void BM_TracedSimSparse(benchmark::State& state) {
   const int n_signals = static_cast<int>(state.range(0));
   const int n_active = static_cast<int>(state.range(1));
@@ -431,15 +428,12 @@ void BM_TracedSimSparse(benchmark::State& state) {
     });
     std::ostringstream os;
     vcd::Recorder rec;
-    verif::ToggleCoverage tc;
     ctx.attach_tracer(&rec);
-    ctx.attach_tracer(&tc);
     state.ResumeTiming();
 
     ctx.step(kCycles);
     vcd::write_wave(rec.trace(), os);  // the wave a Testbench writes
     benchmark::DoNotOptimize(os.tellp());
-    benchmark::DoNotOptimize(tc.percent());
     cycles += kCycles;
   }
   state.counters["cycles_per_s"] = benchmark::Counter(

@@ -51,11 +51,10 @@ DesignSummary summarize(const stbus::NodeConfig& cfg,
   s.comb_processes = g.n_comb;
   s.clocked_processes = g.n_clocked();
   s.ranks = g.n_ranks;
-  // Static combinational fanout per signal, the same count CRVE107 flags.
+  // Combinational fanout per signal, the same count CRVE107 flags.
   std::vector<std::size_t> fanout(g.signals.size(), 0);
   for (std::size_t pi = 0; pi < g.n_comb; ++pi) {
     const auto& p = g.procs[pi];
-    if (p.dynamic) continue;
     std::vector<int> eff = p.reads;
     eff.insert(eff.end(), p.declared_reads.begin(), p.declared_reads.end());
     std::sort(eff.begin(), eff.end());

@@ -115,13 +115,11 @@ Report lint_design_graph(const sim::DesignGraph& g, const std::string& origin,
           w.push_back(static_cast<int>(pi));
         }
       }
-      if (!p.dynamic) {
-        for (const int s : p.reads) {
-          ++comb_fanout[static_cast<std::size_t>(s)];
-        }
-        for (const int s : p.declared_reads) {
-          if (!contains(p.reads, s)) ++comb_fanout[static_cast<std::size_t>(s)];
-        }
+      for (const int s : p.reads) {
+        ++comb_fanout[static_cast<std::size_t>(s)];
+      }
+      for (const int s : p.declared_reads) {
+        if (!contains(p.reads, s)) ++comb_fanout[static_cast<std::size_t>(s)];
       }
     }
   }
@@ -177,7 +175,7 @@ Report lint_design_graph(const sim::DesignGraph& g, const std::string& origin,
   for (std::size_t pi = 0; pi < g.n_comb; ++pi) {
     const DesignProc& p = g.procs[pi];
     const bool no_inputs = p.reads.empty() && p.declared_reads.empty() &&
-                           p.after.empty() && !p.has_state_tag && !p.dynamic;
+                           p.after.empty() && !p.has_state_tag;
     const bool no_writes = p.writes.empty() && p.declared_writes.empty() &&
                            p.recheck_writes.empty();
 
@@ -203,43 +201,30 @@ Report lint_design_graph(const sim::DesignGraph& g, const std::string& origin,
                   "in ordering: it can never have an observable effect");
     }
 
-    if (!p.dynamic) {
-      // CRVE104: the post-settle recheck took a branch the scheduler cannot
-      // see. A commit to that signal will not re-dirty this process — the
-      // classic stale read the CombOpts::reads contract exists to prevent.
-      for (const int s : p.recheck_reads) {
-        if (!comb_effective_read(p, s)) {
-          rep.add("CRVE104", origin, 0,
-                  vp + "combinational process '" + p.name +
-                      "' read signal '" +
-                      g.signals[static_cast<std::size_t>(s)].name +
-                      "' when re-evaluated against the settled design, but "
-                      "the signal is in neither its recorded nor its "
-                      "declared read set: declare it via CombOpts::reads");
-        }
+    // CRVE104: the post-settle recheck took a branch the scheduler cannot
+    // see. A commit to that signal will not re-dirty this process — the
+    // classic stale read the CombOpts::reads contract exists to prevent.
+    for (const int s : p.recheck_reads) {
+      if (!comb_effective_read(p, s)) {
+        rep.add("CRVE104", origin, 0,
+                vp + "combinational process '" + p.name +
+                    "' read signal '" +
+                    g.signals[static_cast<std::size_t>(s)].name +
+                    "' when re-evaluated against the settled design, but "
+                    "the signal is in neither its recorded nor its "
+                    "declared read set: declare it via CombOpts::reads");
       }
-      // CRVE105: declared but never seen in either evaluation. Note-level:
-      // a legitimately conditional read may hide from both passes.
-      for (const int s : p.declared_reads) {
-        if (!contains(p.reads, s) && !contains(p.recheck_reads, s)) {
-          rep.add("CRVE105", origin, 0,
-                  vp + "combinational process '" + p.name +
-                      "' declares a read of '" +
-                      g.signals[static_cast<std::size_t>(s)].name +
-                      "' that neither elaboration evaluation observed; a "
-                      "stale declaration widens the dirty set for nothing");
-        }
-      }
-    } else {
-      // CRVE106: the fixpoint tail runs this process every cycle. If both
-      // instrumented evaluations agree on its read/write sets, the
-      // opt-out's only measurable effect so far is the per-cycle cost.
-      if (p.reads == p.recheck_reads && p.writes == p.recheck_writes) {
-        rep.add("CRVE106", origin, 0,
-                vp + "dynamic combinational process '" + p.name +
-                    "' recorded identical read/write sets in both "
-                    "elaboration evaluations; if the read set is truly "
-                    "static, drop CombOpts::dynamic and let it rank");
+    }
+    // CRVE105: declared but never seen in either evaluation. Note-level:
+    // a legitimately conditional read may hide from both passes.
+    for (const int s : p.declared_reads) {
+      if (!contains(p.reads, s) && !contains(p.recheck_reads, s)) {
+        rep.add("CRVE105", origin, 0,
+                vp + "combinational process '" + p.name +
+                    "' declares a read of '" +
+                    g.signals[static_cast<std::size_t>(s)].name +
+                    "' that neither elaboration evaluation observed; a "
+                    "stale declaration widens the dirty set for nothing");
       }
     }
   }

@@ -83,9 +83,6 @@ const std::vector<Rule>& rule_catalogue() {
       {"CRVE105", Severity::kNote,
        "declared CombOpts read never observed in either elaboration "
        "evaluation (possible over-declaration)"},
-      {"CRVE106", Severity::kNote,
-       "dynamic fixpoint opt-out whose recorded graph is static across "
-       "both elaboration evaluations"},
       {"CRVE107", Severity::kNote,
        "schedule depth or signal fanout exceeds the report threshold"},
       {"CRVE108", Severity::kWarn,

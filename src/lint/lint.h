@@ -23,10 +23,10 @@
 //   * design rules (CRVE100..110, design_rules.cpp) — whole-design
 //     structural analysis over the elaborated sim::DesignGraph: undriven /
 //     dead signals, multiple combinational drivers, stale-read hazards,
-//     read-set declaration drift, dynamic opt-outs that look static,
-//     unreachable processes, schedule-depth/fanout hotspots and the
-//     cross-view environment-signal comparison. The per-config driver that
-//     elaborates testbenches lives one layer up in design_lint.h.
+//     read-set declaration drift, unreachable processes, schedule-depth/
+//     fanout hotspots and the cross-view environment-signal comparison.
+//     The per-config driver that elaborates testbenches lives one layer up
+//     in design_lint.h.
 //
 // Exit-code contract (crve_lint CLI and Report::exit_code): 0 = clean or
 // notes only, 1 = warnings, 2 = errors; --werror promotes warnings (and

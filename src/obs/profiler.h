@@ -27,8 +27,8 @@ namespace crve::obs {
 struct ProcProfile {
   std::string name;
   bool clocked = false;
-  // Compiled-schedule rank of a static comb process; -1 for clocked
-  // processes, dynamic-tail processes and everything under the interpreter.
+  // Compiled-schedule rank of a comb process; -1 for clocked processes and
+  // everything under the interpreter.
   int rank = -1;
   std::uint64_t evals = 0;    // stable
   std::uint64_t skips = 0;    // stable (compiled kernel only)

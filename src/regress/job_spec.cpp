@@ -96,7 +96,6 @@ void write_run(std::ostream& os, const TestOutcome& o) {
      << json_hex(o.result.reference_mismatches)
      << ", \"coverage_percent\": " << json_number(o.result.coverage_percent)
      << ", \"coverage_digest\": " << json_hex(o.result.coverage_digest)
-     << ", \"toggle_percent\": " << json_number(o.result.toggle_percent)
      << ", \"wall_ms\": " << json_number(o.wall_ms) << "}";
 }
 
@@ -113,7 +112,6 @@ TestOutcome read_run(const json::Value& v) {
   o.result.reference_mismatches = u64_of(v, "reference_mismatches");
   o.result.coverage_percent = member(v, "coverage_percent").num;
   o.result.coverage_digest = u64_of(v, "coverage_digest");
-  o.result.toggle_percent = member(v, "toggle_percent").num;
   o.wall_ms = v.number_or("wall_ms", 0.0);
   return o;
 }

@@ -115,9 +115,6 @@ void write_result(std::ostream& os, const RegressionResult& r,
        << ", \"reference_mismatches\": " << o.result.reference_mismatches
        << ", \"coverage_percent\": " << json_number(o.result.coverage_percent)
        << ", \"coverage_digest\": " << json_hex(o.result.coverage_digest);
-    if (o.result.toggle_percent >= 0.0) {
-      os << ", \"toggle_percent\": " << json_number(o.result.toggle_percent);
-    }
     // Evaluation counts are a kernel cost metric, not a semantic result:
     // they ride with the timing fields so the timing-free report is
     // byte-identical across --sim-kernel choices.

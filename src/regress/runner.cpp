@@ -94,9 +94,6 @@ std::string run_report(const TestOutcome& o) {
     os << "    @" << e.cycle << " " << e.where << " " << e.message << "\n";
   }
   os << "  functional coverage: " << o.result.coverage_percent << "%\n";
-  if (o.result.toggle_percent >= 0.0) {
-    os << "  toggle coverage: " << o.result.toggle_percent << "%\n";
-  }
   os << "  port utilisation (busy cycles / packets in / packets out):\n";
   for (const auto& u : o.result.utilisation) {
     os << "    " << u.port << ": " << u.busy_cycles << " / "

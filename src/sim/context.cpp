@@ -177,7 +177,6 @@ void Context::build_compiled_schedule() {
     ++evaluations_;
     ProcNode node;
     node.name = p.name;
-    node.dynamic = p.opts.dynamic;
     node.reads = arena_.reads;
     node.writes = arena_.writes;
     arena_.end_recording();
@@ -234,7 +233,7 @@ void Context::build_compiled_schedule() {
   tag_groups_.clear();
   for (std::size_t i = 0; i < comb_.size(); ++i) {
     const StateTag* tag = comb_[i].opts.state;
-    if (tag == nullptr || comb_[i].opts.dynamic) continue;
+    if (tag == nullptr) continue;
     auto it = std::find_if(tag_groups_.begin(), tag_groups_.end(),
                            [tag](const TagGroup& g) { return g.tag == tag; });
     if (it == tag_groups_.end()) {
@@ -246,10 +245,9 @@ void Context::build_compiled_schedule() {
 }
 
 void Context::settle_compiled() {
-  const bool has_dynamic = !sched_->dynamic_procs.empty();
-  if (n_dirty_ == 0 && !has_dynamic) {
+  if (n_dirty_ == 0) {
     // Nothing changed this cycle: the whole schedule is skipped.
-    sched_skipped_ += sched_->n_static;
+    sched_skipped_ += comb_.size();
     if (profiling_) {
       // Attribute the whole-schedule skip per process so skip-effectiveness
       // stays exact on idle-dominated shapes.
@@ -259,68 +257,39 @@ void Context::settle_compiled() {
     }
     return;
   }
-  for (int outer = 0;; ++outer) {
-    if (outer >= delta_limit_) {
-      throw SimError("combinational loop: processes still dirty after " +
-                     std::to_string(delta_limit_) +
-                     " schedule passes at cycle " + std::to_string(cycle_) +
-                     ": " + dirty_proc_names());
-    }
-    if (outer > 0) ++delta_iterations_;
-    for (const auto& rank : sched_->ranks) {
-      for (const int p : rank) {
-        if (proc_dirty_[static_cast<std::size_t>(p)]) {
-          proc_dirty_[static_cast<std::size_t>(p)] = 0;
-          --n_dirty_;
-          if (!profiling_) {
-            comb_[static_cast<std::size_t>(p)].fn();
-          } else {
-            ProcStats& ps = prof_comb_[static_cast<std::size_t>(p)];
-            const std::uint64_t t0 = obs::now_ns();
-            comb_[static_cast<std::size_t>(p)].fn();
-            ps.wall_ns += obs::now_ns() - t0;
-            ++ps.evals;
-          }
-          ++evaluations_;
-          for (const int d : sched_->run_dependents[static_cast<std::size_t>(p)]) {
-            mark_proc_dirty(d);
-          }
+  for (const auto& rank : sched_->ranks) {
+    for (const int p : rank) {
+      if (proc_dirty_[static_cast<std::size_t>(p)]) {
+        proc_dirty_[static_cast<std::size_t>(p)] = 0;
+        --n_dirty_;
+        if (!profiling_) {
+          comb_[static_cast<std::size_t>(p)].fn();
         } else {
-          ++sched_skipped_;
-          if (profiling_) ++prof_comb_[static_cast<std::size_t>(p)].skips;
+          ProcStats& ps = prof_comb_[static_cast<std::size_t>(p)];
+          const std::uint64_t t0 = obs::now_ns();
+          comb_[static_cast<std::size_t>(p)].fn();
+          ps.wall_ns += obs::now_ns() - t0;
+          ++ps.evals;
         }
-      }
-      commit_dirty();
-    }
-    if (has_dynamic) {
-      // Fallback rank: processes with data-dependent read-sets settle by
-      // fixpoint, exactly like the interpreter (restricted to the tail).
-      for (int iter = 0;; ++iter) {
-        if (iter >= delta_limit_) {
-          throw SimError(
-              "combinational loop: dynamic fallback did not settle after " +
-              std::to_string(delta_limit_) + " iterations at cycle " +
-              std::to_string(cycle_));
+        ++evaluations_;
+        for (const int d : sched_->run_dependents[static_cast<std::size_t>(p)]) {
+          mark_proc_dirty(d);
         }
-        for (const int p : sched_->dynamic_procs) {
-          if (!profiling_) {
-            comb_[static_cast<std::size_t>(p)].fn();
-          } else {
-            ProcStats& ps = prof_comb_[static_cast<std::size_t>(p)];
-            const std::uint64_t t0 = obs::now_ns();
-            comb_[static_cast<std::size_t>(p)].fn();
-            ps.wall_ns += obs::now_ns() - t0;
-            ++ps.evals;
-          }
-          ++evaluations_;
-        }
-        ++sched_fallback_;
-        if (!commit_dirty()) break;
+      } else {
+        ++sched_skipped_;
+        if (profiling_) ++prof_comb_[static_cast<std::size_t>(p)].skips;
       }
     }
-    // Static ranks cannot re-dirty themselves (edges only point to higher
-    // ranks); only the dynamic tail's commits can force another pass.
-    if (n_dirty_ == 0) break;
+    commit_dirty();
+  }
+  // Recorded edges only point to higher ranks, so one pass settles. A
+  // process still dirty here read a signal written on a branch elaboration
+  // never recorded, by a process at its own rank or later.
+  if (n_dirty_ != 0) {
+    throw SimError("combinational process re-dirtied after its rank ran at "
+                   "cycle " + std::to_string(cycle_) + ": " +
+                   dirty_proc_names() +
+                   " (order it after its writer with CombOpts::after)");
   }
 }
 
@@ -335,7 +304,6 @@ void Context::publish_metrics() const {
   if (kernel_ == KernelKind::kCompiled) {
     obs::counter("sim.sched.ranks").add(sched_ranks_);
     obs::counter("sim.sched.skipped_evaluations").add(sched_skipped_);
-    obs::counter("sim.sched.fallback_iterations").add(sched_fallback_);
   }
 }
 

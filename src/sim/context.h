@@ -85,10 +85,6 @@ struct CombOpts {
   // processes (queues, FSM phases). The process is re-dirtied whenever the
   // owning module bumps the tag.
   const StateTag* state = nullptr;
-  // Opt out of static scheduling entirely: the process is excluded from the
-  // dependency graph (it cannot form an elaboration-time cycle) and runs in
-  // a fixpoint tail after the static ranks, every cycle.
-  bool dynamic = false;
   // Design-analysis declaration only (DESIGN.md §17) — the kernel ignores
   // it. Signals the process writes only on data-dependent branches (e.g. a
   // response payload driven while a packet is pending): elaboration-time
@@ -149,8 +145,7 @@ class Context {
   std::uint64_t evaluations() const { return evaluations_; }
   // Scheduled settling passes. Interpreter: delta iterations (>= 1 per
   // cycle; the excess measures combinational churn). Compiled kernel:
-  // exactly 1 per cycle on a static graph, +1 per re-pass forced by the
-  // dynamic fixpoint tail.
+  // exactly 1 per cycle.
   std::uint64_t delta_iterations() const { return delta_iterations_; }
   // Sum of per-cycle changed-set sizes handed to tracers (the initial
   // full-snapshot sample included) — the trace path's true workload.
@@ -159,7 +154,6 @@ class Context {
   // Compiled-schedule counters (zero under the interpreter).
   std::uint64_t sched_ranks() const { return sched_ranks_; }
   std::uint64_t sched_skipped_evaluations() const { return sched_skipped_; }
-  std::uint64_t sched_fallback_iterations() const { return sched_fallback_; }
 
   // Publishes this kernel's counters (cycles, evaluations, delta
   // iterations, changed-signal samples, sim.sched.*) into the obs metrics
@@ -168,8 +162,8 @@ class Context {
   // never pays for instrumentation.
   void publish_metrics() const;
 
-  // Max settling iterations before declaring a combinational loop (the
-  // interpreter's delta limit; the compiled kernel's re-pass/fallback bound).
+  // Max interpreter delta iterations before declaring a combinational loop
+  // (the compiled kernel rejects loops at elaboration instead).
   void set_delta_limit(int limit) { delta_limit_ = limit; }
 
   // --- kernel hotspot profiler (DESIGN.md §15) ----------------------------
@@ -208,7 +202,7 @@ class Context {
   bool commit_dirty();
   void run_clocked();      // clocked phase of one edge (profiling-aware)
   void settle();           // interpreter fixpoint
-  void settle_compiled();  // rank passes + dynamic fixpoint tail
+  void settle_compiled();  // one pass over the ranks
   void build_compiled_schedule();
   void mark_proc_dirty(int p) {
     if (!proc_dirty_[static_cast<std::size_t>(p)]) {
@@ -282,7 +276,6 @@ class Context {
   std::uint64_t changed_samples_ = 0;
   std::uint64_t sched_ranks_ = 0;
   std::uint64_t sched_skipped_ = 0;
-  std::uint64_t sched_fallback_ = 0;
   int delta_limit_ = 64;
   bool initialized_ = false;
 };

@@ -60,7 +60,6 @@ DesignGraph Context::export_design_graph() {
     p.writes = sorted_unique(discovery_[i].writes);
     p.declared_reads = signal_indices(comb_[i].opts.reads);
     p.declared_writes = signal_indices(comb_[i].opts.writes);
-    p.dynamic = comb_[i].opts.dynamic;
     p.has_state_tag = comb_[i].opts.state != nullptr;
     for (const std::string& producer : comb_[i].opts.after) {
       p.after.push_back(comb_index.at(producer));

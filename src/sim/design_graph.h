@@ -3,11 +3,11 @@
 // The compiled-schedule kernel already learns, at initialize(), everything a
 // structural design linter needs: every combinational process's recorded and
 // declared read/write sets, the levelized writer→reader graph, the rank
-// schedule, StateTag registrations and dynamic opt-outs. export_design_graph()
-// freezes that knowledge — plus a post-settle re-evaluation of every process
-// under the same instrumentation — into an immutable value type the CRVE1xx
-// design rules (src/lint/design_rules.cpp) analyze without touching the
-// kernel again.
+// schedule and StateTag registrations. export_design_graph() freezes that
+// knowledge — plus a post-settle re-evaluation of every process under the
+// same instrumentation — into an immutable value type the CRVE1xx design
+// rules (src/lint/design_rules.cpp) analyze without touching the kernel
+// again.
 //
 // The export is an analysis-only terminal operation: re-evaluating processes
 // under recording mutates module-internal state (BFM queues, RNG draws) and
@@ -57,9 +57,8 @@ struct DesignProc {
 
   // Combinational scheduling contract (kernel view).
   std::vector<int> after;  // producer indices into DesignGraph::procs
-  bool dynamic = false;
   bool has_state_tag = false;
-  int rank = -1;  // static combinational processes only; -1 otherwise
+  int rank = -1;  // combinational processes only; -1 otherwise
 };
 
 struct DesignGraph {

@@ -29,7 +29,6 @@ std::string format_cycle(const std::vector<ProcNode>& procs,
 
   for (int root = 0; root < n; ++root) {
     if (done[static_cast<std::size_t>(root)] ||
-        procs[static_cast<std::size_t>(root)].dynamic ||
         state[static_cast<std::size_t>(root)] != 0) {
       continue;
     }
@@ -87,17 +86,10 @@ CompiledSchedule build_schedule(const std::vector<ProcNode>& procs,
   sched.signal_readers.assign(n_signals, {});
   sched.run_dependents.assign(static_cast<std::size_t>(n), {});
 
-  // Signal -> static writers/readers adjacency. Dynamic processes are
-  // excluded from the graph entirely: they neither constrain ranks nor get
-  // dirty bits — the fixpoint tail re-runs them every cycle.
+  // Signal -> writers/readers adjacency.
   std::vector<std::vector<int>> writers(n_signals);
   for (int p = 0; p < n; ++p) {
     const ProcNode& pn = procs[static_cast<std::size_t>(p)];
-    if (pn.dynamic) {
-      sched.dynamic_procs.push_back(p);
-      continue;
-    }
-    ++sched.n_static;
     for (const int s : pn.reads) {
       sched.signal_readers[static_cast<std::size_t>(s)].push_back(p);
     }
@@ -128,9 +120,7 @@ CompiledSchedule build_schedule(const std::vector<ProcNode>& procs,
     }
   }
   for (int p = 0; p < n; ++p) {
-    const ProcNode& pn = procs[static_cast<std::size_t>(p)];
-    if (pn.dynamic) continue;
-    for (const int producer : pn.after) {
+    for (const int producer : procs[static_cast<std::size_t>(p)].after) {
       add_edge(producer, p, -1);
       sched.run_dependents[static_cast<std::size_t>(producer)].push_back(p);
     }
@@ -141,10 +131,7 @@ CompiledSchedule build_schedule(const std::vector<ProcNode>& procs,
   std::vector<char> done(static_cast<std::size_t>(n), 0);
   std::vector<int> queue;
   for (int p = 0; p < n; ++p) {
-    if (!procs[static_cast<std::size_t>(p)].dynamic &&
-        indeg[static_cast<std::size_t>(p)] == 0) {
-      queue.push_back(p);
-    }
+    if (indeg[static_cast<std::size_t>(p)] == 0) queue.push_back(p);
   }
   std::size_t processed = 0;
   for (std::size_t qi = 0; qi < queue.size(); ++qi) {
@@ -160,20 +147,18 @@ CompiledSchedule build_schedule(const std::vector<ProcNode>& procs,
       }
     }
   }
-  if (processed != sched.n_static) {
+  if (processed != procs.size()) {
     throw SimError("combinational cycle detected at elaboration: " +
                    format_cycle(procs, succ, done, signal_names));
   }
 
   int max_rank = -1;
   for (int p = 0; p < n; ++p) {
-    if (procs[static_cast<std::size_t>(p)].dynamic) continue;
     max_rank = std::max(max_rank, rank[static_cast<std::size_t>(p)]);
   }
   sched.ranks.assign(static_cast<std::size_t>(max_rank + 1), {});
   // Registration order within a rank, for deterministic evaluation order.
   for (int p = 0; p < n; ++p) {
-    if (procs[static_cast<std::size_t>(p)].dynamic) continue;
     sched.ranks[static_cast<std::size_t>(rank[static_cast<std::size_t>(p)])]
         .push_back(p);
   }

@@ -13,10 +13,10 @@
 //   * a true combinational cycle — including a process writing a signal in
 //     its own read-set — is detected here, at elaboration, and reported as a
 //     SimError naming the full cycle path (process and signal names), which
-//     replaces the interpreter's anonymous runtime delta-limit throw;
-//   * processes with data-dependent read-sets can opt out of static
-//     scheduling (CombOpts::dynamic); they are excluded from the graph and
-//     run in a fixpoint tail after the static ranks every cycle.
+//     replaces the interpreter's anonymous runtime delta-limit throw.
+//
+// Processes with data-dependent read-sets stay in the graph by declaring
+// their full read superset (CombOpts::reads).
 //
 // The schedule also carries the signal -> static-reader adjacency the
 // kernel uses for change-driven process skipping: a commit that changes a
@@ -37,21 +37,17 @@ struct ProcNode {
   std::vector<int> reads;
   std::vector<int> writes;
   std::vector<int> after;
-  bool dynamic = false;
 };
 
 struct CompiledSchedule {
-  // Static process indices grouped by rank, ascending; evaluating the ranks
-  // in order settles an acyclic graph in a single pass.
+  // Process indices grouped by rank, ascending; evaluating the ranks in
+  // order settles an acyclic graph in a single pass.
   std::vector<std::vector<int>> ranks;
-  // Processes excluded from static scheduling; run as a fixpoint tail.
-  std::vector<int> dynamic_procs;
-  // signal index -> static processes whose read-set contains it.
+  // signal index -> processes whose read-set contains it.
   std::vector<std::vector<int>> signal_readers;
-  // process index -> static processes re-dirtied whenever it executes
-  // (the consumer side of `after` edges).
+  // process index -> processes re-dirtied whenever it executes (the
+  // consumer side of `after` edges).
   std::vector<std::vector<int>> run_dependents;
-  std::size_t n_static = 0;
 
   std::size_t n_ranks() const { return ranks.size(); }
 };

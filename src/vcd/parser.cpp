@@ -4,6 +4,7 @@
 #include <charconv>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -165,6 +166,11 @@ Trace Trace::parse(std::istream& is) {
     if (c == '#') {
       const std::optional<std::uint64_t> time = parse_u64(tok.substr(1));
       if (!time) fail("non-numeric time '" + std::string(tok) + "'");
+      // Consumers span max_time() + 1 cycles; the largest u64 would wrap
+      // that to an empty trace.
+      if (*time == std::numeric_limits<std::uint64_t>::max()) {
+        fail("time '" + std::string(tok) + "' is out of range");
+      }
       if (timed && *time < now) {
         fail("time '" + std::string(tok) + "' goes backwards (after #" +
              std::to_string(now) + ")");

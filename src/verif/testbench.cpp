@@ -103,17 +103,6 @@ std::string Testbench::target_port_name(int t) {
   return "tb.targ" + std::to_string(t);
 }
 
-std::vector<std::string> Testbench::port_signal_names(
-    const std::string& port) {
-  static const char* kFields[] = {"req",  "gnt",   "opc",   "add",  "data",
-                                  "be",   "eop",   "lck",   "src",  "tid",
-                                  "r_req", "r_gnt", "r_opc", "r_data",
-                                  "r_eop", "r_src", "r_tid"};
-  std::vector<std::string> names;
-  for (const char* f : kFields) names.push_back(port + "." + f);
-  return names;
-}
-
 Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
                      TestbenchOptions opts)
     : cfg_(std::move(cfg)), opts_(std::move(opts)) {
@@ -329,10 +318,6 @@ Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
       tmons_[static_cast<std::size_t>(t)]->subscribe(txn_taps_.back().get());
     }
   }
-  if (opts_.enable_toggle_coverage) {
-    toggle_ = std::make_unique<ToggleCoverage>();
-    ctx_.attach_tracer(toggle_.get());
-  }
   if (!opts_.vcd_path.empty()) {
     // Opened now so a bad path fails before the run, not after it.
     wave_file_.open(opts_.vcd_path);
@@ -467,7 +452,6 @@ RunResult Testbench::simulate() {
     res.coverage_percent = coverage_->percent();
     res.coverage_digest = coverage_->digest();
   }
-  if (toggle_) res.toggle_percent = toggle_->percent();
   auto add_util = [&res](const Monitor& m) {
     res.utilisation.push_back({m.name(), m.stats().busy_cycles,
                                m.stats().request_packets,

@@ -37,7 +37,6 @@
 #include "verif/protocol_checker.h"
 #include "verif/reference_model.h"
 #include "verif/scoreboard.h"
-#include "verif/toggle_coverage.h"
 #include "verif/type1_checker.h"
 
 namespace crve::verif {
@@ -92,10 +91,6 @@ struct TestbenchOptions {
   // model-speed measurements and active-side-only runs
   // (drop_passive_environment).
   bool enable_monitors = true;
-  // Per-bit toggle coverage over all traced signals (the both-view analog
-  // of the paper's RTL-only code coverage). Opt-in: it samples every signal
-  // every cycle.
-  bool enable_toggle_coverage = false;
   bool keep_history = false;  // record completed transactions in the BFMs
   std::uint64_t max_cycles = 500000;
   // Kernel hotspot profiler (DESIGN.md §15): attribute wall time and
@@ -132,7 +127,6 @@ struct RunResult {
   std::uint64_t reference_mismatches = 0;
   double coverage_percent = 0.0;
   std::uint64_t coverage_digest = 0;
-  double toggle_percent = -1.0;  // -1 = toggle coverage disabled
   // Per-port utilisation (cycles with any transfer / total cycles).
   struct PortUtilisation {
     std::string port;
@@ -163,7 +157,7 @@ struct RunResult {
   // Takes from `other` every field the passive environment and the Type1
   // checker compute: checker violations, scoreboard errors, reference
   // mismatches, functional coverage, utilisation and the traffic mix.
-  // completed, cycles, evaluations, toggle coverage, profile and txn stay.
+  // completed, cycles, evaluations, profile and txn stay.
   void take_passive_verdict(const RunResult& other);
 };
 
@@ -202,14 +196,11 @@ class Testbench {
     return *tmons_[static_cast<std::size_t>(t)];
   }
   const StbusCoverage* coverage() const { return coverage_.get(); }
-  const ToggleCoverage* toggle_coverage() const { return toggle_.get(); }
   const ReferenceModel* reference_model() const { return reference_.get(); }
   ProgInitiator* prog_initiator() { return prog_bfm_.get(); }
   rtl::Node* rtl_node() { return rtl_node_.get(); }
   bca::Node* bca_node() { return bca_node_.get(); }
 
-  // Full dotted names of the environment-side port signals (for STBA).
-  static std::vector<std::string> port_signal_names(const std::string& port);
   static std::string initiator_port_name(int i);
   static std::string target_port_name(int t);
   static std::string prog_port_name() { return "tb.prog"; }
@@ -242,7 +233,6 @@ class Testbench {
   std::unique_ptr<Scoreboard> scoreboard_;
   std::unique_ptr<ReferenceModel> reference_;
   std::unique_ptr<StbusCoverage> coverage_;
-  std::unique_ptr<ToggleCoverage> toggle_;
   std::vector<std::unique_ptr<MonitorListener>> cov_taps_;
   std::unique_ptr<obs::TxnTracer> txn_tracer_;
   std::vector<std::unique_ptr<MonitorListener>> txn_taps_;

@@ -111,6 +111,25 @@ TEST(StbaCli, TextVerdictFollowsThreshold) {
   fs::remove_all(dir);
 }
 
+// Two dumps that diverge at cycle 5 and end at the largest u64 time: the
+// trace span max_time + 1 would wrap to 0 and sign off an empty
+// comparison, so the reader rejects the time and the CLI exits 2.
+TEST(StbaCli, WrappingEndTimeExitsTwo) {
+  const fs::path dir = fs::temp_directory_path() / "crve_cli_wrapping_time";
+  fs::create_directories(dir);
+  const std::string end = "#18446744073709551615\n";
+  write(dir / "a.vcd", dump(7, {}) + end);
+  write(dir / "b.vcd", dump(7, {5}) + end);
+  const Outcome r = run(std::string(CRVE_STBA_BIN) + " " +
+                        (dir / "a.vcd").string() + " " +
+                        (dir / "b.vcd").string() + " --ports tb.p0");
+  EXPECT_EQ(r.status, 2) << r.output;
+  EXPECT_NE(r.output.find("'#18446744073709551615'"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("SIGNED OFF"), std::string::npos) << r.output;
+  fs::remove_all(dir);
+}
+
 // A --configs directory that does not exist is a reported error with
 // exit 2, from the lint preflight and from the loader alike.
 TEST(RegressCli, MissingConfigDirExitsTwo) {

@@ -331,48 +331,6 @@ TEST(DesignRules, Crve105NearMissObservedDeclarationIsSilent) {
   EXPECT_FALSE(has_rule(lint(ctx), "CRVE105"));
 }
 
-// --- CRVE106: dynamic opt-out that looks static ----------------------------
-
-TEST(DesignRules, Crve106StaticLookingDynamicProcess) {
-  sim::Context ctx;
-  sim::SignalBool a(ctx, "a");
-  sim::SignalBool o(ctx, "o");
-  a.write(true);
-  sim::CombOpts opts;
-  opts.dynamic = true;  // pays the fixpoint tail every cycle...
-  ctx.add_comb("needless", [&] { o.write(a.read()); }, std::move(opts));
-  sim::ClockedOpts obs;
-  obs.reads = {&o};
-  ctx.add_clocked("obs", [] {}, std::move(obs));
-  const Report rep = lint(ctx);
-  // ...yet both instrumented evaluations agree on its read/write sets.
-  ASSERT_TRUE(has_rule(rep, "CRVE106")) << render_text(rep);
-  EXPECT_NE(first(rep, "CRVE106").message.find("'needless'"),
-            std::string::npos);
-}
-
-TEST(DesignRules, Crve106NearMissGenuinelyDynamicReadSet) {
-  sim::Context ctx;
-  sim::SignalBool a(ctx, "a");
-  sim::SignalBool b(ctx, "b");
-  sim::SignalBool o(ctx, "o");
-  a.write(true);
-  b.write(true);
-  int evals = 0;
-  sim::CombOpts opts;
-  opts.dynamic = true;
-  ctx.add_comb("mux",
-               [&] {
-                 ++evals;
-                 o.write(evals > 1 ? b.read() : a.read());
-               },
-               std::move(opts));
-  sim::ClockedOpts obs;
-  obs.reads = {&o};
-  ctx.add_clocked("obs", [] {}, std::move(obs));
-  EXPECT_FALSE(has_rule(lint(ctx), "CRVE106"));
-}
-
 // --- CRVE107: schedule-shape thresholds ------------------------------------
 
 TEST(DesignRules, Crve107RankDepthPastBudget) {

@@ -1,5 +1,5 @@
 // Compiled-schedule kernel: levelization, elaboration-time cycle
-// diagnostics, the dynamic fixpoint tail, change-driven skipping, and
+// diagnostics, change-driven skipping, the one-pass settle contract, and
 // byte-identical artifacts against the interpreter across the shipped
 // configurations (the `--sim-kernel interp` escape hatch must be a pure
 // performance switch, never a behaviour switch).
@@ -33,17 +33,16 @@ TEST(Schedule, DiamondLevelizesByLongestPath) {
   // a -> {b, c} -> d over four signals: classic diamond. Ranks must come
   // out {a}, {b, c}, {d} with b/c in registration order.
   std::vector<sim::ProcNode> procs(4);
-  procs[0] = {"a", {}, {0}, {}, false};
-  procs[1] = {"b", {0}, {1}, {}, false};
-  procs[2] = {"c", {0}, {2}, {}, false};
-  procs[3] = {"d", {1, 2}, {3}, {}, false};
+  procs[0] = {"a", {}, {0}, {}};
+  procs[1] = {"b", {0}, {1}, {}};
+  procs[2] = {"c", {0}, {2}, {}};
+  procs[3] = {"d", {1, 2}, {3}, {}};
   const auto sched =
       sim::build_schedule(procs, 4, {"s0", "s1", "s2", "s3"});
   ASSERT_EQ(sched.n_ranks(), 3u);
   EXPECT_EQ(sched.ranks[0], (std::vector<int>{0}));
   EXPECT_EQ(sched.ranks[1], (std::vector<int>{1, 2}));
   EXPECT_EQ(sched.ranks[2], (std::vector<int>{3}));
-  EXPECT_EQ(sched.n_static, 4u);
   // Change-driven skipping adjacency: s0's readers are b and c.
   EXPECT_EQ(sched.signal_readers[0], (std::vector<int>{1, 2}));
 }
@@ -125,41 +124,6 @@ TEST(Schedule, ChangeDrivenSkippingCountsUntouchedProcesses) {
   EXPECT_GE(ctx.sched_skipped_evaluations(), 50u);
 }
 
-TEST(Schedule, DynamicTailMatchesInterpreterFixpoint) {
-  // A data-dependent process (reads `sel` to decide which input to read)
-  // opts out of static scheduling; it must still settle chained updates to
-  // the same fixpoint the interpreter reaches.
-  auto run = [](sim::KernelKind k) {
-    sim::Context ctx;
-    ctx.set_kernel(k);
-    sim::SignalU64 cnt(ctx, "cnt", 8);
-    sim::SignalBool sel(ctx, "sel");
-    sim::SignalU64 x(ctx, "x", 8);
-    sim::SignalU64 y(ctx, "y", 8);
-    sim::SignalU64 mux(ctx, "mux", 8);
-    sim::SignalU64 out(ctx, "out", 8);
-    ctx.add_clocked("cnt", [&] {
-      cnt.write(cnt.read() + 1);
-      sel.write((cnt.read() & 2) != 0);
-    });
-    ctx.add_comb("x", [&] { x.write(cnt.read() * 3); });
-    ctx.add_comb("y", [&] { y.write(cnt.read() + 7); });
-    sim::CombOpts dyn;
-    dyn.dynamic = true;
-    ctx.add_comb(
-        "mux", [&] { mux.write(sel.read() ? y.read() : x.read()); },
-        std::move(dyn));
-    ctx.add_comb("out", [&] { out.write(mux.read() + 1); });
-    std::vector<std::uint64_t> trace;
-    for (int i = 0; i < 12; ++i) {
-      ctx.step();
-      trace.push_back(out.read());
-    }
-    return trace;
-  };
-  EXPECT_EQ(run(sim::KernelKind::kCompiled), run(sim::KernelKind::kInterp));
-}
-
 TEST(Schedule, DeclaredReadsKeepDataDependentProcessesStatic) {
   // Discovery only sees the branch taken on the initial evaluation; a
   // process that declares its full read superset stays statically
@@ -189,6 +153,45 @@ TEST(Schedule, DeclaredReadsKeepDataDependentProcessesStatic) {
     ASSERT_EQ(mux.read(), expect) << "cycle " << i;
   }
   EXPECT_EQ(ctx.delta_iterations(), 8u);
+}
+
+TEST(Schedule, UnrecordedWriteToAnEarlierRankIsReported) {
+  // `late` writes `s` only once the counter reaches 3, so elaboration never
+  // records the write and `early` (its reader) shares its rank. One pass
+  // over the ranks cannot settle that: the kernel names the process left
+  // dirty instead of sampling a stale value. The interpreter still settles.
+  auto build = [](sim::Context& ctx, sim::SignalU64& cnt, sim::SignalU64& s,
+                  sim::SignalU64& o) {
+    ctx.add_clocked("cnt", [&] { cnt.write(cnt.read() + 1); });
+    ctx.add_comb("early", [&] { o.write(s.read() + 1); });
+    ctx.add_comb("late", [&] {
+      if (cnt.read() >= 3) s.write(cnt.read());
+    });
+  };
+  {
+    sim::Context ctx;
+    sim::SignalU64 cnt(ctx, "cnt", 8);
+    sim::SignalU64 s(ctx, "s", 8);
+    sim::SignalU64 o(ctx, "o", 8);
+    build(ctx, cnt, s, o);
+    ctx.step(2);
+    try {
+      ctx.step();
+      FAIL() << "expected SimError";
+    } catch (const sim::SimError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("early"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("CombOpts::after"), std::string::npos) << msg;
+    }
+  }
+  sim::Context ctx;
+  ctx.set_kernel(sim::KernelKind::kInterp);
+  sim::SignalU64 cnt(ctx, "cnt", 8);
+  sim::SignalU64 s(ctx, "s", 8);
+  sim::SignalU64 o(ctx, "o", 8);
+  build(ctx, cnt, s, o);
+  ctx.step(3);
+  EXPECT_EQ(o.read(), 4u);
 }
 
 // The acceptance bar for the compiled kernel: identical report JSON and

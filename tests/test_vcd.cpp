@@ -210,6 +210,19 @@ TEST(VcdParserHostile, TimeGoingBackwards) {
   EXPECT_EQ(Trace::parse(is).value_at(0, 5), "0");
 }
 
+TEST(VcdParserHostile, TimeWithoutASuccessor) {
+  // Every consumer spans max_time() + 1 cycles, which this time wraps to 0.
+  expect_diagnostic(
+      "$var wire 1 ! v $end\n$enddefinitions $end\n#0\n1!\n"
+      "#18446744073709551615\n",
+      "'#18446744073709551615'");
+  // One below still has a successor.
+  std::istringstream is(
+      "$var wire 1 ! v $end\n$enddefinitions $end\n#0\n1!\n"
+      "#18446744073709551614\n");
+  EXPECT_EQ(Trace::parse(is).max_time(), 18446744073709551614u);
+}
+
 TEST(VcdWriter, EmitsOnlyChanges) {
   sim::Context ctx;
   sim::SignalBool s(ctx, "tb.s");
