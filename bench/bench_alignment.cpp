@@ -223,6 +223,64 @@ void BM_AlignPairVcdRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_AlignPairRecorded)->Arg(100)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AlignPairVcdRoundTrip)->Arg(100)->Unit(benchmark::kMillisecond);
 
+// The recorder on a dense C2 pair: both views of the dense shape
+// bench_sim_speed's BM_EnvDense runs (every initiator busy, 200 short
+// transactions), the RTL view with its full environment and the BCA view
+// with its passive environment off, as a lean sign-off campaign runs them.
+// BM_RecordDense attaches a vcd::Recorder to each view and BM_RecordDenseOff
+// does not, so the gap between the two is the recorder's cost;
+// `changes_per_s` is the rate it records at.
+void record_dense_pair(benchmark::State& state, bool recorded) {
+  stbus::NodeConfig cfg = cfg4();
+  cfg.n_initiators = static_cast<int>(state.range(0));
+  cfg.n_targets = static_cast<int>(state.range(1));
+  verif::TestSpec spec = verif::t07_target_contention();
+  spec.profile = [](const stbus::NodeConfig& c, int) {
+    verif::InitiatorProfile p;
+    p.windows = {c.address_map.front()};
+    p.windows.front().size = 0x1000;
+    p.idle_permille = 0;
+    p.max_size_bytes = 8;
+    return p;
+  };
+  spec.n_transactions = 200;
+  std::uint64_t changes = 0;
+  std::uint64_t cycles = 0;
+  for (auto _ : state) {
+    for (int m = 0; m < 2; ++m) {
+      state.PauseTiming();
+      vcd::Recorder rec;
+      verif::TestbenchOptions opts = pair_view(m);
+      if (m == 1) opts.drop_passive_environment();
+      if (recorded) opts.recorder = &rec;
+      verif::Testbench tb(cfg, spec, opts);
+      state.ResumeTiming();
+
+      const verif::RunResult r = tb.run();
+      benchmark::DoNotOptimize(r.cycles);
+      cycles += r.cycles;
+      for (std::size_t v = 0; v < rec.trace().vars().size(); ++v) {
+        changes += rec.trace().change_count(static_cast<int>(v));
+      }
+      if (!r.completed) state.SkipWithError("run failed");
+    }
+  }
+  state.counters["changes_per_s"] = benchmark::Counter(
+      static_cast<double>(changes), benchmark::Counter::kIsRate);
+  state.counters["cycles_per_s"] = benchmark::Counter(
+      static_cast<double>(cycles), benchmark::Counter::kIsRate);
+}
+
+void BM_RecordDense(benchmark::State& state) {
+  record_dense_pair(state, /*recorded=*/true);
+}
+void BM_RecordDenseOff(benchmark::State& state) {
+  record_dense_pair(state, /*recorded=*/false);
+}
+
+BENCHMARK(BM_RecordDense)->Args({4, 4})->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RecordDenseOff)->Args({4, 4})->Unit(benchmark::kMillisecond);
+
 // The sign-off comparison alone on one recorded C2 pair, both views
 // recorded once outside the timed loop. On the clean pair every port's
 // change lists are identical in both views, so compare() proves each

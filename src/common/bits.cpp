@@ -152,16 +152,9 @@ void Bits::set_byte_slice(int lo, const Bits& v) {
 }
 
 std::string Bits::to_bin_string() const {
-  std::string s;
-  s.reserve(static_cast<std::size_t>(width_));
-  append_bin(s);
+  std::string s(static_cast<std::size_t>(width_), '0');
+  write_bin(s.data(), w_.data(), width_);
   return s;
-}
-
-void Bits::append_bin(std::string& out) const {
-  const std::size_t base = out.size();
-  out.resize(base + static_cast<std::size_t>(width_));
-  write_bin(out.data() + base, w_.data(), width_);
 }
 
 std::string Bits::to_hex_string() const {

@@ -15,8 +15,8 @@ namespace crve {
 
 // Writes the low `width` bits of the little-endian words `w` to `out` as
 // '0'/'1' characters, most significant first: out[0] is bit width-1.
-// Eight characters per table lookup (the trace recorder formats every
-// changed value through here). Bits of w at or above `width` are ignored.
+// Eight characters per table lookup (the VCD writer formats every written
+// value through here). Bits of w at or above `width` are ignored.
 void write_bin(char* out, const std::uint64_t* w, int width);
 
 class Bits {
@@ -49,6 +49,9 @@ class Bits {
   void set_bit(int i, bool v);
 
   std::uint64_t word(int i) const { return w_[static_cast<std::size_t>(i)]; }
+  // The (width + 63) / 64 little-endian words of the value; bits at and
+  // above width() are zero.
+  const std::uint64_t* words() const { return w_.data(); }
   // Low 64 bits (or fewer when width < 64).
   std::uint64_t to_u64() const { return w_[0]; }
 
@@ -70,9 +73,6 @@ class Bits {
 
   // MSB-first binary string, exactly `width()` characters.
   std::string to_bin_string() const;
-  // Appends the same `width()` characters to `out` without allocating a
-  // temporary (trace hot path).
-  void append_bin(std::string& out) const;
   // Hex string, no prefix, (width+3)/4 digits.
   std::string to_hex_string() const;
 

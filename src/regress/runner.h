@@ -281,8 +281,9 @@ class Regression {
 // view's when the pair's recordings prove that the passive environment
 // would have seen the same pins: every alignment port identical
 // (`ports_identical`, as stba::Analyzer::compare decided it), the
-// programming-port bundle identical when the configuration has one, and
-// equal cycle counts. Then `bca` takes the RTL result's passive fields
+// programming-port bundle identical when the configuration has one (proven
+// with the rest when the two recordings are equal as a whole), and equal
+// cycle counts. Then `bca` takes the RTL result's passive fields
 // (RunResult::take_passive_verdict) and the call returns true. Otherwise
 // `bca` is left as it is and the call returns false: the BCA view must be
 // re-run with its full environment.

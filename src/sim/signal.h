@@ -108,17 +108,18 @@ class SignalBase {
   // visible value changed. Called by the kernel only.
   virtual bool commit() = 0;
 
-  // Appends the current value to `out` as MSB-first binary, exactly
-  // width() chars, without allocating. Hot tracers format into a reusable
-  // buffer through this instead of materializing per-cycle strings.
-  virtual void append_vcd(std::string& out) const = 0;
+  // Current value as the native words a trace records: (width() + 63) / 64
+  // little-endian 64-bit words, bits at and above width() zero. The
+  // pointer addresses the signal's own storage, which every commit updates
+  // in place, so a tracer that keeps it reads each value without a call, a
+  // copy or text; it stays valid while no signal is added to the Context.
+  virtual const std::uint64_t* value_words() const = 0;
 
-  // Current value as an MSB-first binary string of exactly width() chars.
-  // Convenience wrapper over append_vcd() for cold paths and tests.
+  // Current value as an MSB-first binary string of exactly width() chars,
+  // for cold paths and tests.
   std::string vcd_value() const {
-    std::string s;
-    s.reserve(static_cast<std::size_t>(width_));
-    append_vcd(s);
+    std::string s(static_cast<std::size_t>(width_), '0');
+    write_bin(s.data(), value_words(), width_);
     return s;
   }
 
@@ -156,20 +157,6 @@ class SignalBase {
 
 namespace detail {
 
-inline void append_vcd(std::string& out, bool v, int /*width*/) {
-  out.push_back(v ? '1' : '0');
-}
-
-inline void append_vcd(std::string& out, std::uint64_t v, int width) {
-  const std::size_t base = out.size();
-  out.resize(base + static_cast<std::size_t>(width));
-  write_bin(out.data() + base, &v, width);
-}
-
-inline void append_vcd(std::string& out, const Bits& v, int /*width*/) {
-  v.append_bin(out);
-}
-
 inline std::uint64_t masked(std::uint64_t v, int width) {
   return width >= 64 ? v : (v & ((std::uint64_t{1} << width) - 1));
 }
@@ -206,9 +193,8 @@ class SignalBool : public SignalBase {
     cur = next;
     return changed;
   }
-  void append_vcd(std::string& out) const override {
-    detail::append_vcd(out, arena_->cur[static_cast<std::size_t>(slot_)] != 0,
-                       1);
+  const std::uint64_t* value_words() const override {
+    return &arena_->cur[static_cast<std::size_t>(slot_)];  // holds 0 or 1
   }
 
  private:
@@ -246,9 +232,8 @@ class SignalU64 : public SignalBase {
     cur = next;
     return changed;
   }
-  void append_vcd(std::string& out) const override {
-    detail::append_vcd(out, arena_->cur[static_cast<std::size_t>(slot_)],
-                       width());
+  const std::uint64_t* value_words() const override {
+    return &arena_->cur[static_cast<std::size_t>(slot_)];  // masked on write
   }
 
  private:
@@ -287,7 +272,7 @@ class SignalBits : public SignalBase {
     cur_ = next_;
     return true;
   }
-  void append_vcd(std::string& out) const override { cur_.append_bin(out); }
+  const std::uint64_t* value_words() const override { return cur_.words(); }
 
  private:
   Bits cur_;

@@ -131,43 +131,71 @@ std::uint64_t next_event(const std::vector<vcd::Trace::Cursor>& cur) {
 
 bool port_has_activity(const vcd::Trace& t, const std::vector<int>& idx) {
   for (const int i : idx) {
-    if (!t.changes(i).empty()) return true;
+    if (t.change_count(i) != 0) return true;
   }
   return false;
 }
 
 // A channel hands over a cell on every cycle its request and grant are
-// both a single '1'.
-bool granted(std::string_view req, std::string_view gnt) {
-  return req == "1" && gnt == "1";
+// both a single 1.
+bool granted(const vcd::Value& req, const vcd::Value& gnt) {
+  return req.is_one() && gnt.is_one();
 }
 
-// Number of granted cells in [0, end): the cell count of a CellCursor
-// stream, from the four handshake fields alone.
-std::uint64_t count_cells(const vcd::Trace& t, const std::vector<int>& idx,
-                          std::uint64_t end) {
-  vcd::Trace::Cursor cur[] = {t.cursor(idx[kReq]), t.cursor(idx[kGnt]),
-                              t.cursor(idx[kRReq]), t.cursor(idx[kRGnt])};
-  std::uint64_t cells = 0;
-  for (std::uint64_t c = 0; c < end;) {
-    const int per_cycle = granted(cur[0].value_at(c), cur[1].value_at(c)) +
-                          granted(cur[2].value_at(c), cur[3].value_at(c));
-    std::uint64_t next = end;
-    for (const auto& f : cur) next = std::min(next, f.next_change_time());
-    cells += static_cast<std::uint64_t>(per_cycle) * (next - c);
-    c = next;
+// Number of granted cells of each port in [0, t.max_time() + 1): the cell
+// count of its CellCursor stream, from the four handshake fields alone, in
+// one walk of the log for all the ports. `ports` holds each port's fields
+// as resolve_ports gives them.
+std::vector<std::uint64_t> count_cells(
+    const vcd::Trace& t, const std::vector<const std::vector<int>*>& ports) {
+  constexpr std::size_t kHandshake[] = {kReq, kGnt, kRReq, kRGnt};
+  struct Port {
+    unsigned high = 0;        // bit r: handshake field kHandshake[r] is 1
+    std::uint64_t since = 0;  // first cycle not yet counted
+    std::uint64_t cells = 0;
+  };
+  const auto per_cycle = [](unsigned high) -> std::uint64_t {
+    return ((high & 3u) == 3u) + ((high & 12u) == 12u);
+  };
+  std::vector<Port> state(ports.size());
+  // Role k = 4 * port + bit. A variable's roles chain from head[var]
+  // through next[k]: a port listed twice shares its variables.
+  std::vector<int> head(t.vars().size(), -1);
+  std::vector<int> next(4 * ports.size(), -1);
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    for (std::size_t r = 0; r < 4; ++r) {
+      const int k = static_cast<int>(4 * p + r);
+      const auto var = static_cast<std::size_t>((*ports[p])[kHandshake[r]]);
+      next[static_cast<std::size_t>(k)] = head[var];
+      head[var] = k;
+    }
+  }
+  for (const vcd::Trace::Entry e : t) {
+    for (int k = head[static_cast<std::size_t>(e.var)]; k >= 0;
+         k = next[static_cast<std::size_t>(k)]) {
+      Port& s = state[static_cast<std::size_t>(k) / 4];
+      const unsigned bit = 1u << (k % 4);
+      s.cells += per_cycle(s.high) * (e.time - s.since);
+      s.since = e.time;
+      s.high = e.value.is_one() ? s.high | bit : s.high & ~bit;
+    }
+  }
+  std::vector<std::uint64_t> cells;
+  cells.reserve(ports.size());
+  for (const Port& s : state) {
+    cells.push_back(s.cells + per_cycle(s.high) * (t.max_time() + 1 - s.since));
   }
   return cells;
 }
 
-// One granted cell as views into the trace's value storage.
+// One granted cell as views into the trace's log.
 struct CellView {
   std::uint64_t cycle = 0;
   bool response = false;
-  std::string_view opc, add, data, be;
+  vcd::Value opc, add, data, be;
   bool eop = false;
   bool lck = false;
-  std::string_view src, tid;
+  vcd::Value src, tid;
 
   bool same_content(const CellView& o) const {
     return response == o.response && opc == o.opc && add == o.add &&
@@ -222,8 +250,8 @@ class CellCursor {
       req.add = field(kAdd, c);
       req.data = field(kData, c);
       req.be = field(kBe, c);
-      req.eop = field(kEop, c) == "1";
-      req.lck = field(kLck, c) == "1";
+      req.eop = field(kEop, c).is_one();
+      req.lck = field(kLck, c).is_one();
       req.src = field(kSrc, c);
       req.tid = field(kTid, c);
     }
@@ -232,7 +260,7 @@ class CellCursor {
       rsp.response = true;
       rsp.opc = field(kROpc, c);
       rsp.data = field(kRData, c);
-      rsp.eop = field(kREop, c) == "1";
+      rsp.eop = field(kREop, c).is_one();
       rsp.src = field(kRSrc, c);
       rsp.tid = field(kRTid, c);
     }
@@ -240,7 +268,7 @@ class CellCursor {
     slot_ = 0;
   }
 
-  std::string_view field(int f, std::uint64_t c) {
+  vcd::Value field(int f, std::uint64_t c) {
     return cur_[static_cast<std::size_t>(f)].value_at(c);
   }
 
@@ -332,34 +360,20 @@ std::vector<ExtractedCell> Analyzer::extract(const vcd::Trace& t,
     ExtractedCell& cell = cells.emplace_back();
     cell.cycle = v.cycle;
     cell.response = v.response;
-    cell.opc = v.opc;
-    cell.add = v.add;
-    cell.data = v.data;
-    cell.be = v.be;
+    cell.opc = v.opc.text();
+    cell.add = v.add.text();
+    cell.data = v.data.text();
+    cell.be = v.be.text();
     cell.eop = v.eop;
     cell.lck = v.lck;
-    cell.src = v.src;
-    cell.tid = v.tid;
+    cell.src = v.src.text();
+    cell.tid = v.tid.text();
   }
   if (obs::metrics_enabled()) count_extracts(1, cells.size());
   return cells;
 }
 
 namespace {
-
-// Credits a port whose fields Analyzer::identical() proved equal: aligned
-// on every cycle, and the two cell streams agree cell for cell up to the
-// shorter trace's end (each stream stops at its own trace's last cycle).
-void credit_identical(const vcd::Trace& a, const std::vector<int>& ia,
-                      const vcd::Trace& b, const std::vector<int>& ib,
-                      PortAlignment& pa) {
-  pa.aligned_cycles = pa.total_cycles;
-  pa.cells_a = count_cells(a, ia, a.max_time() + 1);
-  pa.cells_b = a.max_time() == b.max_time()
-                   ? pa.cells_a
-                   : count_cells(b, ib, b.max_time() + 1);
-  pa.cells_matching = std::min(pa.cells_a, pa.cells_b);
-}
 
 // The RunWalker merge and the cell diff of one port.
 void walk_port(const vcd::Trace& a, const std::vector<int>& ia,
@@ -395,11 +409,32 @@ AlignmentReport compare_ports(const vcd::Trace& a, const vcd::Trace& b,
                               const std::vector<std::string>& ports,
                               bool prove_identical, bool* all_identical) {
   AlignmentReport report;
-  bool all_proven = true;
   const bool metrics = obs::metrics_enabled();
   const std::uint64_t total = std::max(a.max_time(), b.max_time()) + 1;
+  // Equal recordings prove every port at once (and share one variable
+  // table); otherwise each port's change lists are compared on their own.
+  const bool whole = prove_identical && a == b;
   const auto fa = Analyzer::resolve_ports(a, ports);
-  const auto fb = Analyzer::resolve_ports(b, ports);
+  const auto fb = whole ? fa : Analyzer::resolve_ports(b, ports);
+  std::vector<bool> proven(ports.size(), whole);
+  std::vector<const std::vector<int>*> proven_a, proven_b;
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    if (!whole && prove_identical) {
+      proven[p] = Analyzer::identical(a, fa[p], b, fb[p]);
+    }
+    if (proven[p]) {
+      proven_a.push_back(&fa[p]);
+      proven_b.push_back(&fb[p]);
+    }
+  }
+  // A proven port is aligned on every cycle, and its two cell streams agree
+  // cell for cell up to the shorter trace's end (each stream stops at its
+  // own trace's last cycle), so only the cells are counted.
+  const std::vector<std::uint64_t> cells_a = count_cells(a, proven_a);
+  const std::vector<std::uint64_t> cells_b =
+      a.max_time() == b.max_time() ? cells_a : count_cells(b, proven_b);
+
+  std::size_t credited = 0;
   for (std::size_t p = 0; p < ports.size(); ++p) {
     const std::vector<int>& ia = fa[p];
     const std::vector<int>& ib = fb[p];
@@ -407,24 +442,29 @@ AlignmentReport compare_ports(const vcd::Trace& a, const vcd::Trace& b,
     pa.port = ports[p];
     pa.total_cycles = total;
     pa.note = Analyzer::activity_note(a, ia, b, ib);
-    const bool proven = prove_identical && Analyzer::identical(a, ia, b, ib);
-    all_proven = all_proven && proven;
-    if (proven) {
-      credit_identical(a, ia, b, ib, pa);
+    if (proven[p]) {
+      pa.aligned_cycles = total;
+      pa.cells_a = cells_a[credited];
+      pa.cells_b = cells_b[credited];
+      pa.cells_matching = std::min(pa.cells_a, pa.cells_b);
+      ++credited;
     } else {
       walk_port(a, ia, b, ib, pa, metrics);
     }
     if (metrics) {
       obs::counter("stba.ports_compared").inc();
-      if (proven) obs::counter("stba.ports_identical").inc();
+      if (proven[p]) obs::counter("stba.ports_identical").inc();
       obs::counter("stba.aligned_cycles").add(pa.aligned_cycles);
       obs::counter("stba.compared_cycles").add(pa.total_cycles);
       count_extracts(2, pa.cells_a + pa.cells_b);
     }
     report.ports.push_back(std::move(pa));
   }
-  if (metrics) obs::counter("stba.compares").inc();
-  if (all_identical != nullptr) *all_identical = all_proven;
+  if (metrics) {
+    obs::counter("stba.compares").inc();
+    if (whole) obs::counter("stba.recordings_identical").inc();
+  }
+  if (all_identical != nullptr) *all_identical = credited == ports.size();
   return report;
 }
 

@@ -98,14 +98,19 @@ class Analyzer {
   // Cycle-level + transaction-level comparison of the given ports (each a
   // dotted prefix such as "tb.init0") between two dumps.
   //
-  // A port whose fields have identical change lists in both dumps
-  // (identical()) is aligned on every cycle and carries the same cell
-  // stream, so it is credited without a walk: only its granted cells are
-  // counted. Every other port is walked with a RunWalker: the alignment
-  // status of a port is constant between change events, so whole runs of
-  // unchanged cycles are credited at once. O(total changes) instead of
-  // O(cycles x fields x log changes), with results identical to the
-  // per-cycle scan (tests/test_trace_path.cpp holds the equivalence).
+  // Two equal traces (vcd::Trace::operator==: the same variables, max_time
+  // and change log) prove every port at once: each is aligned on every
+  // cycle, its activity note comes from the change counts and its granted
+  // cells from one walk of the log over the handshake fields; no
+  // per-variable index is built. Otherwise a port whose fields have
+  // identical change lists in both dumps (identical()) is aligned on every
+  // cycle and carries the same cell stream, so it is credited without a
+  // walk: only its granted cells are counted. Every other port is walked
+  // with a RunWalker: the alignment status of a port is constant between
+  // change events, so whole runs of unchanged cycles are credited at once.
+  // O(total changes) instead of O(cycles x fields x log changes), with
+  // results identical to the per-cycle scan (tests/test_trace_path.cpp
+  // holds the equivalence).
   //
   // When `all_identical` is given, it is set to whether every port took
   // the identity proof: the one decision a caller needs to know that the
@@ -114,8 +119,8 @@ class Analyzer {
                                  const std::vector<std::string>& ports,
                                  bool* all_identical = nullptr);
 
-  // compare() without the identity shortcut: every port takes the
-  // RunWalker merge and the cell diff. Its report equals compare()'s; it
+  // compare() without either proof: every port takes the RunWalker merge
+  // and the cell diff. Its report equals compare()'s; it
   // stays callable so tests and benchmarks can hold the two side by side.
   static AlignmentReport compare_by_merge(
       const vcd::Trace& a, const vcd::Trace& b,

@@ -194,12 +194,14 @@ TriageReport triage_ports(const vcd::Trace& a, const vcd::Trace& b,
   const std::uint64_t total = std::max(a.max_time(), b.max_time()) + 1;
   const auto fa = Analyzer::resolve_ports(a, ports);
   const auto fb = Analyzer::resolve_ports(b, ports);
+  const bool whole = prove_identical && a == b;
   for (std::size_t p = 0; p < ports.size(); ++p) {
     PortTriage pt;
     pt.port = ports[p];
     pt.total_cycles = total;
     pt.note = Analyzer::activity_note(a, fa[p], b, fb[p]);
-    if (prove_identical && Analyzer::identical(a, fa[p], b, fb[p])) {
+    if (whole ||
+        (prove_identical && Analyzer::identical(a, fa[p], b, fb[p]))) {
       // Aligned on every cycle: no window, no transaction context needed.
       pt.aligned_cycles = total;
     } else {

@@ -124,14 +124,14 @@ class Triage {
   static constexpr std::size_t kMaxWindows = 64;
 
   // Full divergence breakdown of the given ports between two dumps. Cycle
-  // accounting matches Analyzer::compare exactly: a port
-  // Analyzer::identical() proves equal is aligned on every cycle and is
-  // neither walked nor extracted; the others classify the runs of one
-  // RunWalker over the same max(a,b)+1 cycle span.
+  // accounting matches Analyzer::compare exactly: a port proven equal (by
+  // equal traces, or by Analyzer::identical()) is aligned on every cycle
+  // and is neither walked nor extracted; the others classify the runs of
+  // one RunWalker over the same max(a,b)+1 cycle span.
   static TriageReport analyze(const vcd::Trace& a, const vcd::Trace& b,
                               const std::vector<std::string>& ports);
 
-  // analyze() without the identity shortcut: every port is walked. Its
+  // analyze() without either proof: every port is walked. Its
   // report equals analyze()'s (tests hold the two side by side).
   static TriageReport analyze_by_merge(const vcd::Trace& a,
                                        const vcd::Trace& b,

@@ -1,14 +1,13 @@
 #include "vcd/excerpt.h"
 
 #include <algorithm>
+#include <bit>
 #include <fstream>
-#include <functional>
-#include <queue>
 #include <stdexcept>
 #include <string_view>
-#include <utility>
 #include <vector>
 
+#include "common/bits.h"
 #include "obs/metrics.h"
 
 namespace crve::vcd {
@@ -20,15 +19,24 @@ namespace {
 constexpr std::size_t kFlushAt = 64 * 1024;
 
 // Change line in canonical VCD form: scalars as `<bit><id>`, vectors as
-// `b<value> <id>` with leading zeros truncated down to one digit.
-void append_change(std::string& out, std::string_view value,
+// `b<value> <id>` with leading zeros truncated down to one digit. The one
+// place a value becomes VCD text.
+void append_change(std::string& out, const Value& value,
                    const std::string& id) {
-  if (value.size() == 1) {
-    out += value;
+  const std::uint64_t* w = value.words();
+  if (value.width() == 1) {
+    out += w[0] != 0 ? '1' : '0';
   } else {
-    const std::size_t first = value.find('1');
+    std::size_t n = words_for(value.width());
+    while (n > 0 && w[n - 1] == 0) --n;
+    // Significant bits: up to the highest set one, at least one digit.
+    const int bits = n == 0 ? 1
+                            : static_cast<int>(n * 64) -
+                                  std::countl_zero(w[n - 1]);
     out += 'b';
-    out += first == std::string_view::npos ? "0" : value.substr(first);
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(bits));
+    write_bin(out.data() + at, w, bits);
     out += ' ';
   }
   out += id;
@@ -100,38 +108,34 @@ std::uint64_t emit(const Trace& trace, std::uint64_t begin, std::uint64_t end,
   const auto& vars = trace.vars();
   append_declarations(out, vars);
 
-  // Snapshot: every variable's settled value at the window start.
+  // One walk of the log, which is already in (time, declaration) order:
+  // the changes up to the window start settle the snapshot, the ones in
+  // the window follow it.
+  int widest = 1;
+  for (const Var& v : vars) widest = std::max(widest, v.width);
+  const std::vector<std::uint64_t> zeros(words_for(widest), 0);
+  std::vector<Value> settled;
+  settled.reserve(vars.size());
+  for (const Var& v : vars) settled.emplace_back(zeros.data(), v.width);
+  auto it = trace.begin();
+  for (; it != trace.end() && (*it).time <= begin; ++it) {
+    const Trace::Entry e = *it;
+    settled[static_cast<std::size_t>(e.var)] = e.value;
+  }
   append_time(out, begin);
   for (std::size_t i = 0; i < vars.size(); ++i) {
-    append_change(out, trace.value_at(static_cast<int>(i), begin), vars[i].id);
+    append_change(out, settled[i], vars[i].id);
   }
 
-  // In-window changes in (time, declaration) order: a min-heap holding each
-  // variable's next in-window change.
-  std::vector<std::size_t> pos(vars.size());
-  using Next = std::pair<std::uint64_t, std::size_t>;
-  std::priority_queue<Next, std::vector<Next>, std::greater<>> heap;
-  auto push_next = [&](std::size_t i) {
-    const Trace::ChangeList changes = trace.changes(static_cast<int>(i));
-    if (pos[i] < changes.size() && changes[pos[i]].time <= end) {
-      heap.push({changes[pos[i]].time, i});
-    }
-  };
-  for (std::size_t i = 0; i < vars.size(); ++i) {
-    pos[i] = trace.changes(static_cast<int>(i)).first_after(begin);
-    push_next(i);
-  }
   std::uint64_t last_time = begin;
-  while (!heap.empty()) {
-    const auto [time, i] = heap.top();
-    heap.pop();
-    if (time != last_time) {
-      append_time(out, time);
-      last_time = time;
+  for (; it != trace.end(); ++it) {
+    const Trace::Entry e = *it;
+    if (e.time > end) break;
+    if (e.time != last_time) {
+      append_time(out, e.time);
+      last_time = e.time;
     }
-    append_change(out, trace.changes(static_cast<int>(i))[pos[i]++].value,
-                  vars[i].id);
-    push_next(i);
+    append_change(out, e.value, vars[static_cast<std::size_t>(e.var)].id);
     if (out.size() >= kFlushAt) flush();
   }
 
@@ -151,7 +155,7 @@ std::uint64_t write_wave(const Trace& trace, std::ostream& os) {
     std::uint64_t changes = 0;
     std::uint64_t touched = 0;
     for (std::size_t i = 0; i < trace.vars().size(); ++i) {
-      const std::size_t n = trace.changes(static_cast<int>(i)).size();
+      const std::size_t n = trace.change_count(static_cast<int>(i));
       changes += n;
       if (n != 0) ++touched;
     }

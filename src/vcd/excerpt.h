@@ -4,8 +4,11 @@
 // Trace, written as a standalone, well-formed VCD: header (scope tree
 // rebuilt from the dotted names, original identifier codes preserved), a
 // snapshot of every variable's settled value at `begin`, then the in-window
-// changes in (time, variable) order. Output is staged and handed to the
-// stream in large chunks, never built as one string.
+// changes in (time, variable) order. The Trace's change log already holds
+// that order, so both come from one walk of it, with no per-variable index
+// and no merge. This is where recorded values become VCD text. Output is
+// staged and handed to the stream in large chunks, never built as one
+// string.
 //
 //   - write_wave: the full wave, [0, max_time] under the dump header. The
 //     verif::Testbench writes a run's `vcd_path`/`vcd_stream` this way once

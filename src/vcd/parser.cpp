@@ -8,6 +8,9 @@
 #include <map>
 #include <stdexcept>
 
+#include "common/bits.h"
+#include "obs/metrics.h"
+
 namespace crve::vcd {
 
 namespace {
@@ -56,16 +59,26 @@ std::optional<std::uint64_t> parse_u64(std::string_view s) {
   return v;
 }
 
-// Appends a VCD binary value to `out` padded or truncated to exactly
-// `width` characters, x/z expanded to 0 (our models are two-valued).
-void append_normalized(std::string& out, std::string_view v,
-                       std::size_t width) {
-  if (v.size() > width) v.remove_prefix(v.size() - width);
-  out.append(width - v.size(), '0');
-  for (const char c : v) {
-    const bool xz = c == 'x' || c == 'X' || c == 'z' || c == 'Z';
-    out.push_back(xz ? '0' : c);
+// Reads a VCD binary value into the zeroed words_for(width) words at `out`,
+// padded or truncated to `width` bits, x/z read as 0 (our models are
+// two-valued); false on any other character.
+bool read_value(std::string_view v, int width, std::uint64_t* out) {
+  const auto w = static_cast<std::size_t>(width);
+  if (v.size() > w) v.remove_prefix(v.size() - w);
+  // Bit b of the value is v[v.size() - 1 - b]. Branch-free per character:
+  // the bits of a value are as good as random.
+  bool valid = true;
+  for (std::size_t bit = 0; bit < v.size(); ++out) {
+    std::uint64_t word = 0;
+    for (const std::size_t end = std::min(v.size(), bit + 64); bit < end;
+         ++bit) {
+      const char c = v[v.size() - 1 - bit];
+      word |= static_cast<std::uint64_t>(c == '1') << (bit % 64);
+      valid &= c == '0' || c == '1' || (c | 0x20) == 'x' || (c | 0x20) == 'z';
+    }
+    *out = word;
   }
+  return valid;
 }
 
 }  // namespace
@@ -80,11 +93,25 @@ std::string id_code(int index) {
   return id;
 }
 
+std::string Value::text() const {
+  std::string s(static_cast<std::size_t>(width_), '0');
+  write_bin(s.data(), words_, width_);
+  return s;
+}
+
+std::ostream& operator<<(std::ostream& os, const Value& v) {
+  return os << v.text();
+}
+
 void Trace::finish_vars() {
   int widest = 0;
-  for (const auto& v : vars_) widest = std::max(widest, v.width);
-  zeros_.assign(static_cast<std::size_t>(widest), '0');
-  tracks_.resize(vars_.size());
+  widths_.clear();
+  for (const auto& v : vars_) {
+    widths_.push_back(v.width);
+    widest = std::max(widest, v.width);
+  }
+  zeros_.assign(words_for(widest), 0);
+  counts_.assign(vars_.size(), 0);
 }
 
 Trace Trace::parse_file(const std::string& path) {
@@ -147,15 +174,44 @@ Trace Trace::parse(std::istream& is) {
   }
   t.finish_vars();
 
-  // Applies one value change of id `id` at the current time.
+  // Changes enter the log as they are read. The changes of one time must
+  // end up in variable order (stable, so repeated changes of one variable
+  // keep theirs); a dump that lists them otherwise has its time's group
+  // reordered once the time moves on.
   std::uint64_t now = 0;
+  std::size_t group = 0;  // log offset of the first change at `now`
+  int last_var = -1;      // variable of the latest change at `now`
+  bool ordered = true;    // the group is in variable order
+  auto flush = [&] {
+    if (!ordered) t.order_group(group);
+    group = t.log_.size();
+    last_var = -1;
+    ordered = true;
+  };
+
+  const std::size_t budget =
+      kMaxLogBytesPerInputByte * text.size() +
+      (kHeaderWords + words_for(kMaxWidth)) * sizeof(std::uint64_t);
+  // Applies one value change of id `id` at the current time.
   auto apply = [&](std::string_view id, std::string_view value) {
     const auto it = by_id.find(id);
     if (it == by_id.end()) fail("unknown id " + std::string(id));
     for (const int vi : it->second) {
-      Track& tr = t.tracks_[static_cast<std::size_t>(vi)];
-      tr.times.push_back(now);
-      append_normalized(tr.values, value, t.width_of(vi));
+      const Var& var = t.vars_[static_cast<std::size_t>(vi)];
+      const std::size_t words =
+          t.log_.size() + kHeaderWords + words_for(var.width);
+      if (words * sizeof(std::uint64_t) > budget) {
+        fail("change of $var " + var.name + " at #" + std::to_string(now) +
+             " takes the log past " + std::to_string(budget) + " bytes (" +
+             std::to_string(kMaxLogBytesPerInputByte) + " per byte of a " +
+             std::to_string(text.size()) + "-byte dump)");
+      }
+      if (!read_value(value, var.width, t.add_entry(now, vi))) {
+        fail("invalid value '" + std::string(value) + "' of $var " +
+             var.name + " at #" + std::to_string(now));
+      }
+      ordered = ordered && vi >= last_var;
+      last_var = vi;
     }
   };
 
@@ -175,6 +231,7 @@ Trace Trace::parse(std::istream& is) {
         fail("time '" + std::string(tok) + "' goes backwards (after #" +
              std::to_string(now) + ")");
       }
+      if (*time != now) flush();
       now = *time;
       timed = true;
       t.max_time_ = now;
@@ -192,18 +249,8 @@ Trace Trace::parse(std::istream& is) {
       fail("unexpected token " + std::string(tok));
     }
   }
+  flush();
   return t;
-}
-
-bool Trace::operator==(const Trace& o) const {
-  if (vars_ != o.vars_ || max_time_ != o.max_time_) return false;
-  for (std::size_t i = 0; i < tracks_.size(); ++i) {
-    if (tracks_[i].times != o.tracks_[i].times ||
-        tracks_[i].values != o.tracks_[i].values) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::vector<int> Trace::matches(const std::string& suffix) const {
@@ -226,7 +273,70 @@ std::optional<int> Trace::find(const std::string& suffix) const {
   return hits.front();
 }
 
-std::string_view Trace::value_at(int var, std::uint64_t t) const {
+void Trace::order_group(std::size_t from) {
+  struct Entry {
+    std::uint32_t var;
+    std::size_t at;
+    std::size_t end;
+  };
+  std::vector<Entry> group;
+  for (std::size_t at = from; at < log_.size();) {
+    const std::size_t end = at + kHeaderWords + (log_[at + 1] >> 32);
+    group.push_back({static_cast<std::uint32_t>(log_[at + 1]), at, end});
+    at = end;
+  }
+  std::stable_sort(
+      group.begin(), group.end(),
+      [](const Entry& x, const Entry& y) { return x.var < y.var; });
+  std::vector<std::uint64_t> sorted;
+  sorted.reserve(log_.size() - from);
+  for (const Entry& e : group) {
+    sorted.insert(sorted.end(), log_.data() + e.at, log_.data() + e.end);
+  }
+  std::copy(sorted.begin(), sorted.end(), log_.data() + from);
+}
+
+const Trace::Index& Trace::index() const {
+  std::call_once(index_->built, [this] {
+    Index& ix = *index_;
+    ix.first.assign(vars_.size() + 1, 0);
+    for (std::size_t v = 0; v < vars_.size(); ++v) {
+      ix.first[v + 1] = ix.first[v] + counts_[v];
+    }
+    ix.at.resize(ix.first.back());
+    std::vector<std::size_t> next(ix.first.begin(), ix.first.end() - 1);
+    for (std::size_t off = 0; off < log_.size();) {
+      ix.at[next[static_cast<std::uint32_t>(log_[off + 1])]++] = off;
+      off += kHeaderWords + (log_[off + 1] >> 32);
+    }
+    if (obs::metrics_enabled()) obs::counter("vcd.track_indexes").inc();
+  });
+  return *index_;
+}
+
+Trace::ChangeList Trace::changes(int var) const {
+  const Index& ix = index();
+  const auto v = static_cast<std::size_t>(var);
+  return ChangeList(log_.data(), ix.at.data() + ix.first[v], counts_[v],
+                    width_of(var));
+}
+
+bool Trace::ChangeList::operator==(const ChangeList& o) const {
+  if (width_ != o.width_ || n_ != o.n_) return false;
+  const std::size_t entry = kHeaderWords + words_for(width_);
+  for (std::size_t k = 0; k < n_; ++k) {
+    const std::uint64_t* x = log_ + at_[k];
+    const std::uint64_t* y = o.log_ + o.at_[k];
+    // The variable index (word 1) may differ; time and value must not.
+    if (x[0] != y[0] ||
+        !std::equal(x + kHeaderWords, x + entry, y + kHeaderWords)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Value Trace::value_at(int var, std::uint64_t t) const {
   const ChangeList list = changes(var);
   // The last change with time <= t precedes the first one after t.
   const std::size_t k = list.first_after(t);

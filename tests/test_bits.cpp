@@ -6,7 +6,6 @@
 
 #include "common/bits.h"
 #include "common/rng.h"
-#include "sim/signal.h"
 
 namespace crve {
 namespace {
@@ -166,9 +165,9 @@ std::string per_bit_reference(const Bits& b) {
   return s;
 }
 
-// The table-driven formatter of u64 signal values, at every width, on
-// random values with bits set above the width (which it must ignore),
-// appended after existing text.
+// The table-driven formatter the VCD writer uses, on u64 signal values at
+// every width, on random values with bits set above the width (which it
+// must ignore), written after existing text.
 TEST(BitsFormat, U64ValuesMatchPerBitReferenceAtEveryWidth) {
   Rng rng(17);
   for (int width = 1; width <= 64; ++width) {
@@ -176,8 +175,9 @@ TEST(BitsFormat, U64ValuesMatchPerBitReferenceAtEveryWidth) {
       const std::uint64_t v = k == 0   ? 0
                               : k == 1 ? ~std::uint64_t{0}
                                        : rng.next_u64();
-      std::string got = "pre";
-      sim::detail::append_vcd(got, v, width);
+      std::string got =
+          "pre" + std::string(static_cast<std::size_t>(width), '?');
+      write_bin(got.data() + 3, &v, width);
       EXPECT_EQ(got, "pre" + per_bit_reference(Bits(width, v)))
           << "width " << width << " value " << v;
     }
@@ -193,8 +193,9 @@ TEST(BitsFormat, BitsValuesMatchPerBitReferenceAtEveryWidth) {
         for (int i = 0; i < width; ++i) b.set_bit(i, rng.next_u64() & 1u);
       }
       const std::string want = per_bit_reference(b);
-      std::string got = "pre";
-      b.append_bin(got);
+      std::string got =
+          "pre" + std::string(static_cast<std::size_t>(width), '?');
+      write_bin(got.data() + 3, b.words(), width);
       EXPECT_EQ(got, "pre" + want) << "width " << width;
       EXPECT_EQ(b.to_bin_string(), want) << "width " << width;
     }

@@ -10,7 +10,10 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
+#include "metrics_guard.h"
+#include "obs/metrics.h"
 #include "regress/config_file.h"
 #include "regress/job_spec.h"
 #include "regress/runner.h"
@@ -146,8 +149,8 @@ std::vector<stba::ExtractedCell> reference_extract(const vcd::Trace& t,
   const auto& fields = stba::Analyzer::port_fields();
   std::vector<int> idx;
   for (const auto& f : fields) idx.push_back(*t.find(port + "." + f));
-  auto field = [&](int f, std::uint64_t cyc) -> std::string_view {
-    return t.value_at(idx[static_cast<std::size_t>(f)], cyc);
+  auto field = [&](int f, std::uint64_t cyc) {
+    return t.value_at(idx[static_cast<std::size_t>(f)], cyc).text();
   };
   enum {
     kReq, kGnt, kOpc, kAdd, kData, kBe, kEop, kLck, kSrc, kTid,
@@ -679,14 +682,14 @@ TEST(TraceCursor, ZeroBeforeFirstChange) {
   auto t = parse(dump);
   auto cur = t.cursor(0);
   EXPECT_EQ(cur.next_change_time(), 10u);
-  EXPECT_EQ(cur.value_at(0), "0000");
-  EXPECT_EQ(cur.value_at(9), "0000");
+  EXPECT_EQ(cur.value_at(0).text(), "0000");
+  EXPECT_EQ(cur.value_at(9).text(), "0000");
   EXPECT_EQ(cur.next_change_time(), 10u);
-  EXPECT_EQ(cur.value_at(10), "1010");
+  EXPECT_EQ(cur.value_at(10).text(), "1010");
   EXPECT_EQ(cur.next_change_time(), vcd::Trace::Cursor::kNoChange);
   // Matches random-access value_at.
-  EXPECT_EQ(t.value_at(0, 9), "0000");
-  EXPECT_EQ(t.value_at(0, 10), "1010");
+  EXPECT_EQ(t.value_at(0, 9).text(), "0000");
+  EXPECT_EQ(t.value_at(0, 10).text(), "1010");
 }
 
 TEST(TraceCursor, SparseMultiVarOrdering) {
@@ -704,10 +707,10 @@ TEST(TraceCursor, SparseMultiVarOrdering) {
                         {1000, "1", "1"}, {4999, "1", "1"}, {5000, "0", "1"},
                         {8999, "0", "1"}, {9000, "0", "0"}};
   for (const auto& s : steps) {
-    EXPECT_EQ(ca.value_at(s.at), s.a) << "a @" << s.at;
-    EXPECT_EQ(cb.value_at(s.at), s.b) << "b @" << s.at;
-    EXPECT_EQ(t.value_at(0, s.at), s.a) << "a random @" << s.at;
-    EXPECT_EQ(t.value_at(1, s.at), s.b) << "b random @" << s.at;
+    EXPECT_EQ(ca.value_at(s.at).text(), s.a) << "a @" << s.at;
+    EXPECT_EQ(cb.value_at(s.at).text(), s.b) << "b @" << s.at;
+    EXPECT_EQ(t.value_at(0, s.at).text(), s.a) << "a random @" << s.at;
+    EXPECT_EQ(t.value_at(1, s.at).text(), s.b) << "b random @" << s.at;
   }
 }
 
@@ -719,12 +722,12 @@ TEST(TraceCursor, ChangeExactlyAtMaxTime) {
   auto t = parse(dump);
   EXPECT_EQ(t.max_time(), 42u);
   auto cur = t.cursor(0);
-  EXPECT_EQ(cur.value_at(41), "0");
+  EXPECT_EQ(cur.value_at(41).text(), "0");
   EXPECT_EQ(cur.next_change_time(), 42u);
-  EXPECT_EQ(cur.value_at(42), "1");
+  EXPECT_EQ(cur.value_at(42).text(), "1");
   EXPECT_EQ(cur.next_change_time(), vcd::Trace::Cursor::kNoChange);
   // Past max_time the last value holds.
-  EXPECT_EQ(cur.value_at(100), "1");
+  EXPECT_EQ(cur.value_at(100).text(), "1");
   EXPECT_EQ(cur.consumed(), 2u);
 }
 
@@ -736,8 +739,8 @@ TEST(TraceCursor, EmptyChangeListStaysZero) {
   auto t = parse(dump);
   auto cur = t.cursor(0);
   EXPECT_EQ(cur.next_change_time(), vcd::Trace::Cursor::kNoChange);
-  EXPECT_EQ(cur.value_at(0), "000");
-  EXPECT_EQ(cur.value_at(1000), "000");
+  EXPECT_EQ(cur.value_at(0).text(), "000");
+  EXPECT_EQ(cur.value_at(1000).text(), "000");
   EXPECT_EQ(cur.consumed(), 0u);
 }
 
@@ -833,23 +836,199 @@ TEST(ChangedSet, SignalIndexMatchesRegistrationOrder) {
   EXPECT_EQ(ctx.signals()[2], &s2);
 }
 
-TEST(ChangedSet, AppendVcdMatchesVcdValue) {
+TEST(ChangedSet, ValueWordsMatchVcdValue) {
   sim::Context ctx;
   sim::SignalBool b(ctx, "b");
   sim::SignalU64 u(ctx, "u", 12);
   sim::SignalBits w(ctx, "w", 70);
+  const crve::Bits wide = crve::Bits(70, 0x123456789abcdef0ull);
   ctx.add_clocked("drv", [&] {
     b.write(true);
     u.write(0xabc);
-    w.write(crve::Bits(70, 0x123456789abcdef0ull));
+    w.write(wide);
   });
   ctx.step(1);
+  EXPECT_EQ(b.value_words()[0], 1u);
+  EXPECT_EQ(u.value_words()[0], 0xabcu);
+  EXPECT_EQ(w.value_words()[0], wide.word(0));
+  EXPECT_EQ(w.value_words()[1], wide.word(1));
+  EXPECT_EQ(b.vcd_value(), "1");
+  EXPECT_EQ(u.vcd_value(), "101010111100");
+  EXPECT_EQ(w.vcd_value(), wide.to_bin_string());
   for (const auto* s : ctx.signals()) {
-    std::string out = "prefix";
-    s->append_vcd(out);
-    EXPECT_EQ(out, "prefix" + s->vcd_value()) << s->name();
+    EXPECT_EQ(vcd::Value(s->value_words(), s->width()).text(), s->vcd_value())
+        << s->name();
     EXPECT_EQ(s->vcd_value().size(), static_cast<std::size_t>(s->width()));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Canonical change log: a recording does not depend on the order the kernel
+// commits changes in, so equal pins record equal logs, and compare() proves
+// such a pair with one comparison, building no per-variable index.
+// ---------------------------------------------------------------------------
+
+struct ToyRun {
+  vcd::Trace trace;
+  std::string wave;
+  std::vector<std::vector<int>> changed;  // the kernel's changed-sets
+};
+
+// A toy design whose two clocked processes write the same values every
+// run; `reversed` registers them in the opposite order, so the kernel
+// commits the writes in the opposite order.
+ToyRun record_toy(bool reversed) {
+  sim::Context ctx;
+  sim::SignalU64 a(ctx, "tb.toy.a", 8);
+  sim::SignalBool b(ctx, "tb.toy.b");
+  sim::SignalBits w(ctx, "tb.toy.w", 100);
+  RecordingTracer order;
+  vcd::Recorder rec;
+  ctx.attach_tracer(&order);
+  ctx.attach_tracer(&rec);
+  const auto drive_a = [&] { a.write(ctx.cycle() * 3); };
+  const auto drive_bw = [&] {
+    w.write(crve::Bits(100, ctx.cycle() * 0x1001));
+    b.write(ctx.cycle() % 2 == 1);
+  };
+  if (reversed) {
+    ctx.add_clocked("bw", drive_bw);
+    ctx.add_clocked("a", drive_a);
+  } else {
+    ctx.add_clocked("a", drive_a);
+    ctx.add_clocked("bw", drive_bw);
+  }
+  ctx.step(20);
+  std::ostringstream os;
+  vcd::write_wave(rec.trace(), os);
+  return {rec.take(), os.str(), order.sets};
+}
+
+TEST(CanonicalLog, RecordingDoesNotDependOnCommitOrder) {
+  const ToyRun fwd = record_toy(/*reversed=*/false);
+  const ToyRun rev = record_toy(/*reversed=*/true);
+  // The kernel did hand the tracers the changes in different orders...
+  EXPECT_NE(fwd.changed, rev.changed);
+  // ...and the recordings and their waves are the same.
+  EXPECT_TRUE(fwd.trace == rev.trace);
+  EXPECT_EQ(fwd.wave, rev.wave);
+  EXPECT_TRUE(parse(fwd.wave) == rev.trace);
+  // a: the snapshot, then a new value on each of the 20 steps.
+  EXPECT_EQ(fwd.trace.change_count(0), 21u);
+}
+
+std::uint64_t counter_value(const std::string& name) {
+  for (const auto& [n, v] : obs::registry().snapshot().counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+
+// One view run's recording, the BCA view with its passive environment off
+// as a lean campaign job runs it.
+vcd::Trace record_lean(const stbus::NodeConfig& cfg,
+                       const verif::TestSpec& spec, verif::ModelKind model,
+                       const bca::Faults& faults) {
+  vcd::Recorder rec;
+  verif::TestbenchOptions opts;
+  opts.model = model;
+  opts.seed = 21;
+  opts.faults = faults;
+  opts.recorder = &rec;
+  if (model == verif::ModelKind::kBca) opts.drop_passive_environment();
+  verif::Testbench(cfg, spec, opts).run();
+  return rec.take();
+}
+
+TEST(WholeRecordingProof, LeanBcaRecordsWhatRtlRecordsOnShippedConfigs) {
+  test::MetricsGuard guard;
+  const auto configs = shipped_configs();
+  ASSERT_FALSE(configs.empty());
+  std::uint64_t pairs = 0;
+  for (const auto& cfg : configs) {
+    const auto ports = all_ports(cfg);
+    for (const auto& spec : verif::catg_test_suite()) {
+      const std::string where = cfg.name + "/" + spec.name;
+      const vcd::Trace a = record_lean(cfg, spec, verif::ModelKind::kRtl, {});
+      const vcd::Trace b = record_lean(cfg, spec, verif::ModelKind::kBca, {});
+      EXPECT_TRUE(a == b) << where;
+      const std::uint64_t indexes = counter_value("vcd.track_indexes");
+      bool all_identical = false;
+      const auto proved = stba::Analyzer::compare(a, b, ports, &all_identical);
+      EXPECT_TRUE(all_identical) << where;
+      // The proof reads the logs whole: no per-variable index was built.
+      EXPECT_EQ(counter_value("vcd.track_indexes"), indexes) << where;
+      const auto walked = stba::Analyzer::compare_by_merge(a, b, ports);
+      ASSERT_EQ(proved.ports.size(), walked.ports.size()) << where;
+      for (std::size_t p = 0; p < ports.size(); ++p) {
+        test::expect_same_alignment(proved.ports[p], walked.ports[p],
+                                    where + "/" + ports[p]);
+      }
+      ++pairs;
+    }
+  }
+  EXPECT_EQ(pairs, configs.size() * 12);
+  EXPECT_EQ(counter_value("stba.recordings_identical"), pairs);
+}
+
+// Readers on several threads share one trace: the first use builds the
+// per-variable index once, and every reader sees the whole of it.
+TEST(WholeRecordingProof, IndexBuiltOnceForConcurrentReaders) {
+  test::MetricsGuard guard;
+  const vcd::Trace t = record_lean(small_cfg(), verif::t02_random_all_opcodes(),
+                                   verif::ModelKind::kRtl, {});
+  std::vector<std::size_t> seen(4, 0);
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < seen.size(); ++r) {
+    readers.emplace_back([&t, &seen, r] {
+      for (std::size_t v = 0; v < t.vars().size(); ++v) {
+        seen[r] += t.changes(static_cast<int>(v)).size();
+      }
+    });
+  }
+  for (auto& th : readers) th.join();
+  std::size_t total = 0;
+  for (std::size_t v = 0; v < t.vars().size(); ++v) {
+    total += t.change_count(static_cast<int>(v));
+  }
+  for (const std::size_t n : seen) EXPECT_EQ(n, total);
+  EXPECT_EQ(counter_value("vcd.track_indexes"), 1u);
+}
+
+// Under each C3 fault some lean pairs still record equal logs (the test
+// never provokes the fault) and take the whole-recording proof, while the
+// others are walked; either way compare() reports what the merge reports.
+TEST(WholeRecordingProof, MatchesMergeUnderEachC3Fault) {
+  stbus::NodeConfig cfg;
+  cfg.n_initiators = 3;
+  cfg.n_targets = 2;
+  cfg.bus_bytes = 4;
+  cfg.arb = stbus::ArbPolicy::kLru;
+  const auto names = all_ports(cfg);
+  std::size_t whole = 0;
+  for (const char* fault :
+       {"lru_stale_on_chunk", "grant_during_lock", "byte_enable_dropped",
+        "response_src_swap", "opcode_corrupt_on_busy"}) {
+    bca::Faults faults;
+    ASSERT_TRUE(regress::set_fault_by_name(faults, fault));
+    std::size_t differing = 0;
+    for (auto spec : verif::catg_test_suite()) {
+      spec.n_transactions = 40;
+      const vcd::Trace a =
+          record_lean(cfg, spec, verif::ModelKind::kRtl, {});
+      const vcd::Trace b =
+          record_lean(cfg, spec, verif::ModelKind::kBca, faults);
+      test::expect_proof_matches_merge(a, b, names,
+                                       std::string(fault) + "/" + spec.name);
+      if (a == b) {
+        ++whole;
+      } else {
+        ++differing;
+      }
+    }
+    EXPECT_GT(differing, 0u) << fault;  // the fault bites somewhere
+  }
+  EXPECT_GT(whole, 0u);
 }
 
 }  // namespace

@@ -430,8 +430,8 @@ TEST(VcdExcerpt, EndClampedToTraceExtent) {
   vcd::write_excerpt(full, 0, 1000, os);
   const auto cut = parse(os.str());
   EXPECT_EQ(cut.max_time(), full.max_time());
-  EXPECT_EQ(cut.value_at(0, 3), "1");
-  EXPECT_EQ(cut.value_at(0, 5), "0");
+  EXPECT_EQ(cut.value_at(0, 3).text(), "1");
+  EXPECT_EQ(cut.value_at(0, 5).text(), "0");
 }
 
 TEST(VcdExcerpt, SnapshotOnlyWindowKeepsState) {

@@ -50,11 +50,12 @@ TEST(VcdRoundTrip, SignalsRecoverable) {
   const int vreq = *t.find("tb.p0.req");
   const int vadd = *t.find("tb.p0.add");
   const int vdata = *t.find("tb.p0.data");
-  EXPECT_EQ(t.value_at(vreq, 0), "0");
-  EXPECT_EQ(t.value_at(vreq, 1), "1");
-  EXPECT_EQ(t.value_at(vreq, 2), "0");
-  EXPECT_EQ(t.value_at(vadd, 3), crve::Bits(16, 3 * 0x111).to_bin_string());
-  EXPECT_EQ(t.value_at(vdata, 5),
+  EXPECT_EQ(t.value_at(vreq, 0).text(), "0");
+  EXPECT_EQ(t.value_at(vreq, 1).text(), "1");
+  EXPECT_EQ(t.value_at(vreq, 2).text(), "0");
+  EXPECT_EQ(t.value_at(vadd, 3).text(),
+            crve::Bits(16, 3 * 0x111).to_bin_string());
+  EXPECT_EQ(t.value_at(vdata, 5).text(),
             crve::Bits(32, 0xa0000005u).to_bin_string());
   EXPECT_EQ(t.max_time(), 5u);
 }
@@ -68,11 +69,11 @@ TEST(VcdRoundTrip, HoldsLastValueBetweenChanges) {
   std::istringstream is(record_wave(ctx, 6));
   const Trace t = Trace::parse(is);
   const int vi = *t.find("tb.v");
-  EXPECT_EQ(t.value_at(vi, 0), "00000000");
-  EXPECT_EQ(t.value_at(vi, 1), "00000000");
-  EXPECT_EQ(t.value_at(vi, 2), "00000111");
-  EXPECT_EQ(t.value_at(vi, 5), "00000111");
-  EXPECT_EQ(t.value_at(vi, 100), "00000111");  // beyond max_time
+  EXPECT_EQ(t.value_at(vi, 0).text(), "00000000");
+  EXPECT_EQ(t.value_at(vi, 1).text(), "00000000");
+  EXPECT_EQ(t.value_at(vi, 2).text(), "00000111");
+  EXPECT_EQ(t.value_at(vi, 5).text(), "00000111");
+  EXPECT_EQ(t.value_at(vi, 100).text(), "00000111");  // beyond max_time
 }
 
 TEST(VcdParser, ScopesRebuildDottedNames) {
@@ -91,8 +92,8 @@ TEST(VcdParser, ScopesRebuildDottedNames) {
   ASSERT_EQ(t.vars().size(), 2u);
   EXPECT_EQ(t.vars()[0].name, "tb.sub.sig");
   EXPECT_EQ(t.vars()[1].name, "tb.other");
-  EXPECT_EQ(t.value_at(0, 0), "1");
-  EXPECT_EQ(t.value_at(1, 0), "1010");
+  EXPECT_EQ(t.value_at(0, 0).text(), "1");
+  EXPECT_EQ(t.value_at(1, 0).text(), "1010");
 }
 
 TEST(VcdParser, NormalizesWidthAndXZ) {
@@ -103,7 +104,7 @@ TEST(VcdParser, NormalizesWidthAndXZ) {
   const std::string full = std::string("$var wire 6 ! v $end\n") + dump;
   std::istringstream is(full);
   const Trace t = Trace::parse(is);
-  EXPECT_EQ(t.value_at(0, 0), "000001");
+  EXPECT_EQ(t.value_at(0, 0).text(), "000001");
 }
 
 TEST(VcdParser, FindRejectsAmbiguousSuffix) {
@@ -148,10 +149,10 @@ TEST(VcdParser, AliasedIdsFeedEveryVar) {
     const int v = *t.find(name);
     EXPECT_EQ(t.vars()[static_cast<std::size_t>(v)].id, "!");
     ASSERT_EQ(t.changes(v).size(), 2u) << name;
-    EXPECT_EQ(t.value_at(v, 0), "1") << name;
-    EXPECT_EQ(t.value_at(v, 3), "0") << name;
+    EXPECT_EQ(t.value_at(v, 0).text(), "1") << name;
+    EXPECT_EQ(t.value_at(v, 3).text(), "0") << name;
   }
-  EXPECT_EQ(t.value_at(*t.find("tb.c"), 5), "0011");
+  EXPECT_EQ(t.value_at(*t.find("tb.c"), 5).text(), "0011");
 }
 
 // Hostile input: each malformed token ends in a named vcd::Trace
@@ -190,8 +191,54 @@ TEST(VcdParserHostile, WidthAboveCap) {
   std::istringstream is("$var wire " + std::to_string(Trace::kMaxWidth) +
                         " ! v $end\n$enddefinitions $end\n#0\nb1 !\n");
   const Trace t = Trace::parse(is);
-  EXPECT_EQ(t.value_at(0, 0).size(),
+  EXPECT_EQ(t.value_at(0, 0).text().size(),
             static_cast<std::size_t>(Trace::kMaxWidth));
+}
+
+// A short token can stand for a wide value: 2000 "b1 !" changes of one
+// 65536-bit variable are 21 KB of text for 16 MB of values. The log is
+// bounded linearly in the input size instead, and the diagnostic names the
+// variable and the time that crossed the bound.
+TEST(VcdParserHostile, WideValuesBoundedByInputSize) {
+  std::string dump = "$var wire 65536 ! wide $end\n$enddefinitions $end\n";
+  for (int t = 0; t < 2000; ++t) {
+    dump += "#" + std::to_string(t) + "\nb1 !\n";
+  }
+  expect_diagnostic(dump, "$var wide at #");
+  // Values spelled out at full width cost their size in text and parse.
+  std::string full = "$var wire 65536 ! wide $end\n$enddefinitions $end\n";
+  for (int t = 0; t < 8; ++t) {
+    full += "#" + std::to_string(t) + "\nb" +
+            std::string(static_cast<std::size_t>(Trace::kMaxWidth),
+                        t % 2 ? '1' : '0') +
+            " !\n";
+  }
+  std::istringstream is(full);
+  EXPECT_EQ(Trace::parse(is).change_count(0), 8u);
+}
+
+TEST(VcdParserHostile, InvalidValueCharacter) {
+  expect_diagnostic(
+      "$var wire 4 ! v $end\n$enddefinitions $end\n#3\nb1021 !\n", "'1021'");
+  expect_diagnostic("$var wire 1 ! v $end\n$enddefinitions $end\n#3\nb? !\n",
+                    "'?'");
+}
+
+// Changes that share a time enter the log in variable order, whatever
+// order the dump lists them in; changes of one variable keep theirs.
+TEST(VcdParser, SameTimeChangesOrderedByVariable) {
+  const std::string head =
+      "$var wire 1 ! a $end\n$var wire 4 \" b $end\n$enddefinitions $end\n";
+  std::istringstream x(head + "#0\nb11 \"\n1!\n#4\n0!\nb1 \"\nb10 \"\n");
+  std::istringstream y(head + "#0\n1!\nb11 \"\n#4\nb1 \"\n0!\nb10 \"\n");
+  const Trace tx = Trace::parse(x);
+  const Trace ty = Trace::parse(y);
+  EXPECT_TRUE(tx == ty);
+  EXPECT_EQ(tx.value_at(1, 4).text(), "0010");
+  std::ostringstream wx, wy;
+  write_wave(tx, wx);
+  write_wave(ty, wy);
+  EXPECT_EQ(wx.str(), wy.str());
 }
 
 TEST(VcdParserHostile, NonNumericTime) {
@@ -207,7 +254,7 @@ TEST(VcdParserHostile, TimeGoingBackwards) {
   // Repeating a time is not going backwards.
   std::istringstream is(
       "$var wire 1 ! v $end\n$enddefinitions $end\n#5\n1!\n#5\n0!\n");
-  EXPECT_EQ(Trace::parse(is).value_at(0, 5), "0");
+  EXPECT_EQ(Trace::parse(is).value_at(0, 5).text(), "0");
 }
 
 TEST(VcdParserHostile, TimeWithoutASuccessor) {
