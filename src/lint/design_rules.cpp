@@ -38,19 +38,6 @@ bool comb_effective_read(const DesignProc& p, int s) {
   return contains(p.reads, s) || contains(p.declared_reads, s);
 }
 
-bool proc_reads(const DesignProc& p, int s) {
-  if (p.clocked) return contains(p.reads, s) || contains(p.declared_reads, s);
-  return comb_effective_read(p, s) || contains(p.recheck_reads, s);
-}
-
-bool proc_writes(const DesignProc& p, int s) {
-  if (p.clocked) {
-    return contains(p.writes, s) || contains(p.declared_writes, s);
-  }
-  return contains(p.writes, s) || contains(p.declared_writes, s) ||
-         contains(p.recheck_writes, s);
-}
-
 std::string view_prefix(const std::string& view) {
   return view.empty() ? std::string() : "view " + view + ": ";
 }

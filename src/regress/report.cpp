@@ -34,36 +34,6 @@ void write_embedded_json(std::ostream& os, const std::string& json,
   }
 }
 
-// Per-port alignment detail for one pair, mirroring the crve_stba --json
-// port entries so the drift gate reads both documents with one walker.
-void write_ports(std::ostream& os, const stba::AlignmentReport& rep,
-                 const std::string& in) {
-  os << ", \"ports\": [";
-  for (std::size_t i = 0; i < rep.ports.size(); ++i) {
-    const stba::PortAlignment& p = rep.ports[i];
-    os << (i == 0 ? "\n" : ",\n") << in << "{\"port\": \""
-       << json_escape(p.port) << "\", \"rate\": " << json_number(p.rate())
-       << ", \"aligned_cycles\": " << p.aligned_cycles
-       << ", \"total_cycles\": " << p.total_cycles
-       << ", \"diverged\": " << (p.diverged() ? "true" : "false");
-    if (p.diverged()) {
-      os << ", \"first_divergence\": " << p.first_divergence
-         << ", \"diverged_signals\": [";
-      for (std::size_t s = 0; s < p.diverged_signals.size(); ++s) {
-        os << (s == 0 ? "" : ", ") << "\"" << json_escape(p.diverged_signals[s])
-           << "\"";
-      }
-      os << "]";
-    }
-    if (!p.note.empty()) {
-      os << ", \"note\": \"" << json_escape(p.note) << "\"";
-    }
-    os << ", \"cells_a\": " << p.cells_a << ", \"cells_b\": " << p.cells_b
-       << ", \"cells_matching\": " << p.cells_matching << "}";
-  }
-  os << (rep.ports.empty() ? "]" : "\n" + in.substr(2) + "]");
-}
-
 // Writes one RegressionResult as a JSON object at the given indent depth.
 // with_build prefixes the build-provenance stamp — set for top-level
 // documents only, so the stamp appears once per artifact.
@@ -137,8 +107,14 @@ void write_result(std::ostream& os, const RegressionResult& r,
        << bool_str(a.report.signed_off(r.alignment_threshold));
     if (with_timing) os << ", \"wall_ms\": " << json_number(a.wall_ms);
     if (a.cached) os << ", \"cached\": true";
-    write_ports(os, a.report, in2 + "  ");
-    os << "}";
+    // Per-port detail: the crve_stba --json port entries, so the drift
+    // gate reads both documents with one walker.
+    os << ", \"ports\": [";
+    for (std::size_t p = 0; p < a.report.ports.size(); ++p) {
+      os << (p == 0 ? "\n" : ",\n") << in2 << "  "
+         << a.report.ports[p].json();
+    }
+    os << (a.report.ports.empty() ? "]" : "\n" + in2 + "]") << "}";
   }
   os << (r.alignments.empty() ? "]" : "\n" + in1 + "]");
   // Optional deterministic metrics section (stable metrics only; present

@@ -331,11 +331,9 @@ struct Campaign {
   // Settles the pair's lean BCA view from the RTL view (settle_lean_bca),
   // or re-runs it with its full environment when the proof fails, then
   // finishes the unit.
-  void settle_bca(std::size_t pair, const vcd::Trace& ta, const vcd::Trace& tb,
-                  bool ports_identical, bool programming_port) {
+  void settle_bca(std::size_t pair, bool recordings_equal) {
     RunResult& bca = outcomes[2 * pair + 1].result;
-    if (settle_lean_bca(ta, tb, ports_identical, programming_port,
-                        outcomes[2 * pair].result, bca)) {
+    if (settle_lean_bca(recordings_equal, outcomes[2 * pair].result, bca)) {
       if (obs::metrics_enabled()) {
         obs::counter("regress.lean_settled", obs::MetricClass::kTiming).inc();
       }
@@ -401,11 +399,9 @@ struct Campaign {
     const vcd::Trace ta = std::move(traces[2 * pair]);
     const vcd::Trace tb = std::move(traces[2 * pair + 1]);
     try {
-      bool ports_identical = false;
-      rep = stba::Analyzer::compare(ta, tb, ports, &ports_identical);
-      if (bca_unsettled[pair]) {
-        settle_bca(pair, ta, tb, ports_identical, cfg.programming_port);
-      }
+      bool recordings_equal = false;
+      rep = stba::Analyzer::compare(ta, tb, ports, &recordings_equal);
+      if (bca_unsettled[pair]) settle_bca(pair, recordings_equal);
       if (to_disk) {
         write_text(plan.out_dir + "/alignment_" +
                        sanitize_artifact_name(spec.name) + "_s" +
@@ -962,21 +958,9 @@ MatrixResult run_matrix_with(const std::vector<stbus::NodeConfig>& configs,
 
 }  // namespace
 
-bool settle_lean_bca(const vcd::Trace& rtl_trace, const vcd::Trace& bca_trace,
-                     bool ports_identical, bool programming_port,
-                     const RunResult& rtl, RunResult& bca) {
-  if (!ports_identical || rtl.cycles != bca.cycles) return false;
-  if (programming_port && !(rtl_trace == bca_trace)) {
-    // Only the Type1 checker watches this bundle; the alignment ports
-    // leave it out, so unless the whole recordings are equal it is proved
-    // here.
-    const std::string prog = Testbench::prog_port_name();
-    if (!stba::Analyzer::identical(
-            rtl_trace, stba::Analyzer::resolve_port_fields(rtl_trace, prog),
-            bca_trace, stba::Analyzer::resolve_port_fields(bca_trace, prog))) {
-      return false;
-    }
-  }
+bool settle_lean_bca(bool recordings_equal, const RunResult& rtl,
+                     RunResult& bca) {
+  if (!recordings_equal || rtl.cycles != bca.cycles) return false;
   bca.take_passive_verdict(rtl);
   return true;
 }

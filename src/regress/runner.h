@@ -279,16 +279,16 @@ class Regression {
 // The settle step of a lean BCA view job (DESIGN.md §8). The lean run
 // drove the pins but observed nothing. Its passive verdict is the RTL
 // view's when the pair's recordings prove that the passive environment
-// would have seen the same pins: every alignment port identical
-// (`ports_identical`, as stba::Analyzer::compare decided it), the
-// programming-port bundle identical when the configuration has one (proven
-// with the rest when the two recordings are equal as a whole), and equal
-// cycle counts. Then `bca` takes the RTL result's passive fields
-// (RunResult::take_passive_verdict) and the call returns true. Otherwise
-// `bca` is left as it is and the call returns false: the BCA view must be
-// re-run with its full environment.
-bool settle_lean_bca(const vcd::Trace& rtl_trace, const vcd::Trace& bca_trace,
-                     bool ports_identical, bool programming_port,
-                     const verif::RunResult& rtl, verif::RunResult& bca);
+// would have seen the same pins: the two recordings equal as a whole
+// (`recordings_equal`, as stba::Analyzer::compare decided it) and equal
+// cycle counts. A BCA view records exactly the pin bundles the passive
+// environment watches (every initiator and target port, and the
+// programming port when the configuration has one) under the RTL view's
+// variable table, so equal recordings are equal pins. Then `bca` takes the
+// RTL result's passive fields (RunResult::take_passive_verdict) and the
+// call returns true. Otherwise `bca` is left as it is and the call returns
+// false: the BCA view must be re-run with its full environment.
+bool settle_lean_bca(bool recordings_equal, const verif::RunResult& rtl,
+                     verif::RunResult& bca);
 
 }  // namespace crve::regress

@@ -41,7 +41,8 @@ void Context::add_comb(std::string name, std::function<void()> fn) {
 void Context::add_comb(std::string name, std::function<void()> fn,
                        CombOpts opts) {
   check_unique_name(name);
-  comb_.push_back({std::move(name), std::move(fn), std::move(opts)});
+  comb_.push_back(
+      {std::move(name), std::move(fn), std::move(opts), /*decl=*/{}});
 }
 
 void Context::set_kernel(KernelKind k) {

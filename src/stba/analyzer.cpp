@@ -96,14 +96,6 @@ std::vector<int> Analyzer::resolve_port_fields(const vcd::Trace& t,
   return std::move(resolve_ports(t, {port}).front());
 }
 
-bool Analyzer::identical(const vcd::Trace& a, const std::vector<int>& ia,
-                         const vcd::Trace& b, const std::vector<int>& ib) {
-  for (std::size_t f = 0; f < ia.size(); ++f) {
-    if (!(a.changes(ia[f]) == b.changes(ib[f]))) return false;
-  }
-  return true;
-}
-
 namespace {
 
 // Field order mirrors port_fields().
@@ -147,7 +139,7 @@ bool granted(const vcd::Value& req, const vcd::Value& gnt) {
 // one walk of the log for all the ports. `ports` holds each port's fields
 // as resolve_ports gives them.
 std::vector<std::uint64_t> count_cells(
-    const vcd::Trace& t, const std::vector<const std::vector<int>*>& ports) {
+    const vcd::Trace& t, const std::vector<std::vector<int>>& ports) {
   constexpr std::size_t kHandshake[] = {kReq, kGnt, kRReq, kRGnt};
   struct Port {
     unsigned high = 0;        // bit r: handshake field kHandshake[r] is 1
@@ -165,7 +157,7 @@ std::vector<std::uint64_t> count_cells(
   for (std::size_t p = 0; p < ports.size(); ++p) {
     for (std::size_t r = 0; r < 4; ++r) {
       const int k = static_cast<int>(4 * p + r);
-      const auto var = static_cast<std::size_t>((*ports[p])[kHandshake[r]]);
+      const auto var = static_cast<std::size_t>(ports[p][kHandshake[r]]);
       next[static_cast<std::size_t>(k)] = head[var];
       head[var] = k;
     }
@@ -186,110 +178,6 @@ std::vector<std::uint64_t> count_cells(
     cells.push_back(s.cells + per_cycle(s.high) * (t.max_time() + 1 - s.since));
   }
   return cells;
-}
-
-// One granted cell as views into the trace's log.
-struct CellView {
-  std::uint64_t cycle = 0;
-  bool response = false;
-  vcd::Value opc, add, data, be;
-  bool eop = false;
-  bool lck = false;
-  vcd::Value src, tid;
-
-  bool same_content(const CellView& o) const {
-    return response == o.response && opc == o.opc && add == o.add &&
-           data == o.data && be == o.be && eop == o.eop && lck == o.lck &&
-           src == o.src && tid == o.tid;
-  }
-};
-
-// Walks one port's granted-cell stream in cycle order, the request cell
-// before the response cell of the same cycle. A merge over the field
-// change lists: between events every field is constant, so the granted
-// state and the cell content hold for the whole run and only the cycle
-// stamp varies. The single decode path behind extract() and compare().
-class CellCursor {
- public:
-  CellCursor(const vcd::Trace& t, const std::vector<int>& idx)
-      : cur_(port_cursors(t, idx)), end_(t.max_time() + 1) {}
-
-  // Advances to the next granted cell; false once the stream is exhausted.
-  bool next() {
-    for (;;) {
-      if (cyc_ < run_end_) {
-        while (slot_ < 2) {
-          const int s = slot_++;
-          if (granted_[s]) {
-            cells_[s].cycle = cyc_;
-            cell_ = &cells_[s];
-            return true;
-          }
-        }
-        ++cyc_;
-        slot_ = 0;
-        continue;
-      }
-      if (run_end_ >= end_) return false;
-      start_run(run_end_);
-    }
-  }
-
-  // The cell next() stopped on; views stay valid while the trace lives.
-  const CellView& cell() const { return *cell_; }
-
- private:
-  void start_run(std::uint64_t c) {
-    for (auto& f : cur_) f.value_at(c);  // settle so next_event looks past c
-    run_end_ = std::min(next_event(cur_), end_);
-    granted_[0] = granted(field(kReq, c), field(kGnt, c));
-    granted_[1] = granted(field(kRReq, c), field(kRGnt, c));
-    if (granted_[0]) {
-      CellView& req = cells_[0];
-      req.opc = field(kOpc, c);
-      req.add = field(kAdd, c);
-      req.data = field(kData, c);
-      req.be = field(kBe, c);
-      req.eop = field(kEop, c).is_one();
-      req.lck = field(kLck, c).is_one();
-      req.src = field(kSrc, c);
-      req.tid = field(kTid, c);
-    }
-    if (granted_[1]) {
-      CellView& rsp = cells_[1];
-      rsp.response = true;
-      rsp.opc = field(kROpc, c);
-      rsp.data = field(kRData, c);
-      rsp.eop = field(kREop, c).is_one();
-      rsp.src = field(kRSrc, c);
-      rsp.tid = field(kRTid, c);
-    }
-    cyc_ = granted_[0] || granted_[1] ? c : run_end_;
-    slot_ = 0;
-  }
-
-  vcd::Value field(int f, std::uint64_t c) {
-    return cur_[static_cast<std::size_t>(f)].value_at(c);
-  }
-
-  std::vector<vcd::Trace::Cursor> cur_;
-  std::uint64_t end_;          // one past the trace's last cycle
-  std::uint64_t run_end_ = 0;  // exclusive end of the current run
-  std::uint64_t cyc_ = 0;      // cycle being emitted within the run
-  // Per cycle of a run: slot 0 is the request cell, slot 1 the response
-  // cell; slot_ is the next slot of cycle cyc_ to emit.
-  CellView cells_[2];
-  bool granted_[2] = {false, false};
-  int slot_ = 0;
-  const CellView* cell_ = nullptr;
-};
-
-// Cell-stream accounting shared by extract() and compare(): compare()
-// accounts for both streams of a port, diffed or counted by the identity
-// proof, so it counts as two extractions.
-void count_extracts(std::uint64_t streams, std::uint64_t cells) {
-  obs::counter("stba.extracts").add(streams);
-  obs::counter("stba.cells_extracted").add(cells);
 }
 
 // Content-wise diff of the two granted-cell streams: cells at the same
@@ -351,26 +239,60 @@ bool RunWalker::next(FieldRun& run) {
   return true;
 }
 
-std::vector<ExtractedCell> Analyzer::extract(const vcd::Trace& t,
-                                             const std::string& port) {
-  std::vector<ExtractedCell> cells;
-  CellCursor x(t, resolve_port_fields(t, port));
-  while (x.next()) {
-    const CellView& v = x.cell();
-    ExtractedCell& cell = cells.emplace_back();
-    cell.cycle = v.cycle;
-    cell.response = v.response;
-    cell.opc = v.opc.text();
-    cell.add = v.add.text();
-    cell.data = v.data.text();
-    cell.be = v.be.text();
-    cell.eop = v.eop;
-    cell.lck = v.lck;
-    cell.src = v.src.text();
-    cell.tid = v.tid.text();
+CellCursor::CellCursor(const vcd::Trace& t, const std::vector<int>& idx)
+    : cur_(port_cursors(t, idx)), end_(t.max_time() + 1) {}
+
+bool CellCursor::next() {
+  for (;;) {
+    if (cyc_ < run_end_) {
+      while (slot_ < 2) {
+        const int s = slot_++;
+        if (granted_[s]) {
+          cells_[s].cycle = cyc_;
+          cell_ = &cells_[s];
+          return true;
+        }
+      }
+      ++cyc_;
+      slot_ = 0;
+      continue;
+    }
+    if (run_end_ >= end_) return false;
+    start_run(run_end_);
   }
-  if (obs::metrics_enabled()) count_extracts(1, cells.size());
-  return cells;
+}
+
+void CellCursor::start_run(std::uint64_t c) {
+  for (auto& f : cur_) f.value_at(c);  // settle so next_event looks past c
+  run_end_ = std::min(next_event(cur_), end_);
+  granted_[0] = granted(field(kReq, c), field(kGnt, c));
+  granted_[1] = granted(field(kRReq, c), field(kRGnt, c));
+  if (granted_[0]) {
+    CellView& req = cells_[0];
+    req.opc = field(kOpc, c);
+    req.add = field(kAdd, c);
+    req.data = field(kData, c);
+    req.be = field(kBe, c);
+    req.eop = field(kEop, c).is_one();
+    req.lck = field(kLck, c).is_one();
+    req.src = field(kSrc, c);
+    req.tid = field(kTid, c);
+  }
+  if (granted_[1]) {
+    CellView& rsp = cells_[1];
+    rsp.response = true;
+    rsp.opc = field(kROpc, c);
+    rsp.data = field(kRData, c);
+    rsp.eop = field(kREop, c).is_one();
+    rsp.src = field(kRSrc, c);
+    rsp.tid = field(kRTid, c);
+  }
+  cyc_ = granted_[0] || granted_[1] ? c : run_end_;
+  slot_ = 0;
+}
+
+vcd::Value CellCursor::field(int f, std::uint64_t c) {
+  return cur_[static_cast<std::size_t>(f)].value_at(c);
 }
 
 namespace {
@@ -407,34 +329,19 @@ void walk_port(const vcd::Trace& a, const std::vector<int>& ia,
 
 AlignmentReport compare_ports(const vcd::Trace& a, const vcd::Trace& b,
                               const std::vector<std::string>& ports,
-                              bool prove_identical, bool* all_identical) {
+                              bool prove_equal, bool* recordings_equal) {
   AlignmentReport report;
   const bool metrics = obs::metrics_enabled();
   const std::uint64_t total = std::max(a.max_time(), b.max_time()) + 1;
-  // Equal recordings prove every port at once (and share one variable
-  // table); otherwise each port's change lists are compared on their own.
-  const bool whole = prove_identical && a == b;
+  // Equal recordings prove every port at once and share one variable
+  // table: each port is aligned on every cycle, and its two cell streams
+  // are one stream, so only its cells are counted.
+  const bool equal = prove_equal && a == b;
   const auto fa = Analyzer::resolve_ports(a, ports);
-  const auto fb = whole ? fa : Analyzer::resolve_ports(b, ports);
-  std::vector<bool> proven(ports.size(), whole);
-  std::vector<const std::vector<int>*> proven_a, proven_b;
-  for (std::size_t p = 0; p < ports.size(); ++p) {
-    if (!whole && prove_identical) {
-      proven[p] = Analyzer::identical(a, fa[p], b, fb[p]);
-    }
-    if (proven[p]) {
-      proven_a.push_back(&fa[p]);
-      proven_b.push_back(&fb[p]);
-    }
-  }
-  // A proven port is aligned on every cycle, and its two cell streams agree
-  // cell for cell up to the shorter trace's end (each stream stops at its
-  // own trace's last cycle), so only the cells are counted.
-  const std::vector<std::uint64_t> cells_a = count_cells(a, proven_a);
-  const std::vector<std::uint64_t> cells_b =
-      a.max_time() == b.max_time() ? cells_a : count_cells(b, proven_b);
+  const auto fb = equal ? fa : Analyzer::resolve_ports(b, ports);
+  const std::vector<std::uint64_t> cells =
+      equal ? count_cells(a, fa) : std::vector<std::uint64_t>{};
 
-  std::size_t credited = 0;
   for (std::size_t p = 0; p < ports.size(); ++p) {
     const std::vector<int>& ia = fa[p];
     const std::vector<int>& ib = fb[p];
@@ -442,29 +349,27 @@ AlignmentReport compare_ports(const vcd::Trace& a, const vcd::Trace& b,
     pa.port = ports[p];
     pa.total_cycles = total;
     pa.note = Analyzer::activity_note(a, ia, b, ib);
-    if (proven[p]) {
+    if (equal) {
       pa.aligned_cycles = total;
-      pa.cells_a = cells_a[credited];
-      pa.cells_b = cells_b[credited];
-      pa.cells_matching = std::min(pa.cells_a, pa.cells_b);
-      ++credited;
+      pa.cells_a = pa.cells_b = pa.cells_matching = cells[p];
     } else {
       walk_port(a, ia, b, ib, pa, metrics);
     }
     if (metrics) {
       obs::counter("stba.ports_compared").inc();
-      if (proven[p]) obs::counter("stba.ports_identical").inc();
       obs::counter("stba.aligned_cycles").add(pa.aligned_cycles);
       obs::counter("stba.compared_cycles").add(pa.total_cycles);
-      count_extracts(2, pa.cells_a + pa.cells_b);
+      // Both streams of the port, diffed or counted by the proof.
+      obs::counter("stba.extracts").add(2);
+      obs::counter("stba.cells_extracted").add(pa.cells_a + pa.cells_b);
     }
     report.ports.push_back(std::move(pa));
   }
   if (metrics) {
     obs::counter("stba.compares").inc();
-    if (whole) obs::counter("stba.recordings_identical").inc();
+    if (equal) obs::counter("stba.recordings_identical").inc();
   }
-  if (all_identical != nullptr) *all_identical = credited == ports.size();
+  if (recordings_equal != nullptr) *recordings_equal = equal;
   return report;
 }
 
@@ -472,14 +377,14 @@ AlignmentReport compare_ports(const vcd::Trace& a, const vcd::Trace& b,
 
 AlignmentReport Analyzer::compare(const vcd::Trace& a, const vcd::Trace& b,
                                   const std::vector<std::string>& ports,
-                                  bool* all_identical) {
-  return compare_ports(a, b, ports, /*prove_identical=*/true, all_identical);
+                                  bool* recordings_equal) {
+  return compare_ports(a, b, ports, /*prove_equal=*/true, recordings_equal);
 }
 
 AlignmentReport Analyzer::compare_by_merge(
     const vcd::Trace& a, const vcd::Trace& b,
     const std::vector<std::string>& ports) {
-  return compare_ports(a, b, ports, /*prove_identical=*/false, nullptr);
+  return compare_ports(a, b, ports, /*prove_equal=*/false, nullptr);
 }
 
 AlignmentReport Analyzer::compare_files(const std::string& path_a,
@@ -532,6 +437,29 @@ std::string AlignmentReport::summary(double threshold) const {
   return os.str();
 }
 
+std::string PortAlignment::json() const {
+  std::string out = "{\"port\": \"" + json::escape(port) + "\"";
+  out += ", \"rate\": " + json::number(rate());
+  out += ", \"aligned_cycles\": " + std::to_string(aligned_cycles);
+  out += ", \"total_cycles\": " + std::to_string(total_cycles);
+  out += std::string(", \"diverged\": ") + (diverged() ? "true" : "false");
+  if (diverged()) {
+    out += ", \"first_divergence\": " + std::to_string(first_divergence);
+    out += ", \"diverged_signals\": [";
+    for (std::size_t s = 0; s < diverged_signals.size(); ++s) {
+      if (s != 0) out += ", ";
+      out += "\"" + json::escape(diverged_signals[s]) + "\"";
+    }
+    out += "]";
+  }
+  if (!note.empty()) out += ", \"note\": \"" + json::escape(note) + "\"";
+  out += ", \"cells_a\": " + std::to_string(cells_a);
+  out += ", \"cells_b\": " + std::to_string(cells_b);
+  out += ", \"cells_matching\": " + std::to_string(cells_matching);
+  out += "}";
+  return out;
+}
+
 std::string AlignmentReport::json(double threshold) const {
   std::string out;
   out += "{\n";
@@ -543,29 +471,8 @@ std::string AlignmentReport::json(double threshold) const {
   out += "  \"mean_rate\": " + json::number(mean_rate()) + ",\n";
   out += "  \"ports\": [";
   for (std::size_t i = 0; i < ports.size(); ++i) {
-    const PortAlignment& p = ports[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"port\": \"" + json::escape(p.port) + "\"";
-    out += ", \"rate\": " + json::number(p.rate());
-    out += ", \"aligned_cycles\": " + std::to_string(p.aligned_cycles);
-    out += ", \"total_cycles\": " + std::to_string(p.total_cycles);
-    out += std::string(", \"diverged\": ") + (p.diverged() ? "true" : "false");
-    if (p.diverged()) {
-      out += ", \"first_divergence\": " + std::to_string(p.first_divergence);
-      out += ", \"diverged_signals\": [";
-      for (std::size_t s = 0; s < p.diverged_signals.size(); ++s) {
-        if (s != 0) out += ", ";
-        out += "\"" + json::escape(p.diverged_signals[s]) + "\"";
-      }
-      out += "]";
-    }
-    if (!p.note.empty()) {
-      out += ", \"note\": \"" + json::escape(p.note) + "\"";
-    }
-    out += ", \"cells_a\": " + std::to_string(p.cells_a);
-    out += ", \"cells_b\": " + std::to_string(p.cells_b);
-    out += ", \"cells_matching\": " + std::to_string(p.cells_matching);
-    out += "}";
+    out += i == 0 ? "\n    " : ",\n    ";
+    out += ports[i].json();
   }
   out += ports.empty() ? "]\n" : "\n  ]\n";
   out += "}\n";

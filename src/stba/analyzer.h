@@ -21,26 +21,6 @@
 
 namespace crve::stba {
 
-// One granted cell recovered from a VCD dump.
-struct ExtractedCell {
-  std::uint64_t cycle = 0;
-  bool response = false;  // false: request channel, true: response channel
-  std::string opc;        // raw binary field values
-  std::string add;
-  std::string data;
-  std::string be;
-  bool eop = false;
-  bool lck = false;
-  std::string src;
-  std::string tid;
-
-  bool same_content(const ExtractedCell& o) const {
-    return response == o.response && opc == o.opc && add == o.add &&
-           data == o.data && be == o.be && eop == o.eop && lck == o.lck &&
-           src == o.src && tid == o.tid;
-  }
-};
-
 struct PortAlignment {
   std::string port;
   std::uint64_t total_cycles = 0;
@@ -64,6 +44,11 @@ struct PortAlignment {
                : static_cast<double>(aligned_cycles) / total_cycles;
   }
   bool diverged() const { return first_divergence != ~std::uint64_t{0}; }
+
+  // The port as a one-line JSON object: rate, cycle counts, first
+  // divergence and its signals, note and cell-stream counts. The one
+  // rendering behind `crve_stba --json` and the regression report.json.
+  std::string json() const;
 };
 
 struct AlignmentReport {
@@ -102,26 +87,23 @@ class Analyzer {
   // and change log) prove every port at once: each is aligned on every
   // cycle, its activity note comes from the change counts and its granted
   // cells from one walk of the log over the handshake fields; no
-  // per-variable index is built. Otherwise a port whose fields have
-  // identical change lists in both dumps (identical()) is aligned on every
-  // cycle and carries the same cell stream, so it is credited without a
-  // walk: only its granted cells are counted. Every other port is walked
-  // with a RunWalker: the alignment status of a port is constant between
-  // change events, so whole runs of unchanged cycles are credited at once.
-  // O(total changes) instead of O(cycles x fields x log changes), with
-  // results identical to the per-cycle scan (tests/test_trace_path.cpp
-  // holds the equivalence).
+  // per-variable index is built. Otherwise every port is walked with a
+  // RunWalker: the alignment status of a port is constant between change
+  // events, so whole runs of unchanged cycles are credited at once, and its
+  // two CellCursor streams are diffed in lockstep. O(total changes) instead
+  // of O(cycles x fields x log changes), with results identical to the
+  // per-cycle scan (tests/test_trace_path.cpp holds the equivalence).
   //
-  // When `all_identical` is given, it is set to whether every port took
-  // the identity proof: the one decision a caller needs to know that the
-  // two dumps carry the same values on all of `ports`.
+  // When `recordings_equal` is given, it is set to whether the two traces
+  // are equal: the one decision a caller needs to know that the two dumps
+  // carry the same values on every recorded signal.
   static AlignmentReport compare(const vcd::Trace& a, const vcd::Trace& b,
                                  const std::vector<std::string>& ports,
-                                 bool* all_identical = nullptr);
+                                 bool* recordings_equal = nullptr);
 
-  // compare() without either proof: every port takes the RunWalker merge
-  // and the cell diff. Its report equals compare()'s; it
-  // stays callable so tests and benchmarks can hold the two side by side.
+  // compare() without the proof: every port takes the RunWalker merge and
+  // the cell diff. Its report equals compare()'s; it stays callable so
+  // tests and benchmarks can hold the two side by side.
   static AlignmentReport compare_by_merge(
       const vcd::Trace& a, const vcd::Trace& b,
       const std::vector<std::string>& ports);
@@ -129,12 +111,6 @@ class Analyzer {
   static AlignmentReport compare_files(const std::string& path_a,
                                        const std::string& path_b,
                                        const std::vector<std::string>& ports);
-
-  // Recovers the granted-cell stream of one port from one dump. compare()
-  // walks the same stream through the same decoder without materializing
-  // it, diffing the two views' cells in lockstep.
-  static std::vector<ExtractedCell> extract(const vcd::Trace& t,
-                                            const std::string& port);
 
   // Variable indices of every requested port's fields in `t`: element p
   // holds ports[p]'s fields in port_fields() order. One pass over the
@@ -149,12 +125,6 @@ class Analyzer {
   // resolve_ports() for one port.
   static std::vector<int> resolve_port_fields(const vcd::Trace& t,
                                               const std::string& port);
-
-  // True when every field of the port (`ia` in `a`, `ib` in `b`) has the
-  // same width and the same change list on both sides: the port then
-  // holds equal values on every cycle and emits the same cells.
-  static bool identical(const vcd::Trace& a, const std::vector<int>& ia,
-                        const vcd::Trace& b, const std::vector<int>& ib);
 
   // The vacuous-rate annotation compare() attaches when one or both dumps
   // show no activity on the port whose fields are `ia` in `a` and `ib` in
@@ -175,10 +145,10 @@ struct FieldRun {
 };
 
 // The k-way merge over one port's field change lists in two traces, shared
-// by Analyzer::compare and Triage::analyze for the ports that are not
-// identical: it hops from change event to change event over [0, total), so
-// each run is classified once. Runs end at every change on either side,
-// even when `differs` stays the same.
+// by Analyzer::compare and Triage::analyze when the traces are not equal:
+// it hops from change event to change event over [0, total), so each run
+// is classified once. Runs end at every change on either side, even when
+// `differs` stays the same.
 class RunWalker {
  public:
   // `ia`/`ib` are the port's fields as Analyzer::resolve_port_fields gives
@@ -194,6 +164,60 @@ class RunWalker {
   std::vector<vcd::Trace::Cursor> ca_, cb_;
   std::uint64_t c_ = 0;
   std::uint64_t total_;
+};
+
+// One granted cell as views into a trace's log; the views stay valid while
+// the trace lives. A response cell leaves `add` and `be` empty and `lck`
+// false.
+struct CellView {
+  std::uint64_t cycle = 0;
+  bool response = false;  // false: request channel, true: response channel
+  vcd::Value opc, add, data, be;
+  bool eop = false;
+  bool lck = false;
+  vcd::Value src, tid;
+
+  // Same channel and field values; the cycle stamp is ignored.
+  bool same_content(const CellView& o) const {
+    return response == o.response && opc == o.opc && add == o.add &&
+           data == o.data && be == o.be && eop == o.eop && lck == o.lck &&
+           src == o.src && tid == o.tid;
+  }
+};
+
+// STBA's one cell decoder: walks one port's granted-cell stream in cycle
+// order, the request cell before the response cell of the same cycle. A
+// channel hands over a cell on every cycle its request and grant are both
+// a single 1. A merge over the field change lists: between events every
+// field is constant, so the granted state and the cell content hold for
+// the whole run and only the cycle stamp varies. Analyzer::compare diffs
+// two streams in lockstep; Triage reads each window's in-flight cell.
+class CellCursor {
+ public:
+  // `idx` is the port's fields as Analyzer::resolve_port_fields gives them
+  // for `t`; the trace must outlive the cursor.
+  CellCursor(const vcd::Trace& t, const std::vector<int>& idx);
+
+  // Advances to the next granted cell; false once the stream is exhausted.
+  bool next();
+
+  // The cell next() stopped on.
+  const CellView& cell() const { return *cell_; }
+
+ private:
+  void start_run(std::uint64_t c);
+  vcd::Value field(int f, std::uint64_t c);
+
+  std::vector<vcd::Trace::Cursor> cur_;
+  std::uint64_t end_;          // one past the trace's last cycle
+  std::uint64_t run_end_ = 0;  // exclusive end of the current run
+  std::uint64_t cyc_ = 0;      // cycle being emitted within the run
+  // Per cycle of a run: slot 0 is the request cell, slot 1 the response
+  // cell; slot_ is the next slot of cycle cyc_ to emit.
+  CellView cells_[2];
+  bool granted_[2] = {false, false};
+  int slot_ = 0;
+  const CellView* cell_ = nullptr;
 };
 
 }  // namespace crve::stba

@@ -1,6 +1,7 @@
 #include "stba/triage.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/build_info.h"
 #include "common/json.h"
@@ -49,9 +50,9 @@ std::uint64_t bin_value(const std::string& bits) {
   return v;
 }
 
-std::string decode_opc(const ExtractedCell& cell) {
-  const std::uint64_t v = bin_value(cell.opc);
-  if (cell.response) {
+std::string decode_opc(bool response, const std::string& opc) {
+  const std::uint64_t v = bin_value(opc);
+  if (response) {
     if (v <= 1) return stbus::to_string(static_cast<stbus::RspOpcode>(v));
   } else if (v < static_cast<std::uint64_t>(stbus::kNumOpcodes)) {
     return stbus::to_string(static_cast<stbus::Opcode>(v));
@@ -59,27 +60,43 @@ std::string decode_opc(const ExtractedCell& cell) {
   return "?";
 }
 
-// The most recent granted cell at or before `cycle` — the transaction
-// context a human wants when the views split. Cells are sorted by cycle
-// (extract() emits them in increasing cycle order), so binary search.
-InFlightCell in_flight_at(const std::vector<ExtractedCell>& cells,
-                          std::uint64_t cycle) {
-  InFlightCell ref;
-  const auto it = std::upper_bound(
-      cells.begin(), cells.end(), cycle,
-      [](std::uint64_t c, const ExtractedCell& cell) { return c < cell.cycle; });
-  if (it == cells.begin()) return ref;  // nothing granted yet
-  const ExtractedCell& cell = *(it - 1);
-  ref.valid = true;
-  ref.cycle = cell.cycle;
-  ref.response = cell.response;
-  ref.opc = cell.opc;
-  ref.opc_name = decode_opc(cell);
-  ref.add = cell.response ? "" : bin_to_hex(cell.add);
-  ref.src = bin_to_hex(cell.src);
-  ref.tid = bin_to_hex(cell.tid);
-  return ref;
-}
+// The transaction context a human wants when the views split: the most
+// recent granted cell at or before a window's first cycle. Windows come in
+// increasing order, so one cursor per view only moves forward, keeping the
+// last cell it passed; cells past the last window asked about are never
+// decoded.
+class InFlight {
+ public:
+  InFlight(const vcd::Trace& t, const std::vector<int>& idx) : cur_(t, idx) {}
+
+  InFlightCell at(std::uint64_t cycle) {
+    if (!started_) {
+      started_ = true;
+      more_ = cur_.next();
+    }
+    for (; more_ && cur_.cell().cycle <= cycle; more_ = cur_.next()) {
+      last_ = cur_.cell();
+    }
+    InFlightCell ref;
+    if (!last_) return ref;  // nothing granted yet
+    const CellView& cell = *last_;
+    ref.valid = true;
+    ref.cycle = cell.cycle;
+    ref.response = cell.response;
+    ref.opc = cell.opc.text();
+    ref.opc_name = decode_opc(cell.response, ref.opc);
+    ref.add = cell.response ? "" : bin_to_hex(cell.add.text());
+    ref.src = bin_to_hex(cell.src.text());
+    ref.tid = bin_to_hex(cell.tid.text());
+    return ref;
+  }
+
+ private:
+  CellCursor cur_;
+  bool started_ = false;
+  bool more_ = false;  // cur_ holds a cell not yet passed
+  std::optional<CellView> last_;
+};
 
 void render_cell(std::string& out, const char* key, const InFlightCell& c,
                  const std::string& in) {
@@ -99,18 +116,16 @@ void render_cell(std::string& out, const char* key, const InFlightCell& c,
   out += "}";
 }
 
-// Walks one port that is not identical in both dumps: every diverged run
-// goes into pt's windows and per-signal intervals, and into the report's
-// earliest divergence.
+// Walks one port of two unequal dumps: every diverged run goes into pt's
+// windows and per-signal intervals, and into the report's earliest
+// divergence.
 void walk_port(const vcd::Trace& a, const std::vector<int>& ia,
                const vcd::Trace& b, const std::vector<int>& ib,
                PortTriage& pt, TriageReport& report) {
   const auto& fields = Analyzer::port_fields();
   const std::string& port = pt.port;
-  // Transaction context, one stream per view (cycle-sorted, so the window
-  // correlation below is a binary search per window, not a scan).
-  const auto cells_a = Analyzer::extract(a, port);
-  const auto cells_b = Analyzer::extract(b, port);
+  InFlight flight_a(a, ia);
+  InFlight flight_b(b, ib);
 
   // Per-field interval accumulation state: the exclusive end of the last
   // diverged run per field, to merge adjacent runs into one interval.
@@ -164,8 +179,8 @@ void walk_port(const vcd::Trace& a, const std::vector<int>& ia,
               w.signals.push_back(port + "." + fields[f]);
             }
           }
-          w.in_flight_a = in_flight_at(cells_a, c);
-          w.in_flight_b = in_flight_at(cells_b, c);
+          w.in_flight_a = flight_a.at(c);
+          w.in_flight_b = flight_b.at(c);
           pt.windows.push_back(std::move(w));
         }
       }
@@ -185,23 +200,22 @@ void walk_port(const vcd::Trace& a, const std::vector<int>& ia,
   }
 }
 
-// Triage::analyze, with or without the identity shortcut.
+// Triage::analyze, with or without the whole-recording proof.
 TriageReport triage_ports(const vcd::Trace& a, const vcd::Trace& b,
                           const std::vector<std::string>& ports,
-                          bool prove_identical) {
+                          bool prove_equal) {
   TriageReport report;
   const bool metrics = obs::metrics_enabled();
   const std::uint64_t total = std::max(a.max_time(), b.max_time()) + 1;
   const auto fa = Analyzer::resolve_ports(a, ports);
   const auto fb = Analyzer::resolve_ports(b, ports);
-  const bool whole = prove_identical && a == b;
+  const bool equal = prove_equal && a == b;
   for (std::size_t p = 0; p < ports.size(); ++p) {
     PortTriage pt;
     pt.port = ports[p];
     pt.total_cycles = total;
     pt.note = Analyzer::activity_note(a, fa[p], b, fb[p]);
-    if (whole ||
-        (prove_identical && Analyzer::identical(a, fa[p], b, fb[p]))) {
+    if (equal) {
       // Aligned on every cycle: no window, no transaction context needed.
       pt.aligned_cycles = total;
     } else {
@@ -222,13 +236,13 @@ TriageReport triage_ports(const vcd::Trace& a, const vcd::Trace& b,
 
 TriageReport Triage::analyze(const vcd::Trace& a, const vcd::Trace& b,
                              const std::vector<std::string>& ports) {
-  return triage_ports(a, b, ports, /*prove_identical=*/true);
+  return triage_ports(a, b, ports, /*prove_equal=*/true);
 }
 
 TriageReport Triage::analyze_by_merge(const vcd::Trace& a,
                                       const vcd::Trace& b,
                                       const std::vector<std::string>& ports) {
-  return triage_ports(a, b, ports, /*prove_identical=*/false);
+  return triage_ports(a, b, ports, /*prove_equal=*/false);
 }
 
 std::string TriageReport::json(

@@ -4,8 +4,9 @@
 // sign-off needs no more. When a campaign FAILS, the debugging questions are
 // different: where are ALL the divergence windows, which signals carry each
 // one, and what transaction was in flight when the views split. Triage
-// answers those in one change-driven merge pass per differing port (the
-// RunWalker Analyzer::compare walks — no per-cycle strings), then the
+// answers those in one change-driven merge pass per port (the RunWalker
+// Analyzer::compare walks — no per-cycle strings), reading each window's
+// in-flight cell from one forward CellCursor per view, then the
 // regression runner publishes the result as `triage_<test>_s<seed>.json`
 // plus a windowed VCD excerpt of both views around the first divergence.
 //
@@ -124,15 +125,15 @@ class Triage {
   static constexpr std::size_t kMaxWindows = 64;
 
   // Full divergence breakdown of the given ports between two dumps. Cycle
-  // accounting matches Analyzer::compare exactly: a port proven equal (by
-  // equal traces, or by Analyzer::identical()) is aligned on every cycle
-  // and is neither walked nor extracted; the others classify the runs of
-  // one RunWalker over the same max(a,b)+1 cycle span.
+  // accounting matches Analyzer::compare exactly: when the traces are
+  // equal every port is aligned on every cycle and nothing is walked or
+  // decoded; otherwise each port classifies the runs of one RunWalker over
+  // the same max(a,b)+1 cycle span.
   static TriageReport analyze(const vcd::Trace& a, const vcd::Trace& b,
                               const std::vector<std::string>& ports);
 
-  // analyze() without either proof: every port is walked. Its
-  // report equals analyze()'s (tests hold the two side by side).
+  // analyze() without the proof: every port is walked. Its report equals
+  // analyze()'s (tests hold the two side by side).
   static TriageReport analyze_by_merge(const vcd::Trace& a,
                                        const vcd::Trace& b,
                                        const std::vector<std::string>& ports);

@@ -321,21 +321,6 @@ Trace::ChangeList Trace::changes(int var) const {
                     width_of(var));
 }
 
-bool Trace::ChangeList::operator==(const ChangeList& o) const {
-  if (width_ != o.width_ || n_ != o.n_) return false;
-  const std::size_t entry = kHeaderWords + words_for(width_);
-  for (std::size_t k = 0; k < n_; ++k) {
-    const std::uint64_t* x = log_ + at_[k];
-    const std::uint64_t* y = o.log_ + o.at_[k];
-    // The variable index (word 1) may differ; time and value must not.
-    if (x[0] != y[0] ||
-        !std::equal(x + kHeaderWords, x + entry, y + kHeaderWords)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 Value Trace::value_at(int var, std::uint64_t t) const {
   const ChangeList list = changes(var);
   // The last change with time <= t precedes the first one after t.

@@ -192,9 +192,6 @@ class Trace {
       const std::uint64_t* e = log_ + at_[k];
       return {e[0], Value(e + kHeaderWords, width_)};
     }
-    // Same width and the same changes: the two variables hold equal values
-    // at every time.
-    bool operator==(const ChangeList& o) const;
     // Index of the first change strictly after time `t` (size() if none).
     std::size_t first_after(std::uint64_t t) const {
       return static_cast<std::size_t>(

@@ -1,6 +1,7 @@
-// Holds STBA's identity shortcut to the merge it skips: for one trace pair,
-// Analyzer::compare must report every port exactly as compare_by_merge does,
-// and Triage::analyze exactly as analyze_by_merge does.
+// Holds STBA's whole-recording proof to the merge it skips: for one trace
+// pair, Analyzer::compare must report every port exactly as
+// compare_by_merge does, and Triage::analyze exactly as analyze_by_merge
+// does. Also the test-side view of the cell decoder (cells_of).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -28,12 +29,14 @@ inline void expect_same_alignment(const stba::PortAlignment& got,
   EXPECT_EQ(got.cells_matching, want.cells_matching) << where;
 }
 
-// Compares both paths on `ports`; returns how many ports the identity
-// proof covered, so callers can check the shortcut was actually taken.
-inline std::size_t expect_proof_matches_merge(
+// Compares both paths on `ports`; returns whether compare() took the
+// whole-recording proof, so callers can check the shortcut was actually
+// taken.
+inline bool expect_proof_matches_merge(
     const vcd::Trace& a, const vcd::Trace& b,
     const std::vector<std::string>& ports, const std::string& where) {
-  const auto proved = stba::Analyzer::compare(a, b, ports);
+  bool equal = false;
+  const auto proved = stba::Analyzer::compare(a, b, ports, &equal);
   const auto walked = stba::Analyzer::compare_by_merge(a, b, ports);
   EXPECT_EQ(proved.ports.size(), ports.size()) << where;
   EXPECT_EQ(walked.ports.size(), ports.size()) << where;
@@ -48,13 +51,18 @@ inline std::size_t expect_proof_matches_merge(
   EXPECT_EQ(stba::Triage::analyze(a, b, ports).json(),
             stba::Triage::analyze_by_merge(a, b, ports).json())
       << where;
-  const auto fa = stba::Analyzer::resolve_ports(a, ports);
-  const auto fb = stba::Analyzer::resolve_ports(b, ports);
-  std::size_t identical = 0;
-  for (std::size_t p = 0; p < ports.size(); ++p) {
-    identical += stba::Analyzer::identical(a, fa[p], b, fb[p]);
-  }
-  return identical;
+  EXPECT_EQ(equal, a == b) << where;
+  return equal;
+}
+
+// The granted-cell stream of one port, decoded by the public CellCursor;
+// the views stay valid while `t` lives.
+inline std::vector<stba::CellView> cells_of(const vcd::Trace& t,
+                                            const std::string& port) {
+  std::vector<stba::CellView> cells;
+  stba::CellCursor cur(t, stba::Analyzer::resolve_port_fields(t, port));
+  while (cur.next()) cells.push_back(cur.cell());
+  return cells;
 }
 
 }  // namespace crve::test

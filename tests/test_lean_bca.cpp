@@ -14,6 +14,7 @@
 #include "regress/job_spec.h"
 #include "regress/runner.h"
 #include "sim/context.h"
+#include "stba/analyzer.h"
 #include "stbus/pins.h"
 #include "vcd/recorder.h"
 #include "verif/testbench.h"
@@ -224,6 +225,18 @@ RunResult result_with(std::uint64_t cycles, std::uint64_t violations,
   return r;
 }
 
+// The decision the runner hands settle_lean_bca: whether the pair's
+// recordings are equal, as Analyzer::compare over the alignment port
+// decides it. `aligned` receives that port's rate.
+bool recordings_equal(const vcd::Trace& a, const vcd::Trace& b,
+                      double* aligned = nullptr) {
+  bool equal = false;
+  const auto rep = stba::Analyzer::compare(
+      a, b, {verif::Testbench::initiator_port_name(0)}, &equal);
+  if (aligned != nullptr) *aligned = rep.min_rate();
+  return equal;
+}
+
 TEST(LeanBcaSettle, IdenticalBundlesCopyThePassiveVerdict) {
   const vcd::Trace a = record(10, 0x8);
   const vcd::Trace b = record(10, 0x8);
@@ -232,22 +245,25 @@ TEST(LeanBcaSettle, IdenticalBundlesCopyThePassiveVerdict) {
   bca.completed = true;
   bca.cycles = 10;
   bca.evaluations = 71;
-  ASSERT_TRUE(regress::settle_lean_bca(a, b, /*ports_identical=*/true,
-                                       /*programming_port=*/true, rtl, bca));
+  ASSERT_TRUE(regress::settle_lean_bca(recordings_equal(a, b), rtl, bca));
   RunResult expect = rtl;
   expect.evaluations = 71;  // the BCA view's own
   expect_same_result(bca, expect, "settled");
 }
 
+// The alignment port is aligned on every cycle, but the programming port
+// differs: the recordings are not equal, so the view re-runs.
 TEST(LeanBcaSettle, DifferingProgrammingPortReRuns) {
   const vcd::Trace a = record(10, 0x8);
   const vcd::Trace b = record(10, 0xc);
+  double aligned = 0.0;
+  const bool equal = recordings_equal(a, b, &aligned);
+  EXPECT_EQ(aligned, 1.0);
+  EXPECT_FALSE(equal);
   const RunResult rtl = result_with(10, 1, 0xabc);
   RunResult bca = result_with(10, 0, 0);
-  EXPECT_FALSE(regress::settle_lean_bca(a, b, true, true, rtl, bca));
+  EXPECT_FALSE(regress::settle_lean_bca(equal, rtl, bca));
   expect_same_result(bca, result_with(10, 0, 0), "left as it was");
-  // Without a programming port the bundle is no part of the proof.
-  EXPECT_TRUE(regress::settle_lean_bca(a, b, true, false, rtl, bca));
 }
 
 TEST(LeanBcaSettle, UnequalCyclesReRun) {
@@ -255,16 +271,15 @@ TEST(LeanBcaSettle, UnequalCyclesReRun) {
   const vcd::Trace b = record(10, 0x8);
   const RunResult rtl = result_with(10, 0, 0xabc);
   RunResult bca = result_with(11, 0, 0);
-  EXPECT_FALSE(regress::settle_lean_bca(a, b, true, true, rtl, bca));
+  EXPECT_FALSE(regress::settle_lean_bca(recordings_equal(a, b), rtl, bca));
   EXPECT_EQ(bca.coverage_digest, 0u);
 }
 
 TEST(LeanBcaSettle, DifferingAlignmentPortsReRun) {
-  const vcd::Trace a = record(10, 0x8);
   const RunResult rtl = result_with(10, 0, 0xabc);
   RunResult bca = result_with(10, 0, 0);
-  EXPECT_FALSE(regress::settle_lean_bca(a, a, /*ports_identical=*/false, true,
-                                        rtl, bca));
+  EXPECT_FALSE(
+      regress::settle_lean_bca(/*recordings_equal=*/false, rtl, bca));
   EXPECT_EQ(bca.coverage_digest, 0u);
 }
 

@@ -193,7 +193,7 @@ TEST(Stba, MissingSignalThrows) {
 TEST(Stba, ExtractRecoversCells) {
   const auto a = parse(synth_dump(
       {{false, false}, {true, false}, {true, true}, {false, false}}));
-  const auto cells = Analyzer::extract(a, "tb.p0");
+  const auto cells = test::cells_of(a, "tb.p0");
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(cells[0].cycle, 2u);  // only the granted cycle counts
   EXPECT_FALSE(cells[0].response);
@@ -218,7 +218,7 @@ TEST(Stba, ExtractRecoversLockedCell) {
   const auto t = parse(field_dump(
       4, {{1, 0, 1}, {1, 1, 1}, {1, 7, 1}, {1, 6, 1}, {2, 0, 0}, {2, 1, 0},
           {2, 7, 0}}));
-  const auto cells = Analyzer::extract(t, "tb.p0");
+  const auto cells = test::cells_of(t, "tb.p0");
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(cells[0].cycle, 1u);
   EXPECT_FALSE(cells[0].response);
@@ -230,11 +230,11 @@ TEST(Stba, ExtractRecoversResponseOnlyTraffic) {
   // Only the response channel moves: r_req & r_gnt high for one cycle.
   const auto t = parse(field_dump(
       5, {{2, 10, 1}, {2, 11, 1}, {2, 12, 1}, {3, 10, 0}, {3, 11, 0}}));
-  const auto cells = Analyzer::extract(t, "tb.p0");
+  const auto cells = test::cells_of(t, "tb.p0");
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(cells[0].cycle, 2u);
   EXPECT_TRUE(cells[0].response);
-  EXPECT_EQ(cells[0].opc, "01");  // r_opc is the 2-bit response opcode
+  EXPECT_EQ(cells[0].opc.text(), "01");  // r_opc is the 2-bit response opcode
 }
 
 TEST(Stba, SilentPortGetsActivityNote) {
@@ -382,45 +382,51 @@ TEST(Stba, ResolvePortsAgreesWithFind) {
   EXPECT_THROW(Analyzer::resolve_ports(t, {"b.p0"}), std::runtime_error);
 }
 
-// --- identity proof vs merge, edge cases --------------------------------
+// --- whole-recording proof vs merge, edge cases --------------------------
 
 // Both dumps silent, but `add` declared 32 bits wide in one and 16 in the
-// other: the lists are equal and empty, the widths are not, so the port is
-// walked and its all-zero values differ on every cycle, as before.
+// other: the lists are equal and empty, the widths are not, so the
+// recordings differ, the port is walked and its all-zero values differ on
+// every cycle, as before.
 TEST(IdentityProof, EmptyListsOfDifferentWidthsAreWalked) {
   const auto a = parse(ports_dump(5, {{"tb.p0", 32}}, {}));
   const auto b = parse(ports_dump(5, {{"tb.p0", 16}}, {}));
-  EXPECT_EQ(test::expect_proof_matches_merge(a, b, {"tb.p0"}, "widths"), 0u);
+  EXPECT_FALSE(test::expect_proof_matches_merge(a, b, {"tb.p0"}, "widths"));
+  EXPECT_TRUE(test::expect_proof_matches_merge(b, b, {"tb.p0"}, "equal"));
   const auto p = Analyzer::compare(a, b, {"tb.p0"}).ports[0];
   EXPECT_EQ(p.aligned_cycles, 0u);
   EXPECT_EQ(p.first_divergence, 0u);
   EXPECT_EQ(p.diverged_signals, std::vector<std::string>{"tb.p0.add"});
 }
 
-// Same port lists, different trace ends: aligned on all max(a,b)+1 cycles,
-// and a grant still held at the end counts cells up to each trace's own
-// end, as the cell walk does.
+// Same port lists, different trace ends: the recordings differ, so the
+// port is walked; it is aligned on all max(a,b)+1 cycles, and a grant
+// still held at the end counts cells up to each trace's own end.
 TEST(IdentityProof, DifferentMaxTimeCountsCellsPerTrace) {
   const std::vector<std::tuple<std::uint64_t, int, std::uint64_t>> writes = {
       {2, 0, 1}, {2, 1, 1}, {3, 10, 1}, {3, 11, 1}, {3, 12, 1}};
   const auto a = parse(field_dump(6, writes));
   const auto b = parse(field_dump(12, writes));
   ASSERT_NE(a.max_time(), b.max_time());
-  EXPECT_EQ(test::expect_proof_matches_merge(a, b, {"tb.p0"}, "ends"), 1u);
+  EXPECT_FALSE(test::expect_proof_matches_merge(a, b, {"tb.p0"}, "ends"));
   const auto p = Analyzer::compare(a, b, {"tb.p0"}).ports[0];
   EXPECT_EQ(p.total_cycles, 12u);
   EXPECT_EQ(p.aligned_cycles, 12u);
   EXPECT_EQ(p.cells_a, 4u + 3u);   // request 2..5, response 3..5
   EXPECT_EQ(p.cells_b, 10u + 9u);  // request 2..11, response 3..11
   EXPECT_EQ(p.cells_matching, 7u);
-  // Either order.
+  // Either order; one trace against itself takes the proof.
   test::expect_proof_matches_merge(b, a, {"tb.p0"}, "ends, swapped");
+  EXPECT_TRUE(test::expect_proof_matches_merge(b, b, {"tb.p0"}, "equal"));
+  EXPECT_EQ(Analyzer::compare(b, b, {"tb.p0"}).ports[0].cells_matching,
+            19u);
 }
 
 TEST(IdentityProof, PortEmptyInBothKeepsVacuousNote) {
   const auto a = parse(field_dump(6, {}));
   const auto b = parse(field_dump(9, {}));
-  EXPECT_EQ(test::expect_proof_matches_merge(a, b, {"tb.p0"}, "silent"), 1u);
+  EXPECT_FALSE(test::expect_proof_matches_merge(a, b, {"tb.p0"}, "silent"));
+  EXPECT_TRUE(test::expect_proof_matches_merge(a, a, {"tb.p0"}, "equal"));
   const auto p = Analyzer::compare(a, b, {"tb.p0"}).ports[0];
   EXPECT_EQ(p.aligned_cycles, p.total_cycles);
   EXPECT_EQ(p.note, "no activity on this port in either dump; rate is vacuous");
@@ -435,8 +441,10 @@ TEST(IdentityProof, IdenticalAndDivergedPortInOnePair) {
   const auto b = parse(ports_dump(
       8, ports, {{1, 0, 0, 1}, {1, 0, 1, 1}, {1, 1, 0, 1}, {2, 0, 0, 0},
                  {2, 0, 1, 0}, {2, 1, 1, 1}, {3, 1, 0, 0}, {3, 1, 1, 0}}));
-  EXPECT_EQ(
-      test::expect_proof_matches_merge(a, b, {"tb.p0", "tb.p1"}, "mixed"), 1u);
+  EXPECT_FALSE(
+      test::expect_proof_matches_merge(a, b, {"tb.p0", "tb.p1"}, "mixed"));
+  EXPECT_TRUE(
+      test::expect_proof_matches_merge(a, a, {"tb.p0", "tb.p1"}, "equal"));
   const auto rep = Analyzer::compare(a, b, {"tb.p0", "tb.p1"});
   EXPECT_FALSE(rep.ports[0].diverged());
   EXPECT_EQ(rep.ports[0].cells_matching, 1u);

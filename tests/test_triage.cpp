@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <sstream>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/bits.h"
@@ -117,6 +119,65 @@ Reference per_cycle_reference(const vcd::Trace& a, const vcd::Trace& b,
   return ref;
 }
 
+// The last granted cell at or before `cycle` on one port, by a per-cycle
+// scan: the response cell of a cycle follows its request cell.
+struct InFlightRef {
+  bool valid = false;
+  std::uint64_t cycle = 0;
+  bool response = false;
+  std::string opc;  // binary text
+  std::uint64_t add = 0, src = 0, tid = 0;
+};
+
+InFlightRef in_flight_reference(const vcd::Trace& t, const std::string& port,
+                                std::uint64_t cycle) {
+  const std::vector<int> idx = Analyzer::resolve_port_fields(t, port);
+  const auto field = [&](int f, std::uint64_t c) {
+    return t.value_at(idx[static_cast<std::size_t>(f)], c).text();
+  };
+  const auto value = [&](int f, std::uint64_t c) {
+    return std::stoull(field(f, c), nullptr, 2);
+  };
+  InFlightRef ref;
+  for (std::uint64_t c = 0; c <= cycle && c <= t.max_time(); ++c) {
+    if (field(0, c) == "1" && field(1, c) == "1") {  // req, gnt
+      ref = {true, c, false, field(2, c), value(3, c), value(8, c),
+             value(9, c)};
+    }
+    if (field(10, c) == "1" && field(11, c) == "1") {  // r_req, r_gnt
+      ref = {true, c, true, field(12, c), 0, value(15, c), value(16, c)};
+    }
+  }
+  return ref;
+}
+
+// Holds every listed window's in-flight cells, per view, to
+// in_flight_reference; returns how many of them are valid cells.
+std::size_t expect_in_flight_matches_reference(const vcd::Trace& a,
+                                               const vcd::Trace& b,
+                                               const stba::PortTriage& p) {
+  std::size_t valid = 0;
+  for (const auto& w : p.windows) {
+    for (const auto& [t, got] : {std::pair{&a, &w.in_flight_a},
+                                 std::pair{&b, &w.in_flight_b}}) {
+      const std::string where = "window @" + std::to_string(w.begin);
+      const InFlightRef want = in_flight_reference(*t, p.port, w.begin);
+      EXPECT_EQ(got->valid, want.valid) << where;
+      if (!want.valid || !got->valid) continue;
+      ++valid;
+      EXPECT_EQ(got->cycle, want.cycle) << where;
+      EXPECT_EQ(got->response, want.response) << where;
+      EXPECT_EQ(got->opc, want.opc) << where;
+      if (!want.response) {
+        EXPECT_EQ(std::stoull(got->add, nullptr, 16), want.add) << where;
+      }
+      EXPECT_EQ(std::stoull(got->src, nullptr, 16), want.src) << where;
+      EXPECT_EQ(std::stoull(got->tid, nullptr, 16), want.tid) << where;
+    }
+  }
+  return valid;
+}
+
 TEST(Triage, AlignedDumpsProduceNoWindows) {
   const std::string d = script_dump(
       10, {{1, 0, 1}, {1, 1, 1}, {1, 3, 0x40}, {2, 0, 0}, {2, 1, 0}});
@@ -200,6 +261,53 @@ TEST(Triage, MatchesPerCycleReference) {
   ASSERT_FALSE(ref.windows.empty());
   EXPECT_EQ(rep.first_divergence, ref.windows.front().first);
   EXPECT_EQ(rep.first_port, "tb.p0");
+
+  // Its one window opens before any grant: no in-flight cell either side.
+  EXPECT_EQ(expect_in_flight_matches_reference(a, b, p), 0u);
+
+  // A second pattern for the in-flight cells: a granted cell on one
+  // channel every few cycles, mirrored into B except that B sometimes
+  // withholds the grant (a window opening on the grant cycle itself, where
+  // the views' in-flight cells differ) or carries a one-cycle glitch on
+  // `data` after it (a window opening after the cell).
+  std::vector<Write> ga, gb;
+  for (std::uint64_t t = 2; t + 3 < kCycles; t += 4 + next() % 4) {
+    const bool rsp = next() % 2 != 0;
+    const std::vector<int> fields =
+        rsp ? std::vector<int>{12, 15, 16} : std::vector<int>{2, 3, 8, 9};
+    const int req = rsp ? 10 : 0;
+    const int gnt = req + 1;
+    const bool drop = next() % 4 == 0;
+    for (const int f : fields) {
+      const std::uint64_t v = next() & ((1ull << kFieldWidths[f]) - 1);
+      ga.push_back({t, f, v});
+      gb.push_back({t, f, v});
+    }
+    ga.push_back({t, req, 1});
+    ga.push_back({t, gnt, 1});
+    gb.push_back({t, req, 1});
+    gb.push_back({t, gnt, drop ? 0 : 1});
+    for (auto* w : {&ga, &gb}) {
+      w->push_back({t + 1, req, 0});
+      w->push_back({t + 1, gnt, 0});
+    }
+    if (!drop && next() % 3 == 0) {
+      gb.push_back({t + 1, 4, 1});
+      gb.push_back({t + 2, 4, 0});
+    }
+  }
+  const auto ca = parse(script_dump(kCycles, ga));
+  const auto cb = parse(script_dump(kCycles, gb));
+  const auto granted = Triage::analyze(ca, cb, {"tb.p0"});
+  const auto& gp = granted.ports[0];
+  ASSERT_LE(gp.window_count, Triage::kMaxWindows);
+  EXPECT_GT(gp.window_count, 4u);
+  EXPECT_GT(expect_in_flight_matches_reference(ca, cb, gp), gp.window_count);
+  bool views_differ = false;
+  for (const auto& w : gp.windows) {
+    views_differ |= w.in_flight_a.cycle != w.in_flight_b.cycle;
+  }
+  EXPECT_TRUE(views_differ);  // some window opens on a withheld grant
 }
 
 // Cycle accounting must agree with Analyzer::compare on the same inputs.
