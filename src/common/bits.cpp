@@ -55,6 +55,13 @@ Bits::Bits(int width, std::uint64_t value) : width_(width) {
   mask_top();
 }
 
+Bits Bits::from_words(const std::uint64_t* w, int width) {
+  Bits b(width);
+  std::memcpy(b.w_.data(), w, (static_cast<std::size_t>(width) + 63) / 64 * 8);
+  b.mask_top();
+  return b;
+}
+
 Bits Bits::all_ones(int width) {
   Bits b(width);
   for (auto& w : b.w_) w = ~std::uint64_t{0};

@@ -35,6 +35,10 @@ class Bits {
 
   static Bits all_ones(int width);
 
+  // Builds a value from (width + 63) / 64 little-endian words, the layout
+  // words() returns; bits at and above `width` are dropped.
+  static Bits from_words(const std::uint64_t* w, int width);
+
   // Builds a value from little-endian bytes; `width` must cover the span.
   static Bits from_bytes(std::span<const std::uint8_t> bytes, int width);
 

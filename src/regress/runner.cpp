@@ -22,6 +22,7 @@
 #include "regress/html_report.h"
 #include "regress/job_spec.h"
 #include "regress/progress.h"
+#include "regress/replay.h"
 #include "stba/triage.h"
 #include "vcd/excerpt.h"
 #include "vcd/recorder.h"
@@ -51,14 +52,6 @@ using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-// The configuration a (config, test) job's Testbench elaborates.
-stbus::NodeConfig job_config(stbus::NodeConfig cfg, const TestSpec& spec) {
-  if (spec.adjust) spec.adjust(cfg);
-  if (spec.prog) cfg.programming_port = true;
-  cfg.validate_and_normalize();
-  return cfg;
 }
 
 // Environment-side port prefixes to align for a job's configuration.
@@ -102,6 +95,23 @@ std::string run_report(const TestOutcome& o) {
   return os.str();
 }
 
+// The test list a batch's campaigns share: the plan's, or the CATG suite
+// when it names none.
+std::shared_ptr<const std::vector<TestSpec>> batch_tests(const RunPlan& base) {
+  return std::make_shared<const std::vector<TestSpec>>(
+      base.tests.empty() ? verif::catg_test_suite() : base.tests);
+}
+
+// `base` as a campaign keeps it: without the test list (batch_tests) and
+// the design-health rows, which no campaign reads, so that a batch copies
+// neither once per configuration.
+RunPlan campaign_plan(const RunPlan& base) {
+  RunPlan plan = base;
+  plan.tests.clear();
+  plan.design_health.clear();
+  return plan;
+}
+
 // One configuration's expanded campaign while its jobs are in flight.
 //
 // Pair p = test_index * n_seeds + seed_index and unit u = 2*p + view
@@ -111,17 +121,19 @@ std::string run_report(const TestOutcome& o) {
 // separate job: whichever view job finishes the pair second runs it
 // (run_job), then frees both recordings.
 //
-// In an aligned campaign that injects no BCA fault and traces no
-// transactions, a BCA view job runs lean: only the active side that drives
-// the pins (TestbenchOptions::drop_passive_environment). The pair's align
-// step then settles the BCA result from the RTL view's (settle_lean_bca),
-// or re-runs the BCA view with its full environment when the recordings
-// do not prove the pins identical. Everything that reads the BCA verdict
-// (its report, log line, counters, flight-recorder dump and job_finish
-// event) waits for the settled result (finish_unit).
+// In an aligned campaign that injects no BCA fault, traces no transactions
+// and profiles nothing, each pair is one job: its RTL view, then on the
+// same worker the BCA replay of the pair (regress/replay.h), then its
+// alignment. A proved replay settles the BCA result from the RTL view's
+// and proves the pair aligned without a second recording; a replay that
+// diverges gives way to the closed-loop BCA view, recorded and compared
+// as usual.
 struct Campaign {
+  // The plan for this configuration, without its test list (`tests`
+  // holds it) or design-health rows (the batch's).
   RunPlan plan;
-  std::vector<TestSpec> tests;
+  // The campaign's tests: one list, shared by the campaigns of a batch.
+  std::shared_ptr<const std::vector<TestSpec>> tests;
   std::size_t n_pairs = 0;
   std::vector<TestOutcome> outcomes;    // one slot per unit
   std::vector<vcd::Trace> traces;       // recorded trace per unit, until
@@ -137,27 +149,28 @@ struct Campaign {
   std::vector<char> pair_cached;
   std::vector<std::size_t> missing_units;
   std::string cache_build_json;  // originating build of the replayed pairs
-  // BCA view jobs start lean (see above). bca_full is raised by the first
-  // pair whose proof fails, so later BCA jobs of the campaign run their
-  // full environment from the start: a near-miss BCA model costs one
-  // re-run per campaign (plus, with several workers, the lean jobs
-  // already under way), not one per pair. Settled results equal full
-  // ones, so no result depends on when it flips.
-  bool lean_bca = false;
+  // BCA views replay (see above). bca_full is raised by the first replay
+  // that diverges, so later pairs of the campaign run the closed loop
+  // straight away: a near-miss BCA model costs one replay per campaign
+  // (plus, with several workers, the replays already under way), not one
+  // per pair. A proved result equals the closed loop's, so no result
+  // depends on when it flips.
+  bool replays_bca = false;
   std::atomic<bool> bca_full{false};
-  std::vector<char> bca_unsettled;  // per pair: the BCA view ran lean
+  std::vector<BcaReplay> proofs;  // per pair, until it is aligned
 
-  void prepare() {
-    tests = plan.tests.empty() ? verif::catg_test_suite() : plan.tests;
-    n_pairs = tests.size() * plan.seeds.size();
+  // `suite` holds the campaign's tests; plan.tests is not read.
+  void prepare(std::shared_ptr<const std::vector<TestSpec>> suite) {
+    tests = std::move(suite);
+    n_pairs = tests->size() * plan.seeds.size();
     outcomes.resize(2 * n_pairs);
     if (plan.run_alignment) {
       traces.resize(2 * n_pairs);
       aligns.resize(n_pairs);
-      bca_unsettled.assign(n_pairs, 0);
+      proofs.resize(n_pairs);
     }
-    lean_bca = plan.run_alignment && !plan.faults.any() &&
-               plan.txn_trace_out.empty();
+    replays_bca = plan.run_alignment && !plan.faults.any() &&
+                  plan.txn_trace_out.empty() && plan.profile_out.empty();
     views_pending = std::make_unique<std::atomic<int>[]>(n_pairs);
     for (std::size_t p = 0; p < n_pairs; ++p) views_pending[p] = 2;
     pair_cached.assign(n_pairs, 0);
@@ -172,7 +185,7 @@ struct Campaign {
   }
 
   const TestSpec& spec_of(std::size_t pair) const {
-    return tests[pair / plan.seeds.size()];
+    return (*tests)[pair / plan.seeds.size()];
   }
   std::uint64_t seed_of(std::size_t pair) const {
     return plan.seeds[pair % plan.seeds.size()];
@@ -201,18 +214,25 @@ struct Campaign {
   }
 
   // Runs one view job; when it is the pair's second view to finish (and
-  // the campaign aligns), aligns the pair right away.
+  // the campaign aligns), aligns the pair right away. In a replaying
+  // campaign the job is the pair's RTL view, and it goes on to the BCA
+  // view and the alignment.
   void run_job(std::size_t unit) {
     run_unit(unit);
     if (!plan.run_alignment) return;
     const std::size_t pair = unit / 2;
-    if (views_pending[pair].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (replays_bca) {
+      run_unit(2 * pair + 1);
+      run_alignment(pair);
+    } else if (views_pending[pair].fetch_sub(1, std::memory_order_acq_rel) ==
+               1) {
       run_alignment(pair);
     }
   }
 
-  // Runs one (test, seed, view) job into its slot. A lean BCA view job
-  // leaves its unit unfinished for the pair's settle step.
+  // Runs one (test, seed, view) job into its slot. A replaying campaign's
+  // BCA view job replays the RTL recording first and runs the closed loop
+  // only when the replay diverges.
   void run_unit(std::size_t unit) {
     const std::size_t pair = unit / 2;
     const int m = static_cast<int>(unit % 2);
@@ -228,9 +248,6 @@ struct Campaign {
     }
 
     TestbenchOptions opts = view_options(pair, model);
-    const bool lean = model == ModelKind::kBca && lean_bca &&
-                      !bca_full.load(std::memory_order_relaxed);
-    if (lean) opts.drop_passive_environment();
     // Alignment reads the in-process recording; the full VCD is written
     // only as an on-disk artifact.
     vcd::Recorder recorder;
@@ -243,16 +260,23 @@ struct Campaign {
       plan.progress->job_start(plan.cfg.name, spec.name, seed, view);
     }
     const auto t0 = Clock::now();
-    std::optional<Testbench> tb;
     RunResult r;
+    bool proved = false;
     try {
-      {
-        CRVE_SPAN("build");
-        tb.emplace(plan.cfg, sized_spec(pair), opts);
+      if (model == ModelKind::kBca && replays_bca &&
+          !bca_full.load(std::memory_order_relaxed)) {
+        proved = replay_view(pair, r);
       }
-      {
-        CRVE_SPAN("sim");
-        r = tb->run();
+      if (!proved) {
+        std::optional<Testbench> tb;
+        {
+          CRVE_SPAN("build");
+          tb.emplace(plan.cfg, sized_spec(pair), opts);
+        }
+        {
+          CRVE_SPAN("sim");
+          r = tb->run();
+        }
       }
     } catch (...) {
       // A job that throws (elaboration failure, resource exhaustion) never
@@ -266,8 +290,10 @@ struct Campaign {
       }
       throw;
     }
-    tb.reset();  // detaches the recorder and closes the VCD artifact
-    if (plan.run_alignment) traces[unit] = recorder.take();
+    // The Testbench is gone: the recorder is detached and the VCD artifact
+    // closed. A proved replay recorded nothing; its pair needs only the
+    // RTL recording.
+    if (plan.run_alignment && !proved) traces[unit] = recorder.take();
 
     TestOutcome& out = outcomes[unit];
     out.test = spec.name;
@@ -277,11 +303,41 @@ struct Campaign {
     // copy's vectors (txn spans, profile) drop their growth slack.
     out.result = r;
     out.wall_ms = ms_since(t0);
-    if (lean) {
-      bca_unsettled[pair] = 1;
-    } else {
-      finish_unit(unit);
+    finish_unit(unit);
+  }
+
+  // Replays the pair's BCA view against its RTL recording. When the
+  // replay proves the pair, settles `r` from the RTL result, writes the
+  // BCA wave artifact (the RTL recording, which the closed loop would have
+  // recorded) and returns true; otherwise raises bca_full and returns
+  // false.
+  bool replay_view(std::size_t pair, RunResult& r) {
+    CRVE_SPAN("replay");
+    const RunResult& rtl = outcomes[2 * pair].result;
+    const vcd::Trace& trace = traces[2 * pair];
+    BcaReplay& proof = proofs[pair];
+    proof = replay_bca(plan.cfg, spec_of(pair), plan.kernel, plan.faults,
+                       trace, rtl.cycles);
+    if (!proof.proved) {
+      bca_full.store(true, std::memory_order_relaxed);
+      if (obs::metrics_enabled()) {
+        obs::counter("regress.replay_fallbacks", obs::MetricClass::kTiming)
+            .inc();
+      }
+      return false;
     }
+    if (obs::metrics_enabled()) {
+      obs::counter("regress.replay_proved", obs::MetricClass::kTiming).inc();
+    }
+    r = settle_replayed_bca(rtl, proof.evaluations);
+    if (!plan.out_dir.empty()) {
+      const std::string path = plan.out_dir + "/" + stem_of(pair) + "_bca.vcd";
+      std::ofstream os(path);
+      if (!os) throw std::runtime_error("vcd: cannot open " + path);
+      vcd::write_wave(trace, os);
+      vcd::check_written(os, path);
+    }
+    return true;
   }
 
   // The side effects of a unit's final result: log line, job and verdict
@@ -328,29 +384,6 @@ struct Campaign {
     }
   }
 
-  // Settles the pair's lean BCA view from the RTL view (settle_lean_bca),
-  // or re-runs it with its full environment when the proof fails, then
-  // finishes the unit.
-  void settle_bca(std::size_t pair, bool recordings_equal) {
-    RunResult& bca = outcomes[2 * pair + 1].result;
-    if (settle_lean_bca(recordings_equal, outcomes[2 * pair].result, bca)) {
-      if (obs::metrics_enabled()) {
-        obs::counter("regress.lean_settled", obs::MetricClass::kTiming).inc();
-      }
-    } else {
-      CRVE_SPAN("rerun");
-      bca_full.store(true, std::memory_order_relaxed);
-      // The re-run repeats a simulation the lean job already recorded and
-      // counted, so it records and publishes nothing.
-      TestbenchOptions opts = view_options(pair, ModelKind::kBca);
-      bca = Testbench(plan.cfg, sized_spec(pair), opts).simulate();
-      if (obs::metrics_enabled()) {
-        obs::counter("regress.lean_reruns", obs::MetricClass::kTiming).inc();
-      }
-    }
-    finish_unit(2 * pair + 1);
-  }
-
   // Failure forensics: when a flight recorder is installed, preserve the
   // last captured log lines next to the failing job's other artifacts (or
   // on the console when running in-memory). The ring is process-wide, so
@@ -379,7 +412,7 @@ struct Campaign {
     const TestSpec& spec = spec_of(pair);
     const std::uint64_t seed = seed_of(pair);
     const bool to_disk = !plan.out_dir.empty();
-    const stbus::NodeConfig cfg = job_config(plan.cfg, spec);
+    const stbus::NodeConfig cfg = verif::test_config(plan.cfg, spec);
     const auto ports = alignment_ports(cfg);
 
     obs::SpanGuard align_span("align");
@@ -398,10 +431,12 @@ struct Campaign {
     // is done with them.
     const vcd::Trace ta = std::move(traces[2 * pair]);
     const vcd::Trace tb = std::move(traces[2 * pair + 1]);
+    // A proved replay is the proof that the recordings are equal.
+    BcaReplay proof = std::move(proofs[pair]);
     try {
-      bool recordings_equal = false;
-      rep = stba::Analyzer::compare(ta, tb, ports, &recordings_equal);
-      if (bca_unsettled[pair]) settle_bca(pair, recordings_equal);
+      rep = proof.proved ? stba::Analyzer::proved_report(
+                               ta, ports, proof.port_fields, proof.cells)
+                         : stba::Analyzer::compare(ta, tb, ports);
       if (to_disk) {
         write_text(plan.out_dir + "/alignment_" +
                        sanitize_artifact_name(spec.name) + "_s" +
@@ -763,7 +798,11 @@ void run_campaigns(ThreadPool& pool, std::span<Campaign> camps) {
   };
   std::vector<Ref> units;
   for (Campaign& camp : camps) {
-    for (const std::size_t u : camp.missing_units) units.push_back({&camp, u});
+    for (const std::size_t u : camp.missing_units) {
+      // A replaying campaign's RTL view job runs the pair's BCA view too.
+      if (camp.replays_bca && u % 2 == 1) continue;
+      units.push_back({&camp, u});
+    }
   }
   pool.parallel_for(units.size(), [&](std::size_t k) {
     units[k].camp->run_job(units[k].unit);
@@ -804,8 +843,8 @@ RegressionResult Regression::run(const RunPlan& plan) {
   obs::SpanGuard campaign_span("campaign");
   if (obs::tracing_enabled()) campaign_span.set_detail(plan.cfg.name);
   Campaign camp;
-  camp.plan = plan;
-  camp.prepare();
+  camp.plan = campaign_plan(plan);
+  camp.prepare(batch_tests(plan));
   CachePlanner planner(plan);
   planner.probe(camp);  // no cache: the missing lists stay full
   if (plan.progress) {
@@ -849,7 +888,7 @@ RegressionResult Regression::run(const RunPlan& plan) {
 namespace {
 
 MatrixResult run_matrix_with(const std::vector<stbus::NodeConfig>& configs,
-                             const RunPlan& base, bool force_lean_bca) {
+                             const RunPlan& base, bool force_replay) {
   const auto t0 = Clock::now();
   // Intentionally the same span name as Regression::run's campaign guard:
   // both cover one whole campaign entry point, whichever was called, so
@@ -859,16 +898,20 @@ MatrixResult run_matrix_with(const std::vector<stbus::NodeConfig>& configs,
   mres.jobs = resolve_jobs(base.jobs);
   mres.design_health = base.design_health;
 
+  const RunPlan shell = campaign_plan(base);
+  const auto tests = batch_tests(base);
   std::vector<Campaign> camps(configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    camps[i].plan = base;
+    camps[i].plan = shell;
     camps[i].plan.cfg = configs[i];
     if (!base.out_dir.empty()) {
       camps[i].plan.out_dir = base.out_dir + "/" + configs[i].name;
     }
-    camps[i].prepare();
-    if (force_lean_bca) {
-      camps[i].lean_bca = base.run_alignment && base.txn_trace_out.empty();
+    camps[i].prepare(tests);
+    if (force_replay) {
+      camps[i].replays_bca = base.run_alignment &&
+                             base.txn_trace_out.empty() &&
+                             base.profile_out.empty();
     }
   }
   CachePlanner planner(base);
@@ -958,33 +1001,28 @@ MatrixResult run_matrix_with(const std::vector<stbus::NodeConfig>& configs,
 
 }  // namespace
 
-bool settle_lean_bca(bool recordings_equal, const RunResult& rtl,
-                     RunResult& bca) {
-  if (!recordings_equal || rtl.cycles != bca.cycles) return false;
-  bca.take_passive_verdict(rtl);
-  return true;
-}
-
 MatrixResult Regression::run_matrix(
     const std::vector<stbus::NodeConfig>& configs, const RunPlan& base) {
-  return run_matrix_with(configs, base, /*force_lean_bca=*/false);
+  return run_matrix_with(configs, base, /*force_replay=*/false);
 }
 
-MatrixResult Regression::run_matrix_lean_bca_for_testing(
+MatrixResult Regression::run_matrix_replay_for_testing(
     const std::vector<stbus::NodeConfig>& configs, const RunPlan& base) {
-  return run_matrix_with(configs, base, /*force_lean_bca=*/true);
+  return run_matrix_with(configs, base, /*force_replay=*/true);
 }
 
 MatrixPlan Regression::plan_matrix(
     const std::vector<stbus::NodeConfig>& configs, const RunPlan& base) {
   MatrixPlan mplan;
   CachePlanner planner(base);
+  const RunPlan shell = campaign_plan(base);
+  const auto tests = batch_tests(base);
   for (const auto& cfg : configs) {
     Campaign camp;
-    camp.plan = base;
+    camp.plan = shell;
     camp.plan.cfg = cfg;
     camp.plan.out_dir.clear();  // planning must not create artifact dirs
-    camp.prepare();
+    camp.prepare(tests);
     mplan.total_pairs += camp.n_pairs;
     if (!planner.active()) {
       for (std::size_t p = 0; p < camp.n_pairs; ++p) {
@@ -1039,7 +1077,6 @@ std::vector<WorkerOutcome> Regression::run_worker(
       std::istringstream is(js.config_text);
       plan.cfg = parse_config(is, "jobspec");
     }
-    plan.tests = {*spec};
     plan.seeds = {js.seed};
     plan.n_transactions = js.n_transactions;
     plan.max_cycles = js.max_cycles;
@@ -1053,7 +1090,8 @@ std::vector<WorkerOutcome> Regression::run_worker(
     if (!opts.out_dir.empty()) {
       plan.out_dir = opts.out_dir + "/" + js.hash().substr(0, 12);
     }
-    camps[i].prepare();
+    camps[i].prepare(
+        std::make_shared<const std::vector<TestSpec>>(1, *spec));
   }
   ThreadPool pool(resolve_jobs(opts.jobs));
   run_campaigns(pool, camps);

@@ -253,11 +253,11 @@ class Regression {
   static MatrixResult run_matrix(const std::vector<stbus::NodeConfig>& configs,
                                  const RunPlan& base);
 
-  // Test-only: run_matrix() with the BCA view jobs of an aligned campaign
-  // started lean even under base.faults, so tests can drive the settle
-  // step's re-run fallback. Campaigns otherwise derive the choice
+  // Test-only: run_matrix() with the BCA views of an aligned campaign
+  // replayed even under base.faults, so tests can drive the replay's
+  // fallback to the closed loop. Campaigns otherwise derive the choice
   // (DESIGN.md §8).
-  static MatrixResult run_matrix_lean_bca_for_testing(
+  static MatrixResult run_matrix_replay_for_testing(
       const std::vector<stbus::NodeConfig>& configs, const RunPlan& base);
 
   // Planner half on its own: hash every pair job of the batch, probe the
@@ -275,20 +275,5 @@ class Regression {
   static std::vector<WorkerOutcome> run_worker(
       const std::vector<JobSpec>& specs, const WorkerOptions& opts);
 };
-
-// The settle step of a lean BCA view job (DESIGN.md §8). The lean run
-// drove the pins but observed nothing. Its passive verdict is the RTL
-// view's when the pair's recordings prove that the passive environment
-// would have seen the same pins: the two recordings equal as a whole
-// (`recordings_equal`, as stba::Analyzer::compare decided it) and equal
-// cycle counts. A BCA view records exactly the pin bundles the passive
-// environment watches (every initiator and target port, and the
-// programming port when the configuration has one) under the RTL view's
-// variable table, so equal recordings are equal pins. Then `bca` takes the
-// RTL result's passive fields (RunResult::take_passive_verdict) and the
-// call returns true. Otherwise `bca` is left as it is and the call returns
-// false: the BCA view must be re-run with its full environment.
-bool settle_lean_bca(bool recordings_equal, const verif::RunResult& rtl,
-                     verif::RunResult& bca);
 
 }  // namespace crve::regress

@@ -115,6 +115,11 @@ class SignalBase {
   // copy or text; it stays valid while no signal is added to the Context.
   virtual const std::uint64_t* value_words() const = 0;
 
+  // Schedules a next value given as value_words() lays it out, as the
+  // typed write() does: the BCA replay drives pins straight from a
+  // recording's words.
+  virtual void write_words(const std::uint64_t* w) = 0;
+
   // Current value as an MSB-first binary string of exactly width() chars,
   // for cold paths and tests.
   std::string vcd_value() const {
@@ -186,6 +191,7 @@ class SignalBool : public SignalBase {
       note_write();
     }
   }
+  void write_words(const std::uint64_t* w) override { write(w[0] != 0); }
   bool commit() override {
     auto& cur = arena_->cur[static_cast<std::size_t>(slot_)];
     const std::uint64_t next = arena_->next[static_cast<std::size_t>(slot_)];
@@ -225,6 +231,7 @@ class SignalU64 : public SignalBase {
       note_write();
     }
   }
+  void write_words(const std::uint64_t* w) override { write(w[0]); }
   bool commit() override {
     auto& cur = arena_->cur[static_cast<std::size_t>(slot_)];
     const std::uint64_t next = arena_->next[static_cast<std::size_t>(slot_)];
@@ -265,6 +272,9 @@ class SignalBits : public SignalBase {
     } else {
       note_write();
     }
+  }
+  void write_words(const std::uint64_t* w) override {
+    write(Bits::from_words(w, width()));
   }
   bool commit() override {
     // Compare first: skip the wide-data copy when the value is unchanged.

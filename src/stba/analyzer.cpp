@@ -134,50 +134,14 @@ bool granted(const vcd::Value& req, const vcd::Value& gnt) {
   return req.is_one() && gnt.is_one();
 }
 
-// Number of granted cells of each port in [0, t.max_time() + 1): the cell
-// count of its CellCursor stream, from the four handshake fields alone, in
-// one walk of the log for all the ports. `ports` holds each port's fields
-// as resolve_ports gives them.
+// Number of granted cells of each port in [0, t.max_time() + 1), in one
+// walk of the log for all the ports. `ports` holds each port's fields as
+// resolve_ports gives them.
 std::vector<std::uint64_t> count_cells(
     const vcd::Trace& t, const std::vector<std::vector<int>>& ports) {
-  constexpr std::size_t kHandshake[] = {kReq, kGnt, kRReq, kRGnt};
-  struct Port {
-    unsigned high = 0;        // bit r: handshake field kHandshake[r] is 1
-    std::uint64_t since = 0;  // first cycle not yet counted
-    std::uint64_t cells = 0;
-  };
-  const auto per_cycle = [](unsigned high) -> std::uint64_t {
-    return ((high & 3u) == 3u) + ((high & 12u) == 12u);
-  };
-  std::vector<Port> state(ports.size());
-  // Role k = 4 * port + bit. A variable's roles chain from head[var]
-  // through next[k]: a port listed twice shares its variables.
-  std::vector<int> head(t.vars().size(), -1);
-  std::vector<int> next(4 * ports.size(), -1);
-  for (std::size_t p = 0; p < ports.size(); ++p) {
-    for (std::size_t r = 0; r < 4; ++r) {
-      const int k = static_cast<int>(4 * p + r);
-      const auto var = static_cast<std::size_t>(ports[p][kHandshake[r]]);
-      next[static_cast<std::size_t>(k)] = head[var];
-      head[var] = k;
-    }
-  }
-  for (const vcd::Trace::Entry e : t) {
-    for (int k = head[static_cast<std::size_t>(e.var)]; k >= 0;
-         k = next[static_cast<std::size_t>(k)]) {
-      Port& s = state[static_cast<std::size_t>(k) / 4];
-      const unsigned bit = 1u << (k % 4);
-      s.cells += per_cycle(s.high) * (e.time - s.since);
-      s.since = e.time;
-      s.high = e.value.is_one() ? s.high | bit : s.high & ~bit;
-    }
-  }
-  std::vector<std::uint64_t> cells;
-  cells.reserve(ports.size());
-  for (const Port& s : state) {
-    cells.push_back(s.cells + per_cycle(s.high) * (t.max_time() + 1 - s.since));
-  }
-  return cells;
+  CellCounter counter(t.vars().size(), ports);
+  for (const vcd::Trace::Entry e : t) counter.add(e);
+  return counter.cells(t.max_time());
 }
 
 // Content-wise diff of the two granted-cell streams: cells at the same
@@ -218,6 +182,29 @@ std::string Analyzer::activity_note(const vcd::Trace& a,
            "against all-zeros";
   }
   return "";
+}
+
+CellCounter::CellCounter(std::size_t n_vars,
+                         const std::vector<std::vector<int>>& ports)
+    : state_(ports.size()), head_(n_vars, -1), next_(4 * ports.size(), -1) {
+  constexpr std::size_t kHandshake[] = {kReq, kGnt, kRReq, kRGnt};
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    for (std::size_t r = 0; r < 4; ++r) {
+      const int k = static_cast<int>(4 * p + r);
+      const auto var = static_cast<std::size_t>(ports[p][kHandshake[r]]);
+      next_[static_cast<std::size_t>(k)] = head_[var];
+      head_[var] = k;
+    }
+  }
+}
+
+std::vector<std::uint64_t> CellCounter::cells(std::uint64_t max_time) const {
+  std::vector<std::uint64_t> out;
+  out.reserve(state_.size());
+  for (const Port& s : state_) {
+    out.push_back(s.cells + per_cycle(s.high) * (max_time + 1 - s.since));
+  }
+  return out;
 }
 
 RunWalker::RunWalker(const vcd::Trace& a, const std::vector<int>& ia,
@@ -327,21 +314,37 @@ void walk_port(const vcd::Trace& a, const std::vector<int>& ia,
   }
 }
 
+// The per-port stba.* counters of one compared port.
+void publish_port(const PortAlignment& pa) {
+  obs::counter("stba.ports_compared").inc();
+  obs::counter("stba.aligned_cycles").add(pa.aligned_cycles);
+  obs::counter("stba.compared_cycles").add(pa.total_cycles);
+  // Both streams of the port, diffed or counted by the proof.
+  obs::counter("stba.extracts").add(2);
+  obs::counter("stba.cells_extracted").add(pa.cells_a + pa.cells_b);
+}
+
+// The stba.* counters of one report, the recording proof's included.
+void publish_compare(bool proved) {
+  obs::counter("stba.compares").inc();
+  if (proved) obs::counter("stba.recordings_identical").inc();
+}
+
 AlignmentReport compare_ports(const vcd::Trace& a, const vcd::Trace& b,
                               const std::vector<std::string>& ports,
                               bool prove_equal, bool* recordings_equal) {
-  AlignmentReport report;
-  const bool metrics = obs::metrics_enabled();
-  const std::uint64_t total = std::max(a.max_time(), b.max_time()) + 1;
   // Equal recordings prove every port at once and share one variable
   // table: each port is aligned on every cycle, and its two cell streams
   // are one stream, so only its cells are counted.
   const bool equal = prove_equal && a == b;
+  if (recordings_equal != nullptr) *recordings_equal = equal;
   const auto fa = Analyzer::resolve_ports(a, ports);
-  const auto fb = equal ? fa : Analyzer::resolve_ports(b, ports);
-  const std::vector<std::uint64_t> cells =
-      equal ? count_cells(a, fa) : std::vector<std::uint64_t>{};
+  if (equal) return Analyzer::proved_report(a, ports, fa, count_cells(a, fa));
 
+  AlignmentReport report;
+  const bool metrics = obs::metrics_enabled();
+  const std::uint64_t total = std::max(a.max_time(), b.max_time()) + 1;
+  const auto fb = Analyzer::resolve_ports(b, ports);
   for (std::size_t p = 0; p < ports.size(); ++p) {
     const std::vector<int>& ia = fa[p];
     const std::vector<int>& ib = fb[p];
@@ -349,27 +352,11 @@ AlignmentReport compare_ports(const vcd::Trace& a, const vcd::Trace& b,
     pa.port = ports[p];
     pa.total_cycles = total;
     pa.note = Analyzer::activity_note(a, ia, b, ib);
-    if (equal) {
-      pa.aligned_cycles = total;
-      pa.cells_a = pa.cells_b = pa.cells_matching = cells[p];
-    } else {
-      walk_port(a, ia, b, ib, pa, metrics);
-    }
-    if (metrics) {
-      obs::counter("stba.ports_compared").inc();
-      obs::counter("stba.aligned_cycles").add(pa.aligned_cycles);
-      obs::counter("stba.compared_cycles").add(pa.total_cycles);
-      // Both streams of the port, diffed or counted by the proof.
-      obs::counter("stba.extracts").add(2);
-      obs::counter("stba.cells_extracted").add(pa.cells_a + pa.cells_b);
-    }
+    walk_port(a, ia, b, ib, pa, metrics);
+    if (metrics) publish_port(pa);
     report.ports.push_back(std::move(pa));
   }
-  if (metrics) {
-    obs::counter("stba.compares").inc();
-    if (equal) obs::counter("stba.recordings_identical").inc();
-  }
-  if (recordings_equal != nullptr) *recordings_equal = equal;
+  if (metrics) publish_compare(/*proved=*/false);
   return report;
 }
 
@@ -385,6 +372,27 @@ AlignmentReport Analyzer::compare_by_merge(
     const vcd::Trace& a, const vcd::Trace& b,
     const std::vector<std::string>& ports) {
   return compare_ports(a, b, ports, /*prove_equal=*/false, nullptr);
+}
+
+AlignmentReport Analyzer::proved_report(
+    const vcd::Trace& t, const std::vector<std::string>& ports,
+    const std::vector<std::vector<int>>& fields,
+    const std::vector<std::uint64_t>& cells) {
+  AlignmentReport report;
+  const bool metrics = obs::metrics_enabled();
+  const std::uint64_t total = t.max_time() + 1;
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    PortAlignment pa;
+    pa.port = ports[p];
+    pa.total_cycles = total;
+    pa.aligned_cycles = total;
+    pa.note = activity_note(t, fields[p], t, fields[p]);
+    pa.cells_a = pa.cells_b = pa.cells_matching = cells[p];
+    if (metrics) publish_port(pa);
+    report.ports.push_back(std::move(pa));
+  }
+  if (metrics) publish_compare(/*proved=*/true);
+  return report;
 }
 
 AlignmentReport Analyzer::compare_files(const std::string& path_a,

@@ -108,6 +108,18 @@ class Analyzer {
       const vcd::Trace& a, const vcd::Trace& b,
       const std::vector<std::string>& ports);
 
+  // The report compare() gives `t` against an equal trace, from what the
+  // proof needs beyond `t`'s change counts: `fields`, each port's fields
+  // as resolve_ports() gives them, and `cells`, each port's granted-cell
+  // count (CellCounter). Every port is aligned on every cycle. Publishes
+  // the stba.* counters compare() publishes for an equal pair. The
+  // regression runner's BCA replay proves a pair without the second
+  // recording and hands its own walk of `t`'s log here.
+  static AlignmentReport proved_report(
+      const vcd::Trace& t, const std::vector<std::string>& ports,
+      const std::vector<std::vector<int>>& fields,
+      const std::vector<std::uint64_t>& cells);
+
   static AlignmentReport compare_files(const std::string& path_a,
                                        const std::string& path_b,
                                        const std::vector<std::string>& ports);
@@ -164,6 +176,50 @@ class RunWalker {
   std::vector<vcd::Trace::Cursor> ca_, cb_;
   std::uint64_t c_ = 0;
   std::uint64_t total_;
+};
+
+// Counts each port's granted cells over one walk of a trace's log, from
+// the four handshake fields alone: a channel hands over a cell on every
+// cycle its request and grant are both a single 1, so the count of a
+// CellCursor stream without decoding a cell.
+class CellCounter {
+ public:
+  // `n_vars` is the trace's variable count; `ports` holds each port's
+  // fields as Analyzer::resolve_ports gives them (a port listed twice
+  // shares its variables).
+  CellCounter(std::size_t n_vars, const std::vector<std::vector<int>>& ports);
+
+  // Takes the log's next entry; entries come in log order.
+  void add(const vcd::Trace::Entry& e) {
+    for (int k = head_[static_cast<std::size_t>(e.var)]; k >= 0;
+         k = next_[static_cast<std::size_t>(k)]) {
+      Port& s = state_[static_cast<std::size_t>(k) / 4];
+      const unsigned bit = 1u << (k % 4);
+      s.cells += per_cycle(s.high) * (e.time - s.since);
+      s.since = e.time;
+      s.high = e.value.is_one() ? s.high | bit : s.high & ~bit;
+    }
+  }
+
+  // Each port's cells in [0, max_time + 1), once the whole log was taken.
+  std::vector<std::uint64_t> cells(std::uint64_t max_time) const;
+
+ private:
+  struct Port {
+    unsigned high = 0;        // bit r: handshake field r (req, gnt, r_req,
+                              // r_gnt) is 1
+    std::uint64_t since = 0;  // first cycle not yet counted
+    std::uint64_t cells = 0;
+  };
+  static std::uint64_t per_cycle(unsigned high) {
+    return ((high & 3u) == 3u) + ((high & 12u) == 12u);
+  }
+
+  std::vector<Port> state_;
+  // Role k = 4 * port + r. A variable's roles chain from head_[var]
+  // through next_[k].
+  std::vector<int> head_;
+  std::vector<int> next_;
 };
 
 // One granted cell as views into a trace's log; the views stay valid while

@@ -103,69 +103,80 @@ std::string Testbench::target_port_name(int t) {
   return "tb.targ" + std::to_string(t);
 }
 
-Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
-                     TestbenchOptions opts)
-    : cfg_(std::move(cfg)), opts_(std::move(opts)) {
-  ctx_.set_kernel(opts_.kernel);
-  if (opts_.profile) ctx_.set_profiling(true);
-  if (spec.adjust) spec.adjust(cfg_);
-  if (spec.prog) cfg_.programming_port = true;
-  cfg_.validate_and_normalize();
+stbus::NodeConfig test_config(stbus::NodeConfig cfg, const TestSpec& spec) {
+  if (spec.adjust) spec.adjust(cfg);
+  if (spec.prog) cfg.programming_port = true;
+  cfg.validate_and_normalize();
+  return cfg;
+}
 
+Dut::Dut(sim::Context& ctx, const stbus::NodeConfig& cfg, ModelKind model,
+         const bca::Faults& faults) {
   // --- environment-side pins ----------------------------------------------
-  for (int i = 0; i < cfg_.n_initiators; ++i) {
-    ipins_.push_back(std::make_unique<stbus::PortPins>(
-        ctx_, initiator_port_name(i), cfg_));
+  for (int i = 0; i < cfg.n_initiators; ++i) {
+    ipins.push_back(std::make_unique<stbus::PortPins>(
+        ctx, Testbench::initiator_port_name(i), cfg));
   }
-  for (int t = 0; t < cfg_.n_targets; ++t) {
-    tpins_.push_back(std::make_unique<stbus::PortPins>(
-        ctx_, target_port_name(t), cfg_));
+  for (int t = 0; t < cfg.n_targets; ++t) {
+    tpins.push_back(std::make_unique<stbus::PortPins>(
+        ctx, Testbench::target_port_name(t), cfg));
   }
-  if (cfg_.programming_port) {
-    prog_pins_ = std::make_unique<stbus::PortPins>(ctx_, prog_port_name(), 4,
-                                                   cfg_.address_bits,
-                                                   cfg_.src_bits,
-                                                   cfg_.tid_bits);
+  if (cfg.programming_port) {
+    prog_pins = std::make_unique<stbus::PortPins>(
+        ctx, Testbench::prog_port_name(), 4, cfg.address_bits, cfg.src_bits,
+        cfg.tid_bits);
   }
 
   // --- DUT ------------------------------------------------------------
   std::vector<stbus::PortPins*> node_iports;
   std::vector<stbus::PortPins*> node_tports;
-  if (opts_.model == ModelKind::kBcaWrapped) {
+  if (model == ModelKind::kBcaWrapped) {
     // The paper's VHDL-wrapper plumbing: DUT-side bundles behind relays.
-    for (int i = 0; i < cfg_.n_initiators; ++i) {
-      dut_ipins_.push_back(std::make_unique<stbus::PortPins>(
-          ctx_, "dutwrap.init" + std::to_string(i), cfg_));
-      make_port_wrapper(ctx_, "wrap.init" + std::to_string(i),
-                        *ipins_[static_cast<std::size_t>(i)],
-                        *dut_ipins_.back(), /*dut_receives_requests=*/true);
-      node_iports.push_back(dut_ipins_.back().get());
+    for (int i = 0; i < cfg.n_initiators; ++i) {
+      dut_ipins.push_back(std::make_unique<stbus::PortPins>(
+          ctx, "dutwrap.init" + std::to_string(i), cfg));
+      make_port_wrapper(ctx, "wrap.init" + std::to_string(i),
+                        *ipins[static_cast<std::size_t>(i)],
+                        *dut_ipins.back(), /*dut_receives_requests=*/true);
+      node_iports.push_back(dut_ipins.back().get());
     }
-    for (int t = 0; t < cfg_.n_targets; ++t) {
-      dut_tpins_.push_back(std::make_unique<stbus::PortPins>(
-          ctx_, "dutwrap.targ" + std::to_string(t), cfg_));
-      make_port_wrapper(ctx_, "wrap.targ" + std::to_string(t),
-                        *tpins_[static_cast<std::size_t>(t)],
-                        *dut_tpins_.back(), /*dut_receives_requests=*/false);
-      node_tports.push_back(dut_tpins_.back().get());
+    for (int t = 0; t < cfg.n_targets; ++t) {
+      dut_tpins.push_back(std::make_unique<stbus::PortPins>(
+          ctx, "dutwrap.targ" + std::to_string(t), cfg));
+      make_port_wrapper(ctx, "wrap.targ" + std::to_string(t),
+                        *tpins[static_cast<std::size_t>(t)],
+                        *dut_tpins.back(), /*dut_receives_requests=*/false);
+      node_tports.push_back(dut_tpins.back().get());
     }
   } else {
-    for (auto& p : ipins_) node_iports.push_back(p.get());
-    for (auto& p : tpins_) node_tports.push_back(p.get());
+    for (auto& p : ipins) node_iports.push_back(p.get());
+    for (auto& p : tpins) node_tports.push_back(p.get());
   }
 
-  switch (opts_.model) {
+  switch (model) {
     case ModelKind::kRtl:
-      rtl_node_ = std::make_unique<rtl::Node>(ctx_, cfg_, node_iports,
-                                              node_tports, prog_pins_.get());
+      rtl_node = std::make_unique<rtl::Node>(ctx, cfg, node_iports,
+                                             node_tports, prog_pins.get());
       break;
     case ModelKind::kBca:
     case ModelKind::kBcaWrapped:
-      bca_node_ = std::make_unique<bca::Node>(ctx_, cfg_, node_iports,
-                                              node_tports, prog_pins_.get(),
-                                              opts_.faults);
+      bca_node = std::make_unique<bca::Node>(ctx, cfg, node_iports,
+                                             node_tports, prog_pins.get(),
+                                             faults);
       break;
   }
+}
+
+Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
+                     TestbenchOptions opts)
+    : cfg_(test_config(std::move(cfg), spec)),
+      opts_(std::move(opts)),
+      dut_(ctx_, cfg_, opts_.model, opts_.faults) {
+  ctx_.set_kernel(opts_.kernel);
+  if (opts_.profile) ctx_.set_profiling(true);
+  const auto& ipins = dut_.ipins;
+  const auto& tpins = dut_.tpins;
+  const auto& prog_pins = dut_.prog_pins;
 
   // --- BFMs --------------------------------------------------------------
   Rng master(opts_.seed);
@@ -184,12 +195,12 @@ Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
     if (!directed.empty()) {
       bfms_.push_back(std::make_unique<InitiatorBfm>(
           ctx_, "init" + std::to_string(i),
-          *ipins_[static_cast<std::size_t>(i)], cfg_.type, i, cfg_, prof,
+          *ipins[static_cast<std::size_t>(i)], cfg_.type, i, cfg_, prof,
           master.fork(), std::move(directed)));
     } else {
       bfms_.push_back(std::make_unique<InitiatorBfm>(
           ctx_, "init" + std::to_string(i),
-          *ipins_[static_cast<std::size_t>(i)], cfg_.type, i, cfg_, prof,
+          *ipins[static_cast<std::size_t>(i)], cfg_.type, i, cfg_, prof,
           master.fork()));
     }
   }
@@ -202,11 +213,11 @@ Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
     targets_inject_errors |= prof.error_permille > 0;
     targets_.push_back(std::make_unique<TargetBfm>(
         ctx_, "targ" + std::to_string(t),
-        *tpins_[static_cast<std::size_t>(t)], cfg_.type, prof,
+        *tpins[static_cast<std::size_t>(t)], cfg_.type, prof,
         master.fork()));
   }
   if (spec.prog) {
-    prog_bfm_ = std::make_unique<ProgInitiator>(ctx_, "prog", *prog_pins_,
+    prog_bfm_ = std::make_unique<ProgInitiator>(ctx_, "prog", *prog_pins,
                                                 spec.prog(cfg_));
   }
 
@@ -220,30 +231,30 @@ Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
     for (int i = 0; i < cfg_.n_initiators; ++i) {
       imons_.push_back(std::make_unique<Monitor>(
           "init" + std::to_string(i),
-          *ipins_[static_cast<std::size_t>(i)]));
+          *ipins[static_cast<std::size_t>(i)]));
     }
     for (int t = 0; t < cfg_.n_targets; ++t) {
       tmons_.push_back(std::make_unique<Monitor>(
           "targ" + std::to_string(t),
-          *tpins_[static_cast<std::size_t>(t)]));
+          *tpins[static_cast<std::size_t>(t)]));
     }
   }
   if (opts_.enable_checkers) {
     for (int i = 0; i < cfg_.n_initiators; ++i) {
       checkers_.push_back(std::make_unique<ProtocolChecker>(
           ctx_, "init" + std::to_string(i),
-          *ipins_[static_cast<std::size_t>(i)], cfg_.type,
+          *ipins[static_cast<std::size_t>(i)], cfg_.type,
           ProtocolChecker::Role::kInitiatorPort, i, &cfg_));
     }
     for (int t = 0; t < cfg_.n_targets; ++t) {
       checkers_.push_back(std::make_unique<ProtocolChecker>(
           ctx_, "targ" + std::to_string(t),
-          *tpins_[static_cast<std::size_t>(t)], cfg_.type,
+          *tpins[static_cast<std::size_t>(t)], cfg_.type,
           ProtocolChecker::Role::kTargetPort, -1, &cfg_));
     }
   }
-  if (prog_pins_) {
-    prog_checker_ = std::make_unique<Type1Checker>(ctx_, "prog", *prog_pins_);
+  if (prog_pins) {
+    prog_checker_ = std::make_unique<Type1Checker>(ctx_, "prog", *prog_pins);
   }
   // One agent per port, initiator ports first: monitor listeners (the
   // scoreboard, reference model and txn tracer below) see each cycle's
@@ -254,7 +265,7 @@ Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
   for (int i = 0; i < cfg_.n_initiators; ++i) {
     const auto k = static_cast<std::size_t>(i);
     agents_.push_back(std::make_unique<PortAgent>(
-        ctx_, "init" + std::to_string(i), *ipins_[k],
+        ctx_, "init" + std::to_string(i), *ipins[k],
         PortAgent::Parts{.initiator = bfms_[k].get(),
                          .checker = part(checkers_, k),
                          .monitor = part(imons_, k)}));
@@ -262,7 +273,7 @@ Testbench::Testbench(stbus::NodeConfig cfg, const TestSpec& spec,
   for (int t = 0; t < cfg_.n_targets; ++t) {
     const auto k = static_cast<std::size_t>(t);
     agents_.push_back(std::make_unique<PortAgent>(
-        ctx_, "targ" + std::to_string(t), *tpins_[k],
+        ctx_, "targ" + std::to_string(t), *tpins[k],
         PortAgent::Parts{
             .target = targets_[k].get(),
             .checker = part(checkers_,

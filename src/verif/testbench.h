@@ -163,8 +163,38 @@ struct RunResult {
 
 // Publishes a run's verdict counters (verif.*: runs, violations, errors,
 // traffic mix). The caller publishes once the verdict is final — for a
-// lean BCA view job, after its settle step (DESIGN.md §8).
+// replayed BCA view, the result settled from the RTL view's (DESIGN.md
+// §8).
 void publish_verdict_metrics(const RunResult& r);
+
+// The configuration a test runs on: `cfg` after the test's adjustments,
+// with the programming port when the test programs, validated and
+// normalized.
+stbus::NodeConfig test_config(stbus::NodeConfig cfg, const TestSpec& spec);
+
+// The device side of a testbench, elaborated into a context: the
+// environment-side pin bundles (initiator ports, target ports, then the
+// programming port when `cfg` has one) and the DUT view behind them, which
+// registers no signal of its own but, in wrapped mode, its DUT-side
+// bundles. A Testbench builds its environment around one; the regression
+// runner's BCA replay (regress/replay.h) drives one from a recording.
+// Both register the same signals in the same order, so a view records
+// under one variable table either way.
+struct Dut {
+  // `cfg` as test_config gives it; `faults` apply to the BCA views.
+  Dut(sim::Context& ctx, const stbus::NodeConfig& cfg, ModelKind model,
+      const bca::Faults& faults);
+
+  std::vector<std::unique_ptr<stbus::PortPins>> ipins;
+  std::vector<std::unique_ptr<stbus::PortPins>> tpins;
+  std::unique_ptr<stbus::PortPins> prog_pins;
+  // Wrapped mode: DUT-side bundles behind the relays.
+  std::vector<std::unique_ptr<stbus::PortPins>> dut_ipins;
+  std::vector<std::unique_ptr<stbus::PortPins>> dut_tpins;
+
+  std::unique_ptr<rtl::Node> rtl_node;
+  std::unique_ptr<bca::Node> bca_node;
+};
 
 class Testbench {
  public:
@@ -175,12 +205,9 @@ class Testbench {
   Testbench(const Testbench&) = delete;
   Testbench& operator=(const Testbench&) = delete;
 
-  // Runs to completion (or opts.max_cycles) and gathers the result,
-  // publishing nothing.
-  RunResult simulate();
-
-  // simulate(), then publishes the run's kernel (sim.*) and transaction
-  // tracer (txn.*) counters; the verdict counters are the caller's
+  // Runs to completion (or opts.max_cycles), gathers the result, then
+  // publishes the run's kernel (sim.*) and transaction tracer (txn.*)
+  // counters; the verdict counters are the caller's
   // (publish_verdict_metrics).
   RunResult run();
 
@@ -198,29 +225,22 @@ class Testbench {
   const StbusCoverage* coverage() const { return coverage_.get(); }
   const ReferenceModel* reference_model() const { return reference_.get(); }
   ProgInitiator* prog_initiator() { return prog_bfm_.get(); }
-  rtl::Node* rtl_node() { return rtl_node_.get(); }
-  bca::Node* bca_node() { return bca_node_.get(); }
+  rtl::Node* rtl_node() { return dut_.rtl_node.get(); }
+  bca::Node* bca_node() { return dut_.bca_node.get(); }
 
   static std::string initiator_port_name(int i);
   static std::string target_port_name(int t);
   static std::string prog_port_name() { return "tb.prog"; }
 
  private:
+  // run() without the publishing.
+  RunResult simulate();
   bool traffic_drained() const;
 
   stbus::NodeConfig cfg_;
   TestbenchOptions opts_;
   sim::Context ctx_;
-
-  std::vector<std::unique_ptr<stbus::PortPins>> ipins_;
-  std::vector<std::unique_ptr<stbus::PortPins>> tpins_;
-  std::unique_ptr<stbus::PortPins> prog_pins_;
-  // Wrapped mode: DUT-side bundles behind the relays.
-  std::vector<std::unique_ptr<stbus::PortPins>> dut_ipins_;
-  std::vector<std::unique_ptr<stbus::PortPins>> dut_tpins_;
-
-  std::unique_ptr<rtl::Node> rtl_node_;
-  std::unique_ptr<bca::Node> bca_node_;
+  Dut dut_;
 
   std::vector<std::unique_ptr<InitiatorBfm>> bfms_;
   std::vector<std::unique_ptr<TargetBfm>> targets_;

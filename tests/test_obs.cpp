@@ -397,17 +397,22 @@ TEST(ObsRegression, StableMetricsIdenticalForAnyWorkerCount) {
   std::uint64_t cycles = 0;
   for (const auto& o : parallel.outcomes) cycles += o.result.cycles;
   EXPECT_EQ(counter_value(snap, "sim.cycles"), cycles);
-  // Every (test, seed, view) unit records its trace when alignment runs.
-  EXPECT_EQ(counter_value(snap, "vcd.recordings"), parallel.outcomes.size());
+  // Every pair records its RTL view when alignment runs; its BCA view
+  // replays against that recording and, proved, records nothing.
+  EXPECT_EQ(counter_value(snap, "regress.replay_proved"),
+            parallel.alignments.size());
+  EXPECT_EQ(counter_value(snap, "vcd.recordings"), parallel.alignments.size());
   EXPECT_GT(counter_value(snap, "vcd.recorded_changes"), 0u);
   EXPECT_GT(counter_value(snap, "stba.ports_compared"), 0u);
   EXPECT_GT(counter_value(snap, "verif.request_packets"), 0u);
 }
 
-// An on-disk campaign writes each view run's wave once, from its recording:
-// vcd.dumps counts the view runs and vcd.bytes_flushed the bytes of their
-// wave files, while vcd.recordings counts only the recordings alignment
-// takes, so a recording that only feeds a wave file publishes nothing.
+// An on-disk campaign writes each view run's wave once, from its recording
+// (a proved BCA replay's from the RTL one): vcd.dumps counts the view runs
+// and vcd.bytes_flushed the bytes of their wave files, while
+// vcd.recordings counts only the recordings alignment takes, so a
+// recording that only feeds a wave file publishes nothing, and a pair whose
+// BCA replay is proved takes one.
 TEST(ObsRegression, OnDiskWavesCountedOncePerViewRun) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "crve_obs_wave_test";
@@ -440,7 +445,7 @@ TEST(ObsRegression, OnDiskWavesCountedOncePerViewRun) {
     EXPECT_EQ(counter_value(snap, "vcd.dumps"), res.outcomes.size());
     EXPECT_EQ(counter_value(snap, "vcd.bytes_flushed"), wave_bytes);
     EXPECT_EQ(counter_value(snap, "vcd.recordings"),
-              align ? res.outcomes.size() : 0u);
+              align ? res.alignments.size() : 0u);
   }
   fs::remove_all(dir);
 }
@@ -504,11 +509,13 @@ TEST(ObsRegression, CampaignTraceCoversJobsAndPhases) {
   const std::string j = os.str();
   EXPECT_TRUE(JsonParser(j).parse()) << j;
   // One top-level campaign span, one job span per (test, seed, view) unit,
-  // each with build/sim sub-phases, plus one align span per pair.
+  // the RTL view's with build/sim sub-phases and the BCA view's with its
+  // replay, plus one align span per pair.
   EXPECT_EQ(count_of(j, "\"name\": \"campaign\""), 1u);
   EXPECT_EQ(count_of(j, "\"name\": \"job\""), res.outcomes.size());
-  EXPECT_EQ(count_of(j, "\"name\": \"sim\""), res.outcomes.size());
-  EXPECT_EQ(count_of(j, "\"name\": \"build\""), res.outcomes.size());
+  EXPECT_EQ(count_of(j, "\"name\": \"sim\""), res.alignments.size());
+  EXPECT_EQ(count_of(j, "\"name\": \"build\""), res.alignments.size());
+  EXPECT_EQ(count_of(j, "\"name\": \"replay\""), res.alignments.size());
   EXPECT_EQ(count_of(j, "\"name\": \"align\""), res.alignments.size());
   EXPECT_EQ(count_of(j, "\"name\": \"reduce\""), 1u);
   // Job identity rides in the args.detail payload.
