@@ -1,6 +1,7 @@
 #include "bca/node.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -161,8 +162,7 @@ Node::Node(sim::Context& ctx, stbus::NodeConfig cfg,
   out_.req_mask.resize(static_cast<std::size_t>(nres));
   out_.ready.resize(static_cast<std::size_t>(nres));
   out_.rsp_pick.resize(static_cast<std::size_t>(cfg_.n_initiators));
-  out_.offer_to.resize(static_cast<std::size_t>(cfg_.n_targets));
-  landings_.reserve(static_cast<std::size_t>(cfg_.n_initiators));
+  out_.offers.resize(static_cast<std::size_t>(cfg_.n_initiators));
 
   // Design-lint declaration for the tick process: payload pins are sampled
   // only for ports with traffic in flight; all pin writes go through
@@ -217,20 +217,14 @@ Node::Node(sim::Context& ctx, stbus::NodeConfig cfg,
 }
 
 bool Node::idle_cycle() const {
+  if (target_full_ != 0 || initiator_full_ != 0 || errors_pending_ != 0) {
+    return false;
+  }
   for (const PortPins* p : iports_) {
     if (p->req.read()) return false;
   }
   for (const PortPins* p : tports_) {
     if (p->r_req.read()) return false;
-  }
-  for (const auto& q : to_target_) {
-    if (!q.empty()) return false;
-  }
-  for (const auto& q : to_initiator_) {
-    if (!q.empty()) return false;
-  }
-  for (const auto& q : err_pending_) {
-    if (!q.empty()) return false;
   }
   if (prog_ != nullptr && (prog_ack_ || prog_->req.read())) return false;
   for (const auto& a : arb_) {
@@ -240,13 +234,33 @@ bool Node::idle_cycle() const {
 }
 
 bool Node::target_slot_free(int target) const {
-  return to_target_[static_cast<std::size_t>(target)].empty() ||
+  return ((target_full_ >> target) & 1u) == 0 ||
          tports_[static_cast<std::size_t>(target)]->gnt.read();
 }
 
 bool Node::initiator_slot_free(int initiator) const {
-  return to_initiator_[static_cast<std::size_t>(initiator)].empty() ||
+  return ((initiator_full_ >> initiator) & 1u) == 0 ||
          iports_[static_cast<std::size_t>(initiator)]->r_gnt.read();
+}
+
+void Node::fill_target_slot(int target) {
+  target_full_ |= 1u << target;
+  target_moved_ |= 1u << target;
+}
+
+void Node::empty_target_slot(int target) {
+  target_full_ &= ~(1u << target);
+  target_moved_ |= 1u << target;
+}
+
+void Node::fill_initiator_slot(int initiator) {
+  initiator_full_ |= 1u << initiator;
+  initiator_moved_ |= 1u << initiator;
+}
+
+void Node::empty_initiator_slot(int initiator) {
+  initiator_full_ &= ~(1u << initiator);
+  initiator_moved_ |= 1u << initiator;
 }
 
 void Node::evaluate() {
@@ -256,7 +270,7 @@ void Node::evaluate() {
   std::fill(out.req_mask.begin(), out.req_mask.end(), 0);
   std::fill(out.ready.begin(), out.ready.end(), 0);
   std::fill(out.rsp_pick.begin(), out.rsp_pick.end(), -1);
-  std::fill(out.offer_to.begin(), out.offer_to.end(), -1);
+  std::fill(out.offers.begin(), out.offers.end(), 0);
   out.grants = 0;
   out.error_sinks = 0;
 
@@ -290,34 +304,34 @@ void Node::evaluate() {
   }
 
   // Response side.
-  std::vector<int>& offer_to = out.offer_to;
   for (int t = 0; t < T; ++t) {
     const PortPins& p = *tports_[static_cast<std::size_t>(t)];
     if (p.r_req.read()) {
       const int i = static_cast<int>(p.r_src.read());
       if (i >= 0 && i < cfg_.n_initiators) {
-        offer_to[static_cast<std::size_t>(t)] = i;
+        out.offers[static_cast<std::size_t>(i)] |= std::uint64_t{1} << t;
       }
     }
   }
   for (int i = 0; i < cfg_.n_initiators; ++i) {
     if (!initiator_slot_free(i)) continue;
-    auto offering = [&](int s) {
-      if (s < T) return offer_to[static_cast<std::size_t>(s)] == i;
-      return !err_pending_[static_cast<std::size_t>(i)].empty();
-    };
+    std::uint64_t offers = out.offers[static_cast<std::size_t>(i)];
+    if (!err_pending_[static_cast<std::size_t>(i)].empty()) {
+      offers |= std::uint64_t{1} << T;
+    }
     const int holder = rsp_allocation_[static_cast<std::size_t>(i)];
     if (holder >= 0) {
-      if (offering(holder)) out.rsp_pick[static_cast<std::size_t>(i)] = holder;
+      if ((offers >> holder) & 1u) {
+        out.rsp_pick[static_cast<std::size_t>(i)] = holder;
+      }
       continue;
     }
-    for (int k = 0; k <= T; ++k) {
-      const int s = (rsp_next_[static_cast<std::size_t>(i)] + k) % (T + 1);
-      if (offering(s)) {
-        out.rsp_pick[static_cast<std::size_t>(i)] = s;
-        break;
-      }
-    }
+    if (offers == 0) continue;
+    // The first offering source at or after the scan pointer, cyclically.
+    const int next = rsp_next_[static_cast<std::size_t>(i)];
+    const std::uint64_t ahead = offers >> next;
+    out.rsp_pick[static_cast<std::size_t>(i)] =
+        ahead != 0 ? next + std::countr_zero(ahead) : std::countr_zero(offers);
   }
   if (cfg_.arch == stbus::Architecture::kSharedBus) {
     int keep = -1;
@@ -342,15 +356,17 @@ void Node::drive_pins() {
   for (int i = 0; i < cfg_.n_initiators; ++i) {
     iports_[static_cast<std::size_t>(i)]->gnt.write((out.grants >> i) & 1u);
   }
-  for (int t = 0; t < T; ++t) {
-    PortPins& p = *tports_[static_cast<std::size_t>(t)];
-    const auto& q = to_target_[static_cast<std::size_t>(t)];
-    if (!q.empty()) {
-      p.drive_request(q.front());
-    } else {
-      p.idle_request();
-    }
+  // Payload pins: only ports whose slot moved since the last drive.
+  for (std::uint32_t m = target_moved_ & target_full_; m != 0; m &= m - 1) {
+    const auto t = static_cast<std::size_t>(std::countr_zero(m));
+    tports_[t]->drive_request(to_target_[t]);
   }
+  for (std::uint32_t m = target_moved_ & ~target_full_; m != 0; m &= m - 1) {
+    const int t = std::countr_zero(m);
+    if (t >= T) break;
+    tports_[static_cast<std::size_t>(t)]->idle_request();
+  }
+  target_moved_ = 0;
   for (int t = 0; t < T; ++t) {
     const PortPins& p = *tports_[static_cast<std::size_t>(t)];
     bool g = false;
@@ -362,16 +378,20 @@ void Node::drive_pins() {
     }
     tports_[static_cast<std::size_t>(t)]->r_gnt.write(g);
   }
-  for (int i = 0; i < cfg_.n_initiators; ++i) {
-    PortPins& p = *iports_[static_cast<std::size_t>(i)];
-    const auto& q = to_initiator_[static_cast<std::size_t>(i)];
-    if (!q.empty()) {
-      p.drive_response(q.front());
-    } else {
-      p.idle_response();
-    }
+  for (std::uint32_t m = initiator_moved_ & initiator_full_; m != 0;
+       m &= m - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(m));
+    iports_[i]->drive_response(to_initiator_[i]);
   }
-  if (prog_ != nullptr) {
+  for (std::uint32_t m = initiator_moved_ & ~initiator_full_; m != 0;
+       m &= m - 1) {
+    const int i = std::countr_zero(m);
+    if (i >= cfg_.n_initiators) break;
+    iports_[static_cast<std::size_t>(i)]->idle_response();
+  }
+  initiator_moved_ = 0;
+  if (prog_ != nullptr && prog_moved_) {
+    prog_moved_ = false;
     prog_->gnt.write(prog_ack_);
     prog_->r_req.write(prog_ack_);
     prog_->r_eop.write(prog_ack_);
@@ -392,23 +412,19 @@ void Node::tick() {
 
   // Response slots: retire delivered cells, then land the picked cells.
   for (int i = 0; i < cfg_.n_initiators; ++i) {
-    auto& q = to_initiator_[static_cast<std::size_t>(i)];
-    if (!q.empty() && iports_[static_cast<std::size_t>(i)]->r_gnt.read()) {
-      q.pop_front();
+    if (((initiator_full_ >> i) & 1u) != 0 &&
+        iports_[static_cast<std::size_t>(i)]->r_gnt.read()) {
+      empty_initiator_slot(i);
     }
   }
-  std::vector<std::pair<int, ResponseCell>>& landings = landings_;
-  landings.clear();
-  bool delivered_any = false;
-  int first_served = -1;
+  std::uint32_t landed = 0;
   for (int i = 0; i < cfg_.n_initiators; ++i) {
     const int s = out.rsp_pick[static_cast<std::size_t>(i)];
     if (s < 0) continue;
-    delivered_any = true;
-    if (first_served < 0) first_served = i;
-    ResponseCell cell;
+    landed |= 1u << i;
+    ResponseCell& cell = to_initiator_[static_cast<std::size_t>(i)];
     if (s < T) {
-      cell = tports_[static_cast<std::size_t>(s)]->sample_response();
+      tports_[static_cast<std::size_t>(s)]->sample_response(cell);
     } else {
       auto& q = err_pending_[static_cast<std::size_t>(i)];
       PendingError& e = q.front();
@@ -420,6 +436,7 @@ void Node::tick() {
                  (faults_.eop_one_cell_early && e.cells_left == 2);
       if (cell.eop) {
         q.pop_front();
+        --errors_pending_;
       } else {
         --e.cells_left;
       }
@@ -428,25 +445,25 @@ void Node::tick() {
     if (cell.eop) {
       rsp_next_[static_cast<std::size_t>(i)] = (s + 1) % (T + 1);
     }
-    landings.emplace_back(i, std::move(cell));
+    fill_initiator_slot(i);
   }
-  if (faults_.response_src_swap && landings.size() == 2) {
-    std::swap(landings[0].second, landings[1].second);
+  if (faults_.response_src_swap && std::popcount(landed) == 2) {
+    const int a = std::countr_zero(landed);
+    const int b = std::countr_zero(landed & (landed - 1));
+    std::swap(to_initiator_[static_cast<std::size_t>(a)],
+              to_initiator_[static_cast<std::size_t>(b)]);
   }
-  for (auto& [i, cell] : landings) {
-    to_initiator_[static_cast<std::size_t>(i)].push_back(std::move(cell));
-  }
-  if (cfg_.arch == stbus::Architecture::kSharedBus && delivered_any) {
-    rsp_shared_next_ = (first_served + 1) % cfg_.n_initiators;
+  if (cfg_.arch == stbus::Architecture::kSharedBus && landed != 0) {
+    rsp_shared_next_ = (std::countr_zero(landed) + 1) % cfg_.n_initiators;
   }
 
   // Request slots: retire consumed cells, then land granted cells.
   std::uint32_t was_draining = 0;  // per target
   for (int t = 0; t < T; ++t) {
-    auto& q = to_target_[static_cast<std::size_t>(t)];
-    if (!q.empty() && tports_[static_cast<std::size_t>(t)]->gnt.read()) {
+    if (((target_full_ >> t) & 1u) != 0 &&
+        tports_[static_cast<std::size_t>(t)]->gnt.read()) {
       was_draining |= 1u << t;
-      q.pop_front();
+      empty_target_slot(t);
     }
   }
   for (int r = 0; r < nres; ++r) {
@@ -455,17 +472,20 @@ void Node::tick() {
     bool continuation = false;  // cell continues/closes a held allocation
     if (w >= 0) {
       continuation = allocation_[static_cast<std::size_t>(r)] == w;
-      RequestCell cell = iports_[static_cast<std::size_t>(w)]->sample_request();
+      const PortPins& from = *iports_[static_cast<std::size_t>(w)];
+      // A winner always routes to a target (decode errors sink instead).
+      const int t = cfg_.route(static_cast<std::uint32_t>(from.add.read()));
+      RequestCell& cell = to_target_[static_cast<std::size_t>(t)];
+      from.sample_request(cell);
       cell.src = static_cast<std::uint8_t>(w);
       locks = cell.lck;
       if (faults_.byte_enable_dropped && stbus::is_store(cell.opc)) {
         cell.be = crve::Bits::all_ones(cfg_.bus_bytes);
       }
-      const int t = cfg_.route(cell.add);
       if (faults_.opcode_corrupt_on_busy && ((was_draining >> t) & 1u)) {
         cell.opc = static_cast<Opcode>(static_cast<std::uint8_t>(cell.opc) ^ 1u);
       }
-      to_target_[static_cast<std::size_t>(t)].push_back(std::move(cell));
+      fill_target_slot(t);
       allocation_[static_cast<std::size_t>(r)] = locks ? w : -1;
     }
     arb_[static_cast<std::size_t>(r)].update(
@@ -482,6 +502,7 @@ void Node::tick() {
       err_pending_[static_cast<std::size_t>(i)].push_back(
           {cell.opc, cell.tid,
            stbus::response_cells(cell.opc, cfg_.bus_bytes, cfg_.type)});
+      ++errors_pending_;
     }
   }
 
@@ -491,6 +512,7 @@ void Node::tick() {
 void Node::handle_prog() {
   if (prog_ack_) {
     prog_ack_ = false;
+    prog_moved_ = true;
     return;
   }
   if (!prog_->req.read()) return;
@@ -511,6 +533,7 @@ void Node::handle_prog() {
     }
   }
   prog_ack_ = true;
+  prog_moved_ = true;
 }
 
 }  // namespace crve::bca

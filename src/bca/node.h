@@ -3,7 +3,7 @@
 // Written independently of rtl::Node against the same cycle contract
 // (DESIGN.md §4, rtl/node.h): a behavioural, transaction-queue model of the
 // kind a SystemC BCA author would produce. Internally it tracks per-target
-// outbound slots and per-initiator response slots as small queues, computes
+// outbound slots and per-initiator response slots of one cell each, computes
 // the whole cycle outcome in one evaluation pass, and keeps arbitration
 // state in policy objects of its own design. Only the port pins are
 // contractual; everything inside differs from the RTL view — which is what
@@ -13,13 +13,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bca/faults.h"
+#include "common/ring.h"
 #include "sim/context.h"
 #include "stbus/config.h"
 #include "stbus/pins.h"
@@ -90,7 +89,9 @@ class Node {
     std::uint32_t grants = 0;
     std::uint32_t error_sinks = 0;
     std::vector<int> rsp_pick;  // per initiator: source (T = errgen, -1 none)
-    std::vector<int> offer_to;  // per target: initiator offered, -1 none
+    // Per initiator: the sources offering it a cell, bit t for target t and
+    // bit T for the error generator.
+    std::vector<std::uint64_t> offers;
   };
 
   struct PendingError {
@@ -110,6 +111,12 @@ class Node {
 
   bool target_slot_free(int target) const;
   bool initiator_slot_free(int initiator) const;
+  // Slot occupancy changes go through these, which also mark the port's
+  // payload pins for the next drive.
+  void fill_target_slot(int target);
+  void empty_target_slot(int target);
+  void fill_initiator_slot(int initiator);
+  void empty_initiator_slot(int initiator);
 
   stbus::NodeConfig cfg_;
   std::vector<stbus::PortPins*> iports_;
@@ -119,12 +126,23 @@ class Node {
 
   std::vector<ArbState> arb_;                    // per resource
   std::vector<int> allocation_;                  // per resource owner
-  std::vector<std::deque<stbus::RequestCell>> to_target_;   // capacity 1
-  std::vector<std::deque<stbus::ResponseCell>> to_initiator_;  // capacity 1
+  // One-cell slots toward each target and back to each initiator. Bit k of
+  // a mask is slot k's occupancy; tick() maintains them, so idle_cycle()
+  // and the slot checks read no queue (NodeConfig allows 32 ports a side).
+  std::vector<stbus::RequestCell> to_target_;
+  std::vector<stbus::ResponseCell> to_initiator_;
+  std::uint32_t target_full_ = 0;
+  std::uint32_t initiator_full_ = 0;
+  // Ports whose slot changed since the last drive: only their payload
+  // pins are redriven (the node is their only writer, and a signal holds
+  // its last write). All set before the first drive.
+  std::uint32_t target_moved_ = ~0u;
+  std::uint32_t initiator_moved_ = ~0u;
   std::vector<int> rsp_allocation_;              // per initiator
   std::vector<int> rsp_next_;                    // per-initiator source scan
   int rsp_shared_next_ = 0;
-  std::vector<std::deque<PendingError>> err_pending_;  // per initiator
+  std::vector<Ring<PendingError>> err_pending_;  // per initiator
+  std::size_t errors_pending_ = 0;               // over all initiators
 
   std::uint64_t ticks_ = 0;
 
@@ -138,11 +156,11 @@ class Node {
   // changes, and the interpreter every delta, so at the edge out_ reflects
   // the settled values of the ending cycle and tick() reads it as is.
   Outcome out_;
-  // Response cells landing this tick, (initiator, cell); reserved for one
-  // per initiator at construction.
-  std::vector<std::pair<int, stbus::ResponseCell>> landings_;
 
   bool prog_ack_ = false;
+  // The programming FSM changed since the last drive (its pins are then
+  // redriven, like a moved slot's).
+  bool prog_moved_ = true;
   bool prog_load_ = false;
   bool prog_bad_ = false;
   std::uint32_t prog_value_ = 0;

@@ -1,5 +1,6 @@
 #include "common/bits.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <stdexcept>
@@ -125,6 +126,56 @@ void Bits::set_byte(int i, std::uint8_t v) {
   const int sh = (i % 8) * 8;
   w = (w & ~(std::uint64_t{0xff} << sh)) | (std::uint64_t{v} << sh);
   mask_top();
+}
+
+namespace {
+
+// Bytes [at, at + n) of the little-endian words `w` fall inside word at / 8
+// when n <= 8 - at % 8; returns that word's mask for them.
+std::uint64_t lane_mask(int at, std::size_t n) {
+  const std::uint64_t low =
+      n == 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * n)) - 1;
+  return low << (8 * (at % 8));
+}
+
+}  // namespace
+
+void Bits::set_bytes(int lo, std::span<const std::uint8_t> bytes) {
+  const auto n = bytes.size();
+  if (lo < 0 || lo + static_cast<int>(n) > num_bytes()) {
+    throw std::out_of_range("Bits::set_bytes");
+  }
+  for (std::size_t k = 0; k < n;) {
+    const int at = lo + static_cast<int>(k);
+    const std::size_t take =
+        std::min<std::size_t>(8 - static_cast<std::size_t>(at % 8), n - k);
+    std::uint64_t v = 0;
+    for (std::size_t j = 0; j < take; ++j) {
+      v |= std::uint64_t{bytes[k + j]} << (8 * j);
+    }
+    const std::uint64_t mask = lane_mask(at, take);
+    auto& w = w_[static_cast<std::size_t>(at / 8)];
+    w = (w & ~mask) | (v << (8 * (at % 8)));
+    k += take;
+  }
+  mask_top();
+}
+
+void Bits::get_bytes(int lo, std::span<std::uint8_t> out) const {
+  const auto n = out.size();
+  if (lo < 0 || lo + static_cast<int>(n) > num_bytes()) {
+    throw std::out_of_range("Bits::get_bytes");
+  }
+  for (std::size_t k = 0; k < n;) {
+    const int at = lo + static_cast<int>(k);
+    const std::size_t take =
+        std::min<std::size_t>(8 - static_cast<std::size_t>(at % 8), n - k);
+    const std::uint64_t v = w_[static_cast<std::size_t>(at / 8)] >> (8 * (at % 8));
+    for (std::size_t j = 0; j < take; ++j) {
+      out[k + j] = static_cast<std::uint8_t>(v >> (8 * j));
+    }
+    k += take;
+  }
 }
 
 Bits Bits::slice(int lo, int n) const {

@@ -62,6 +62,11 @@ class Bits {
   std::uint8_t byte(int i) const;
   void set_byte(int i, std::uint8_t v);
 
+  // Byte lanes lo .. lo + n - 1 from / into `n` bytes, a word at a time
+  // (the packet data path; lane i is byte i of the little-endian words).
+  void set_bytes(int lo, std::span<const std::uint8_t> bytes);
+  void get_bytes(int lo, std::span<std::uint8_t> out) const;
+
   // `n`-bit slice starting at bit `lo`.
   Bits slice(int lo, int n) const;
   void set_slice(int lo, const Bits& v);

@@ -1,5 +1,6 @@
 #include "stbus/packet.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace crve::stbus {
@@ -35,7 +36,6 @@ bool lanes_legal(Opcode opc, std::uint32_t add, int bus_bytes) {
 
 Bits byte_enables(Opcode opc, std::uint32_t add, int bus_bytes, int cell) {
   const int size = size_bytes(opc);
-  Bits be(bus_bytes);
   if (size >= bus_bytes) {
     return Bits::all_ones(bus_bytes);
   }
@@ -46,9 +46,9 @@ Bits byte_enables(Opcode opc, std::uint32_t add, int bus_bytes, int cell) {
   if (!lanes_legal(opc, add, bus_bytes)) {
     throw std::invalid_argument("byte_enables: lanes straddle the bus word");
   }
+  // bus_bytes <= 32, so the lane mask is one word.
   const int lane0 = static_cast<int>(add % static_cast<std::uint32_t>(bus_bytes));
-  for (int i = 0; i < size; ++i) be.set_bit(lane0 + i, true);
-  return be;
+  return Bits(bus_bytes, ((std::uint64_t{1} << size) - 1) << lane0);
 }
 
 std::uint32_t cell_address(std::uint32_t add, int bus_bytes, int cell) {
@@ -61,8 +61,35 @@ bool aligned(Opcode opc, std::uint32_t add) {
   return (add & (size - 1)) == 0;
 }
 
-std::vector<RequestCell> build_request(const Request& req, int bus_bytes,
-                                       ProtocolType type) {
+namespace {
+
+// Data lanes of an operation: a sub-bus operation occupies `chunk` = size
+// lanes from its address offset in its one cell; a wider one fills every
+// lane of each cell, cell c carrying bytes [c * bus_bytes, (c + 1) *
+// bus_bytes) of the data.
+struct Lanes {
+  int size;
+  int lane0;
+  int chunk;
+
+  Lanes(Opcode opc, std::uint32_t add, int bus_bytes)
+      : size(size_bytes(opc)),
+        lane0(size < bus_bytes ? static_cast<int>(
+                                     add % static_cast<std::uint32_t>(bus_bytes))
+                               : 0),
+        chunk(size < bus_bytes ? size : bus_bytes) {}
+
+  // Data bytes cell `c` carries (0 past the data).
+  std::size_t in_cell(int c, int bus_bytes) const {
+    const int left = size - c * bus_bytes;
+    return static_cast<std::size_t>(left <= 0 ? 0 : std::min(chunk, left));
+  }
+};
+
+}  // namespace
+
+void build_request(const Request& req, int bus_bytes, ProtocolType type,
+                   std::vector<RequestCell>& cells) {
   const int size = size_bytes(req.opc);
   const bool carries_data = is_store(req.opc) || is_atomic(req.opc);
   if (carries_data && static_cast<int>(req.wdata.size()) != size) {
@@ -73,38 +100,41 @@ std::vector<RequestCell> build_request(const Request& req, int bus_bytes,
     throw std::invalid_argument("build_request: atomic wider than the bus");
   }
   const int n = request_cells(req.opc, bus_bytes, type);
-  std::vector<RequestCell> cells;
-  cells.reserve(static_cast<std::size_t>(n));
+  // A sub-bus operation has one cell, so every cell has the same enables.
+  const Bits be = byte_enables(req.opc, req.add, bus_bytes, 0);
+  const Lanes lanes(req.opc, req.add, bus_bytes);
+  cells.resize(static_cast<std::size_t>(n));
   for (int c = 0; c < n; ++c) {
-    RequestCell cell;
+    RequestCell& cell = cells[static_cast<std::size_t>(c)];
     cell.opc = req.opc;
     cell.add = cell_address(req.add, bus_bytes, c);
-    cell.be = byte_enables(req.opc, req.add, bus_bytes, size >= bus_bytes ? 0 : c);
+    cell.be = be;
     cell.data = Bits(bus_bytes * 8);
     if (carries_data) {
-      const int lane0 = size < bus_bytes ? static_cast<int>(req.add % static_cast<std::uint32_t>(bus_bytes)) : 0;
-      const int chunk = size < bus_bytes ? size : bus_bytes;
-      for (int i = 0; i < chunk; ++i) {
-        const int src_byte = c * bus_bytes + i;
-        if (src_byte < size) {
-          cell.data.set_byte(lane0 + i, req.wdata[static_cast<std::size_t>(src_byte)]);
-        }
-      }
+      cell.data.set_bytes(
+          lanes.lane0,
+          std::span(req.wdata).subspan(
+              static_cast<std::size_t>(c * bus_bytes),
+              lanes.in_cell(c, bus_bytes)));
     }
     cell.eop = (c == n - 1);
     cell.lck = req.lck || !cell.eop;
     cell.src = req.src;
     cell.tid = req.tid;
-    cells.push_back(std::move(cell));
   }
+}
+
+std::vector<RequestCell> build_request(const Request& req, int bus_bytes,
+                                       ProtocolType type) {
+  std::vector<RequestCell> cells;
+  build_request(req, bus_bytes, type, cells);
   return cells;
 }
 
-std::vector<ResponseCell> build_response(Opcode opc, std::uint32_t add,
-                                         std::span<const std::uint8_t> rdata,
-                                         RspOpcode status, int bus_bytes,
-                                         ProtocolType type, std::uint8_t src,
-                                         std::uint8_t tid) {
+void build_response(Opcode opc, std::uint32_t add,
+                    std::span<const std::uint8_t> rdata, RspOpcode status,
+                    int bus_bytes, ProtocolType type, std::uint8_t src,
+                    std::uint8_t tid, std::vector<ResponseCell>& cells) {
   const int size = size_bytes(opc);
   const bool carries_data = is_load(opc) || is_atomic(opc);
   if (carries_data && static_cast<int>(rdata.size()) != size) {
@@ -114,95 +144,106 @@ std::vector<ResponseCell> build_response(Opcode opc, std::uint32_t add,
     throw std::invalid_argument("build_response: atomic wider than the bus");
   }
   const int n = response_cells(opc, bus_bytes, type);
-  std::vector<ResponseCell> cells;
-  cells.reserve(static_cast<std::size_t>(n));
+  const Lanes lanes(opc, add, bus_bytes);
+  cells.resize(static_cast<std::size_t>(n));
   for (int c = 0; c < n; ++c) {
-    ResponseCell cell;
+    ResponseCell& cell = cells[static_cast<std::size_t>(c)];
     cell.opc = status;
     cell.data = Bits(bus_bytes * 8);
     if (carries_data) {
-      const int lane0 = size < bus_bytes ? static_cast<int>(add % static_cast<std::uint32_t>(bus_bytes)) : 0;
-      const int chunk = size < bus_bytes ? size : bus_bytes;
-      for (int i = 0; i < chunk; ++i) {
-        const int src_byte = c * bus_bytes + i;
-        if (src_byte < size) {
-          cell.data.set_byte(lane0 + i,
-                             rdata[static_cast<std::size_t>(src_byte)]);
-        }
-      }
+      cell.data.set_bytes(lanes.lane0,
+                          rdata.subspan(static_cast<std::size_t>(c * bus_bytes),
+                                        lanes.in_cell(c, bus_bytes)));
     }
     cell.eop = (c == n - 1);
     cell.src = src;
     cell.tid = tid;
-    cells.push_back(std::move(cell));
   }
+}
+
+std::vector<ResponseCell> build_response(Opcode opc, std::uint32_t add,
+                                         std::span<const std::uint8_t> rdata,
+                                         RspOpcode status, int bus_bytes,
+                                         ProtocolType type, std::uint8_t src,
+                                         std::uint8_t tid) {
+  std::vector<ResponseCell> cells;
+  build_response(opc, add, rdata, status, bus_bytes, type, src, tid, cells);
   return cells;
+}
+
+void build_error_response(Opcode opc, int bus_bytes, ProtocolType type,
+                          std::uint8_t src, std::uint8_t tid,
+                          std::vector<ResponseCell>& cells) {
+  const int n = response_cells(opc, bus_bytes, type);
+  cells.resize(static_cast<std::size_t>(n));
+  for (int c = 0; c < n; ++c) {
+    ResponseCell& cell = cells[static_cast<std::size_t>(c)];
+    cell.opc = RspOpcode::kError;
+    cell.data = Bits(bus_bytes * 8);
+    cell.eop = (c == n - 1);
+    cell.src = src;
+    cell.tid = tid;
+  }
 }
 
 std::vector<ResponseCell> build_error_response(Opcode opc, int bus_bytes,
                                                ProtocolType type,
                                                std::uint8_t src,
                                                std::uint8_t tid) {
-  const int n = response_cells(opc, bus_bytes, type);
   std::vector<ResponseCell> cells;
-  cells.reserve(static_cast<std::size_t>(n));
-  for (int c = 0; c < n; ++c) {
-    ResponseCell cell;
-    cell.opc = RspOpcode::kError;
-    cell.data = Bits(bus_bytes * 8);
-    cell.eop = (c == n - 1);
-    cell.src = src;
-    cell.tid = tid;
-    cells.push_back(std::move(cell));
-  }
+  build_error_response(opc, bus_bytes, type, src, tid, cells);
   return cells;
 }
 
 namespace {
 
-// Shared lane-unpacking for request and response data payloads.
-std::vector<std::uint8_t> extract_data(Opcode opc, std::uint32_t add,
-                                       int bus_bytes, int n_cells,
-                                       const Bits* (*get)(const void*, int),
-                                       const void* cells) {
-  const int size = size_bytes(opc);
-  std::vector<std::uint8_t> out(static_cast<std::size_t>(size), 0);
-  const int lane0 = size < bus_bytes ? static_cast<int>(add % static_cast<std::uint32_t>(bus_bytes)) : 0;
-  const int chunk = size < bus_bytes ? size : bus_bytes;
-  for (int c = 0; c < n_cells; ++c) {
-    const Bits* data = get(cells, c);
-    for (int i = 0; i < chunk; ++i) {
-      const int dst = c * bus_bytes + i;
-      if (dst < size) {
-        out[static_cast<std::size_t>(dst)] = data->byte(lane0 + i);
-      }
-    }
+// Shared lane unpacking for request and response data payloads.
+template <class Cell>
+void extract_data(Opcode opc, std::uint32_t add, std::span<const Cell> cells,
+                  int bus_bytes, std::span<std::uint8_t> out) {
+  const Lanes lanes(opc, add, bus_bytes);
+  if (static_cast<int>(out.size()) != lanes.size) {
+    throw std::invalid_argument("extract data: buffer size mismatch");
   }
-  return out;
+  std::fill(out.begin(), out.end(), std::uint8_t{0});
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const int beat = static_cast<int>(c);
+    const std::size_t n = lanes.in_cell(beat, bus_bytes);
+    if (n == 0) break;  // cells past the data carry none
+    cells[c].data.get_bytes(
+        lanes.lane0,
+        out.subspan(static_cast<std::size_t>(beat * bus_bytes), n));
+  }
 }
 
 }  // namespace
 
+void extract_request_data(Opcode opc, std::uint32_t add,
+                          std::span<const RequestCell> cells, int bus_bytes,
+                          std::span<std::uint8_t> out) {
+  extract_data(opc, add, cells, bus_bytes, out);
+}
+
+void extract_response_data(Opcode opc, std::uint32_t add,
+                           std::span<const ResponseCell> cells, int bus_bytes,
+                           std::span<std::uint8_t> out) {
+  extract_data(opc, add, cells, bus_bytes, out);
+}
+
 std::vector<std::uint8_t> extract_request_data(
     Opcode opc, std::uint32_t add, std::span<const RequestCell> cells,
     int bus_bytes) {
-  return extract_data(
-      opc, add, bus_bytes, static_cast<int>(cells.size()),
-      [](const void* p, int c) {
-        return &static_cast<const RequestCell*>(p)[c].data;
-      },
-      cells.data());
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(size_bytes(opc)));
+  extract_request_data(opc, add, cells, bus_bytes, out);
+  return out;
 }
 
 std::vector<std::uint8_t> extract_response_data(
     Opcode opc, std::uint32_t add, std::span<const ResponseCell> cells,
     int bus_bytes) {
-  return extract_data(
-      opc, add, bus_bytes, static_cast<int>(cells.size()),
-      [](const void* p, int c) {
-        return &static_cast<const ResponseCell*>(p)[c].data;
-      },
-      cells.data());
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(size_bytes(opc)));
+  extract_response_data(opc, add, cells, bus_bytes, out);
+  return out;
 }
 
 }  // namespace crve::stbus

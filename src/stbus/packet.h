@@ -72,35 +72,59 @@ bool lanes_legal(Opcode opc, std::uint32_t add, int bus_bytes);
 // Throws std::invalid_argument when !lanes_legal().
 Bits byte_enables(Opcode opc, std::uint32_t add, int bus_bytes, int cell);
 
-// Status-only response packet (all cells ERROR, zero data). Safe for any
-// opcode/address combination — used for decode errors and illegal packets.
-std::vector<ResponseCell> build_error_response(Opcode opc, int bus_bytes,
-                                               ProtocolType type,
-                                               std::uint8_t src,
-                                               std::uint8_t tid);
+// The largest operation, in bytes: a packet's data fits in a fixed array.
+inline constexpr int kMaxOpBytes = 64;
 
 // Address of beat `cell` (increments by bus_bytes for multi-cell packets).
 std::uint32_t cell_address(std::uint32_t add, int bus_bytes, int cell);
-
-// Expands a Request into the exact cells an initiator must drive.
-std::vector<RequestCell> build_request(const Request& req, int bus_bytes,
-                                       ProtocolType type);
 
 // Validates that an address is naturally aligned for the opcode size (the
 // STBus requirement the protocol checkers enforce).
 bool aligned(Opcode opc, std::uint32_t add);
 
+// The packet builders fill a caller's buffer, resized to the packet's cell
+// count, so a caller that keeps the buffer builds every packet without
+// allocating once it has held its longest one. The returning forms wrap
+// them.
+
+// Expands a Request into the exact cells an initiator must drive.
+void build_request(const Request& req, int bus_bytes, ProtocolType type,
+                   std::vector<RequestCell>& cells);
+std::vector<RequestCell> build_request(const Request& req, int bus_bytes,
+                                       ProtocolType type);
+
 // Builds the response packet for an operation. For loads/atomics `rdata`
 // holds size_bytes(opc) bytes of read data; for plain stores it is empty.
 // A non-OK status is replicated on every cell.
+void build_response(Opcode opc, std::uint32_t add,
+                    std::span<const std::uint8_t> rdata, RspOpcode status,
+                    int bus_bytes, ProtocolType type, std::uint8_t src,
+                    std::uint8_t tid, std::vector<ResponseCell>& cells);
 std::vector<ResponseCell> build_response(Opcode opc, std::uint32_t add,
                                          std::span<const std::uint8_t> rdata,
                                          RspOpcode status, int bus_bytes,
                                          ProtocolType type, std::uint8_t src,
                                          std::uint8_t tid);
 
+// Status-only response packet (all cells ERROR, zero data). Safe for any
+// opcode/address combination — used for decode errors and illegal packets.
+void build_error_response(Opcode opc, int bus_bytes, ProtocolType type,
+                          std::uint8_t src, std::uint8_t tid,
+                          std::vector<ResponseCell>& cells);
+std::vector<ResponseCell> build_error_response(Opcode opc, int bus_bytes,
+                                               ProtocolType type,
+                                               std::uint8_t src,
+                                               std::uint8_t tid);
+
 // Recovers the size_bytes(opc) data bytes carried by a request packet
-// (stores/atomics) or a response packet (loads/atomics).
+// (stores/atomics) or a response packet (loads/atomics) into `out`, which
+// holds exactly size_bytes(opc) bytes; lanes no cell carries read zero.
+void extract_request_data(Opcode opc, std::uint32_t add,
+                          std::span<const RequestCell> cells, int bus_bytes,
+                          std::span<std::uint8_t> out);
+void extract_response_data(Opcode opc, std::uint32_t add,
+                           std::span<const ResponseCell> cells, int bus_bytes,
+                           std::span<std::uint8_t> out);
 std::vector<std::uint8_t> extract_request_data(
     Opcode opc, std::uint32_t add, std::span<const RequestCell> cells,
     int bus_bytes);

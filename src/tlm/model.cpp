@@ -1,5 +1,6 @@
 #include "tlm/model.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace crve::tlm {
@@ -14,42 +15,44 @@ Node::Node(stbus::NodeConfig cfg) : cfg_(std::move(cfg)) {
 }
 
 Completion Node::transport(const Request& req) {
+  Completion c;
+  if (stbus::is_load(req.opc) || stbus::is_atomic(req.opc)) {
+    c.rdata.assign(static_cast<std::size_t>(stbus::size_bytes(req.opc)), 0);
+  }
   const int target = cfg_.route(req.add);
   if (target < 0) {
-    Completion c;
     c.status = RspOpcode::kError;
-    if (stbus::is_load(req.opc) || stbus::is_atomic(req.opc)) {
-      c.rdata.assign(static_cast<std::size_t>(stbus::size_bytes(req.opc)), 0);
-    }
     return c;
   }
-  return apply_at(target, req);
+  c.target = target;
+  c.status = apply_at(target, req, c.rdata);
+  return c;
 }
 
-Completion Node::apply_at(int target, const Request& req) {
+RspOpcode Node::apply_at(int target, const Request& req,
+                         std::span<std::uint8_t> rdata) {
   if (target < 0 || target >= cfg_.n_targets) {
     throw std::out_of_range("tlm::Node::apply_at: bad target");
   }
-  Completion c;
-  c.target = target;
   const Opcode opc = req.opc;
   const int size = stbus::size_bytes(opc);
+  const bool reads = stbus::is_load(opc) || stbus::is_atomic(opc);
+  if (reads && static_cast<int>(rdata.size()) != size) {
+    throw std::invalid_argument("tlm::Node: rdata size mismatch");
+  }
   SparseMemory& mem = mem_[static_cast<std::size_t>(target)];
 
   if (!stbus::lanes_legal(opc, req.add, cfg_.bus_bytes) ||
       (stbus::is_atomic(opc) && size > cfg_.bus_bytes)) {
-    c.status = RspOpcode::kError;
-    if (stbus::is_load(opc) || stbus::is_atomic(opc)) {
-      c.rdata.assign(static_cast<std::size_t>(size), 0);
-    }
-    return c;
+    if (reads) std::fill(rdata.begin(), rdata.end(), std::uint8_t{0});
+    return RspOpcode::kError;
   }
 
   // Loads and atomics return the pre-store value.
-  if (stbus::is_load(opc) || stbus::is_atomic(opc)) {
-    c.rdata.reserve(static_cast<std::size_t>(size));
+  if (reads) {
     for (int i = 0; i < size; ++i) {
-      c.rdata.push_back(mem.read(req.add + static_cast<std::uint32_t>(i)));
+      rdata[static_cast<std::size_t>(i)] =
+          mem.read(req.add + static_cast<std::uint32_t>(i));
     }
   }
   if (stbus::is_store(opc) || opc == Opcode::kSwap4) {
@@ -70,7 +73,7 @@ Completion Node::apply_at(int target, const Request& req) {
                        mem.read(a) | req.wdata[static_cast<std::size_t>(i)]));
     }
   }
-  return c;
+  return RspOpcode::kOk;
 }
 
 }  // namespace crve::tlm

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/mem_pattern.h"
@@ -38,8 +39,11 @@ class Node {
   Completion transport(const stbus::Request& req);
 
   // Applies an operation directly at a known target (used by the reference
-  // model when replaying target-port traffic).
-  Completion apply_at(int target, const stbus::Request& req);
+  // model when replaying target-port traffic) and returns its status. A
+  // load or atomic writes its size_bytes(opc) bytes of read data into the
+  // caller's `rdata`, which must hold that many; zeros on an error.
+  stbus::RspOpcode apply_at(int target, const stbus::Request& req,
+                            std::span<std::uint8_t> rdata);
 
   SparseMemory& memory(int target) {
     return mem_[static_cast<std::size_t>(target)];

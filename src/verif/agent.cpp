@@ -59,8 +59,15 @@ void PortAgent::step() {
   const std::uint64_t cycle = ctx_.cycle() - 1;
   if (parts_.initiator != nullptr) parts_.initiator->step(now);
   if (parts_.target != nullptr) parts_.target->step(now);
+  // A quiet port-cycle (both channels idle now and on the previous cycle)
+  // has nothing to hold, fire or stall: only the BFMs, whose draws and
+  // writes are the stimulus, have work on it.
+  if (now.idle() && prev.idle()) return;
   if (parts_.checker != nullptr) parts_.checker->observe(cycle, now, prev);
-  if (parts_.monitor != nullptr) parts_.monitor->observe(cycle, now);
+  if (parts_.monitor != nullptr &&
+      (now.request_fires() || now.response_fires())) {
+    parts_.monitor->observe(cycle, now);
+  }
 }
 
 }  // namespace crve::verif

@@ -15,6 +15,11 @@
 // whenever the channel is requested (the hold rules compare a stalled cell
 // with the previous cycle's); otherwise only when it fires, and never when
 // no part consumes it (an initiator BFM never reads its own request).
+//
+// Work follows activity: on a quiet port-cycle (both channels idle now and
+// on the previous cycle) only the BFMs step, since their random draws and
+// pin writes are the stimulus; the checker runs on every other cycle and
+// the monitor on cycles where a channel fires.
 #pragma once
 
 #include <array>

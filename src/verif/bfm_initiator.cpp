@@ -97,7 +97,7 @@ double InitiatorBfm::mean_total_latency() const {
 
 std::uint8_t InitiatorBfm::alloc_tid() const {
   for (int t = 0; t < kTidSlots; ++t) {
-    if (!flights_[static_cast<std::size_t>(t)]) {
+    if (!flights_[static_cast<std::size_t>(t)].live) {
       return static_cast<std::uint8_t>(t);
     }
   }
@@ -114,12 +114,12 @@ void InitiatorBfm::step(const stbus::PortCycle& now) {
     // ordered, so the oldest flight is the one completing.
     Flight* fl = nullptr;
     if (type_ == ProtocolType::kType3) {
-      if (flights_[cell.tid]) fl = &*flights_[cell.tid];
+      if (flights_[cell.tid].live) fl = &flights_[cell.tid];
     } else if (!fifo_.empty()) {
       fl = &fifo_.front();
     }
     if (fl != nullptr) {
-      fl->rsp.push_back(cell);
+      if (prof_.keep_history) fl->rsp.push_back(cell);
       if (cell.eop) {
         ++completed_;
         --outstanding_;
@@ -142,7 +142,7 @@ void InitiatorBfm::step(const stbus::PortCycle& now) {
           history_.push_back(std::move(tx));
         }
         if (type_ == ProtocolType::kType3) {
-          flights_[cell.tid].reset();
+          flights_[cell.tid].live = false;
         } else {
           fifo_.pop_front();
         }
@@ -159,10 +159,10 @@ void InitiatorBfm::step(const stbus::PortCycle& now) {
 
   // --- request channel ----------------------------------------------------
   if (!cells_.empty() && now.request_fires()) {
-    if (cell_idx_ == 0 && current_) {
+    if (cell_idx_ == 0) {
       if (type_ == ProtocolType::kType3) {
-        auto& fl = flights_[current_->tid];
-        if (fl) fl->issue_cycle = prev_cycle;
+        auto& fl = flights_[req_.tid];
+        if (fl.live) fl.issue_cycle = prev_cycle;
       } else if (!fifo_.empty()) {
         fifo_.back().issue_cycle = prev_cycle;
       }
@@ -172,7 +172,6 @@ void InitiatorBfm::step(const stbus::PortCycle& now) {
     if (cell_idx_ == cells_.size()) {
       cells_.clear();
       cell_idx_ = 0;
-      current_.reset();
     }
   }
 
@@ -205,7 +204,8 @@ void InitiatorBfm::step(const stbus::PortCycle& now) {
 }
 
 void InitiatorBfm::generate_next() {
-  Request req;
+  // req_ is rebuilt field by field: its wdata keeps its capacity.
+  Request& req = req_;
   if (!directed_.empty()) {
     if (directed_idx_ >= directed_.size()) return;
     req = directed_[directed_idx_++];
@@ -214,6 +214,7 @@ void InitiatorBfm::generate_next() {
   } else {
     // Opcode: weighted pick over the size-masked table.
     req.opc = static_cast<Opcode>(rng_.weighted(prof_.opcode_weights));
+    req.lck = false;
     const int size = stbus::size_bytes(req.opc);
 
     // Window: chunks and Type2 pipelining pin the stream to one window.
@@ -236,6 +237,7 @@ void InitiatorBfm::generate_next() {
     req.add = range.base +
               static_cast<std::uint32_t>(rng_.range(0, slots - 1)) *
                   static_cast<std::uint32_t>(size);
+    req.wdata.clear();
     if (stbus::is_store(req.opc) || stbus::is_atomic(req.opc)) {
       req.wdata.resize(static_cast<std::size_t>(size));
       for (auto& b : req.wdata) {
@@ -261,19 +263,17 @@ void InitiatorBfm::generate_next() {
     pipeline_window_ = win;
   }
 
-  cells_ = stbus::build_request(req, pins_.bus_bytes, type_);
+  stbus::build_request(req, pins_.bus_bytes, type_, cells_);
   cells_.back().lck = req.lck;
   cell_idx_ = 0;
   redrive_ = true;
-  current_ = req;
-  Flight fl;
-  fl.request = req;
+  Flight& fl = type_ == ProtocolType::kType3 ? flights_[req.tid] : fifo_.push();
+  fl.live = true;
   fl.gen_cycle = ctx_.cycle();
   fl.issue_cycle = ctx_.cycle();
-  if (type_ == ProtocolType::kType3) {
-    flights_[req.tid] = std::move(fl);
-  } else {
-    fifo_.push_back(std::move(fl));
+  if (prof_.keep_history) {
+    fl.request = req;
+    fl.rsp.clear();
   }
   ++outstanding_;
   ++issued_;

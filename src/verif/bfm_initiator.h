@@ -11,11 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
 
+#include "common/ring.h"
 #include "common/rng.h"
 #include "sim/context.h"
 #include "stbus/config.h"
@@ -125,7 +125,9 @@ class InitiatorBfm {
   std::vector<stbus::Request> directed_;
   std::size_t directed_idx_ = 0;
 
-  // Current request packet being driven.
+  // Current request (valid while cells_ is non-empty) and the packet being
+  // driven; both are rebuilt in place for every packet.
+  stbus::Request req_;
   std::vector<stbus::RequestCell> cells_;
   std::size_t cell_idx_ = 0;
   // Drive on change: the BFM is the only writer of its request pins and a
@@ -133,8 +135,6 @@ class InitiatorBfm {
   // driven cell changes (`redrive_`) or the channel goes idle.
   bool redrive_ = false;
   bool driving_ = false;
-  std::optional<stbus::Request> current_;
-  int gap_left_ = 0;
 
   // Chunk bookkeeping: remaining packets and the window they must hit.
   int chunk_left_ = 0;
@@ -144,14 +144,16 @@ class InitiatorBfm {
 
   // Outstanding transactions. Type3 keys them by tid; Type2 shares tid 0
   // and relies on strict response ordering, so a FIFO tracks them instead.
+  // Slots are reused; `request` and `rsp` are filled only with keep_history.
   struct Flight {
-    stbus::Request request;
+    bool live = false;
     std::uint64_t gen_cycle = 0;
     std::uint64_t issue_cycle = 0;
+    stbus::Request request;
     std::vector<stbus::ResponseCell> rsp;
   };
-  std::vector<std::optional<Flight>> flights_;  // Type3, indexed by tid
-  std::deque<Flight> fifo_;                     // Type2, oldest first
+  std::vector<Flight> flights_;  // Type3, indexed by tid
+  Ring<Flight> fifo_;            // Type2, oldest first
   int outstanding_ = 0;
   // Type2: window of the in-flight stream (-1 = error window,
   // -2 = unconstrained).

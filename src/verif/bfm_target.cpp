@@ -1,5 +1,8 @@
 #include "verif/bfm_target.h"
 
+#include <algorithm>
+#include <bit>
+
 namespace crve::verif {
 
 using stbus::Opcode;
@@ -37,23 +40,24 @@ void TargetBfm::poke(std::uint32_t addr, std::uint8_t value) {
 
 void TargetBfm::step(const stbus::PortCycle& now) {
   // Retire the response cell delivered last cycle.
-  if (!rsp_cells_.empty() && now.response_fires()) {
-    rsp_cells_.pop_front();
+  if (responding() && now.response_fires()) {
+    ++rsp_idx_;
     redrive_ = true;
   }
   // Promote the next ready packet; one response packet in flight at a time.
-  if (rsp_cells_.empty() && !pending_.empty() &&
+  if (!responding() && !pending_.empty() &&
       ctx_.cycle() >= pending_.front().ready_cycle) {
-    for (auto& c : pending_.front().cells) rsp_cells_.push_back(c);
+    std::swap(rsp_cells_, pending_.front().cells);
+    rsp_idx_ = 0;
     pending_.pop_front();
     redrive_ = true;
   }
-  if (rsp_cells_.empty()) {
+  if (!responding()) {
     if (driving_) pins_.idle_response();
   } else if (redrive_) {
-    pins_.drive_response(rsp_cells_.front());
+    pins_.drive_response(rsp_cells_[rsp_idx_]);
   }
-  driving_ = !rsp_cells_.empty();
+  driving_ = responding();
   redrive_ = false;
 
   // Absorb request cells granted last cycle.
@@ -71,6 +75,7 @@ void TargetBfm::process_packet() {
   const auto& head = req_cells_.front();
   const Opcode opc = head.opc;
   ++stats_.packets;
+  Pending& p = pending_.push();
 
   // A corrupted DUT can deliver geometrically illegal packets (unaligned
   // sub-bus lanes, straddling atomics). Answer them with ERROR cells — the
@@ -79,70 +84,61 @@ void TargetBfm::process_packet() {
   if (!stbus::lanes_legal(opc, head.add, pins_.bus_bytes) ||
       (stbus::is_atomic(opc) && stbus::size_bytes(opc) > pins_.bus_bytes)) {
     ++stats_.illegal_packets;
-    Pending p;
-    p.cells = stbus::build_error_response(opc, pins_.bus_bytes, type_,
-                                          head.src, head.tid);
+    stbus::build_error_response(opc, pins_.bus_bytes, type_, head.src,
+                                head.tid, p.cells);
     p.ready_cycle =
         ctx_.cycle() + static_cast<std::uint64_t>(prof_.fixed_latency);
-    pending_.push_back(std::move(p));
     req_cells_.clear();
     return;
   }
 
   const bool fail = prof_.error_permille > 0 &&
                     rng_.chance(prof_.error_permille, 1000);
-  std::vector<std::uint8_t> rdata;
+  const bool reads = stbus::is_load(opc) || stbus::is_atomic(opc);
+  const std::span<std::uint8_t> rdata(
+      rdata_.data(), reads ? static_cast<std::size_t>(stbus::size_bytes(opc))
+                           : 0);
   if (fail) {
     ++stats_.error_packets;
-    if (stbus::is_load(opc) || stbus::is_atomic(opc)) {
-      rdata.assign(static_cast<std::size_t>(stbus::size_bytes(opc)), 0);
-    }
+    std::fill(rdata.begin(), rdata.end(), std::uint8_t{0});
   } else {
     // Loads and atomics read the pre-store value.
-    if (stbus::is_load(opc) || stbus::is_atomic(opc)) {
-      const int size = stbus::size_bytes(opc);
-      rdata.reserve(static_cast<std::size_t>(size));
-      for (int i = 0; i < size; ++i) {
-        rdata.push_back(peek(head.add + static_cast<std::uint32_t>(i)));
-      }
+    for (std::size_t i = 0; i < rdata.size(); ++i) {
+      rdata[i] = peek(head.add + static_cast<std::uint32_t>(i));
     }
-    // Apply stores honouring byte enables, lane by lane.
+    // Apply stores honouring byte enables, lane by lane (bus_bytes <= 32,
+    // so the enables are one word).
+    const auto apply = [this](const stbus::RequestCell& cell, auto&& merge) {
+      const std::uint32_t base =
+          cell.add & ~static_cast<std::uint32_t>(pins_.bus_bytes - 1);
+      for (std::uint64_t lanes = cell.be.to_u64(); lanes != 0;
+           lanes &= lanes - 1) {
+        const int lane = std::countr_zero(lanes);
+        const std::uint32_t a = base + static_cast<std::uint32_t>(lane);
+        mem_.write(a, merge(a, static_cast<std::uint8_t>(
+                                   cell.data.word(lane / 8) >> (8 * (lane % 8)))));
+      }
+    };
     if (stbus::is_store(opc) || opc == Opcode::kSwap4) {
       for (const auto& cell : req_cells_) {
-        const std::uint32_t base =
-            cell.add & ~static_cast<std::uint32_t>(pins_.bus_bytes - 1);
-        for (int lane = 0; lane < pins_.bus_bytes; ++lane) {
-          if (cell.be.bit(lane)) {
-            mem_.write(base + static_cast<std::uint32_t>(lane),
-                       cell.data.byte(lane));
-          }
-        }
+        apply(cell, [](std::uint32_t, std::uint8_t v) { return v; });
       }
     } else if (opc == Opcode::kRmw4) {
       // Atomic OR of the enabled lanes.
-      const auto& cell = req_cells_.front();
-      const std::uint32_t base =
-          cell.add & ~static_cast<std::uint32_t>(pins_.bus_bytes - 1);
-      for (int lane = 0; lane < pins_.bus_bytes; ++lane) {
-        if (cell.be.bit(lane)) {
-          const std::uint32_t a = base + static_cast<std::uint32_t>(lane);
-          mem_.write(a, static_cast<std::uint8_t>(mem_.read(a) |
-                                                  cell.data.byte(lane)));
-        }
-      }
+      apply(req_cells_.front(), [this](std::uint32_t a, std::uint8_t v) {
+        return static_cast<std::uint8_t>(mem_.read(a) | v);
+      });
     }
   }
 
-  Pending p;
-  p.cells = stbus::build_response(
-      opc, head.add, rdata, fail ? RspOpcode::kError : RspOpcode::kOk,
-      pins_.bus_bytes, type_, head.src, head.tid);
+  stbus::build_response(opc, head.add, rdata,
+                        fail ? RspOpcode::kError : RspOpcode::kOk,
+                        pins_.bus_bytes, type_, head.src, head.tid, p.cells);
   const std::uint64_t extra =
       prof_.extra_latency_max > 0 ? rng_.range(0, prof_.extra_latency_max)
                                   : 0;
   p.ready_cycle =
       ctx_.cycle() + static_cast<std::uint64_t>(prof_.fixed_latency) + extra;
-  pending_.push_back(std::move(p));
   req_cells_.clear();
 }
 

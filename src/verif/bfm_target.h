@@ -9,12 +9,13 @@
 // of different speeds — exactly how the paper's test case forces it.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "common/mem_pattern.h"
+#include "common/ring.h"
 #include "common/rng.h"
 #include "sim/context.h"
 #include "stbus/config.h"
@@ -62,14 +63,18 @@ class TargetBfm {
   const Stats& stats() const { return stats_; }
 
   // True when no response is pending or in flight.
-  bool idle() const { return pending_.empty() && rsp_cells_.empty(); }
+  bool idle() const { return pending_.empty() && !responding(); }
 
  private:
+  // A response packet waiting for its latency to pass. Ring slots are
+  // reused, and promotion swaps `cells` with the driven packet's buffer, so
+  // once warm no packet allocates.
   struct Pending {
     std::vector<stbus::ResponseCell> cells;
     std::uint64_t ready_cycle = 0;
   };
 
+  bool responding() const { return rsp_idx_ < rsp_cells_.size(); }
   void process_packet();
 
   std::string name_;
@@ -81,8 +86,11 @@ class TargetBfm {
 
   SparseMemory mem_;
   std::vector<stbus::RequestCell> req_cells_;
-  std::deque<Pending> pending_;
-  std::deque<stbus::ResponseCell> rsp_cells_;  // packet being driven
+  Ring<Pending> pending_;
+  // The packet being driven, from cell rsp_idx_ on.
+  std::vector<stbus::ResponseCell> rsp_cells_;
+  std::size_t rsp_idx_ = 0;
+  std::array<std::uint8_t, stbus::kMaxOpBytes> rdata_{};
   // Drive on change: the BFM is the only writer of its response pins, so
   // they are written only when the front cell changes or the channel idles.
   bool redrive_ = false;

@@ -1,5 +1,6 @@
 #include "verif/coverage.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "stbus/packet.h"
@@ -13,6 +14,12 @@ namespace crve::verif {
 Coverpoint::Coverpoint(std::string name, std::vector<Bin> bins)
     : name_(std::move(name)), bins_(std::move(bins)) {
   if (bins_.empty()) throw std::invalid_argument("Coverpoint: no bins");
+  std::uint64_t top = 0;
+  for (const auto& b : bins_) top = std::max(top, b.hi);
+  index_.resize(static_cast<std::size_t>(std::min<std::uint64_t>(top, 255) + 1));
+  for (std::size_t v = 0; v < index_.size(); ++v) {
+    index_[v] = static_cast<std::int16_t>(search(v));
+  }
 }
 
 Coverpoint Coverpoint::identity(std::string name, int n) {
@@ -25,16 +32,11 @@ Coverpoint Coverpoint::identity(std::string name, int n) {
   return Coverpoint(std::move(name), std::move(bins));
 }
 
-int Coverpoint::bin_of(std::uint64_t v) const {
+int Coverpoint::search(std::uint64_t v) const {
   for (std::size_t i = 0; i < bins_.size(); ++i) {
     if (v >= bins_[i].lo && v <= bins_[i].hi) return static_cast<int>(i);
   }
   return -1;
-}
-
-void Coverpoint::sample(std::uint64_t v) {
-  const int b = bin_of(v);
-  if (b >= 0) ++bins_[static_cast<std::size_t>(b)].hits;
 }
 
 int Coverpoint::bins_hit() const {
@@ -54,14 +56,6 @@ Cross::Cross(std::string name, const Coverpoint& a, const Coverpoint& b)
       na_(a.num_bins()),
       nb_(b.num_bins()),
       hits_(static_cast<std::size_t>(na_ * nb_), 0) {}
-
-void Cross::sample(std::uint64_t va, std::uint64_t vb) {
-  const int ba = a_.bin_of(va);
-  const int bb = b_.bin_of(vb);
-  if (ba >= 0 && bb >= 0) {
-    ++hits_[static_cast<std::size_t>(ba * nb_ + bb)];
-  }
-}
 
 int Cross::bins_hit() const {
   int n = 0;
@@ -118,20 +112,23 @@ StbusCoverage::StbusCoverage(const stbus::NodeConfig& cfg)
 
 void StbusCoverage::sample_request(int initiator, const ObservedRequest& pkt) {
   const auto& head = pkt.cells.front();
-  const auto opc = static_cast<std::uint64_t>(head.opc);
   const int routed = cfg_.route(head.add);
+  // Each value's bin is looked up once and shared with the crosses.
+  const int opc = opcode_.bin_of(static_cast<std::uint64_t>(head.opc));
   // Decode errors land in the extra "error" bin (index n_targets).
-  const auto tgt = static_cast<std::uint64_t>(
-      routed < 0 ? cfg_.n_targets : routed);
-  opcode_.sample(opc);
-  size_.sample(static_cast<std::uint64_t>(stbus::size_bytes(head.opc)));
-  initiator_.sample(static_cast<std::uint64_t>(initiator));
-  target_.sample(tgt);
-  chunked_.sample(pkt.cells.back().lck ? 1 : 0);
-  outstanding_.sample(
-      static_cast<std::uint64_t>(in_flight_[static_cast<std::size_t>(initiator)]));
-  opcode_x_target_.sample(opc, tgt);
-  initiator_x_target_.sample(static_cast<std::uint64_t>(initiator), tgt);
+  const int tgt = target_.bin_of(
+      static_cast<std::uint64_t>(routed < 0 ? cfg_.n_targets : routed));
+  const int init = initiator_.bin_of(static_cast<std::uint64_t>(initiator));
+  opcode_.hit(opc);
+  size_.hit(
+      size_.bin_of(static_cast<std::uint64_t>(stbus::size_bytes(head.opc))));
+  initiator_.hit(init);
+  target_.hit(tgt);
+  chunked_.hit(chunked_.bin_of(pkt.cells.back().lck ? 1 : 0));
+  outstanding_.hit(outstanding_.bin_of(static_cast<std::uint64_t>(
+      in_flight_[static_cast<std::size_t>(initiator)])));
+  opcode_x_target_.hit(opc, tgt);
+  initiator_x_target_.hit(init, tgt);
   ++in_flight_[static_cast<std::size_t>(initiator)];
   pending_opc_[static_cast<std::size_t>(initiator)][head.tid] =
       static_cast<int>(head.opc);

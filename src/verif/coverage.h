@@ -32,9 +32,17 @@ class Coverpoint {
   // One bin per integer value 0..n-1.
   static Coverpoint identity(std::string name, int n);
 
-  void sample(std::uint64_t v);
-  // Bin index for a value; -1 when no bin matches.
-  int bin_of(std::uint64_t v) const;
+  void sample(std::uint64_t v) { hit(bin_of(v)); }
+  // Bin index for a value; -1 when no bin matches. Values up to the top
+  // bin bound (at most 255) read a table built at construction; larger
+  // ones search the bins.
+  int bin_of(std::uint64_t v) const {
+    return v < index_.size() ? index_[static_cast<std::size_t>(v)] : search(v);
+  }
+  // Counts one hit in bin `bin` (from bin_of); -1 counts nothing.
+  void hit(int bin) {
+    if (bin >= 0) ++bins_[static_cast<std::size_t>(bin)].hits;
+  }
   // Adds raw hits to a bin (coverage merging across runs).
   void add_hits(int bin, std::uint64_t count) {
     bins_[static_cast<std::size_t>(bin)].hits += count;
@@ -47,8 +55,11 @@ class Coverpoint {
   const std::vector<Bin>& bins() const { return bins_; }
 
  private:
+  int search(std::uint64_t v) const;
+
   std::string name_;
   std::vector<Bin> bins_;
+  std::vector<std::int16_t> index_;  // bin_of(v) for v < index_.size()
 };
 
 // Cross of two coverpoints: a bin per (bin_a, bin_b) pair.
@@ -56,7 +67,15 @@ class Cross {
  public:
   Cross(std::string name, const Coverpoint& a, const Coverpoint& b);
 
-  void sample(std::uint64_t va, std::uint64_t vb);
+  void sample(std::uint64_t va, std::uint64_t vb) {
+    hit(a_.bin_of(va), b_.bin_of(vb));
+  }
+  // Counts one hit in the (bin_a, bin_b) pair; a -1 counts nothing.
+  void hit(int bin_a, int bin_b) {
+    if (bin_a >= 0 && bin_b >= 0) {
+      ++hits_[static_cast<std::size_t>(bin_a * nb_ + bin_b)];
+    }
+  }
 
   const std::string& name() const { return name_; }
   int num_bins() const { return na_ * nb_; }

@@ -12,7 +12,6 @@ sim::ClockedOpts Monitor::declarations() const {
 }
 
 void Monitor::observe(std::uint64_t cycle, const stbus::PortCycle& now) {
-  ++stats_.cycles;
   bool busy = false;
 
   if (now.request_fires()) {

@@ -53,8 +53,8 @@ class Monitor {
   // `name` identifies the port in reports (e.g. "init0", "targ1").
   Monitor(std::string name, const stbus::PortPins& pins);
 
-  // One settled cycle of the port, called by its PortAgent. Reads only
-  // the cells of channels that fire.
+  // One settled cycle of the port, called by its PortAgent on every cycle
+  // a channel fires. Reads only the cells of channels that fire.
   void observe(std::uint64_t cycle, const stbus::PortCycle& now);
 
   // Design-lint declaration: the full bundle (payload is read only when a
@@ -72,7 +72,6 @@ class Monitor {
     std::uint64_t request_packets = 0;
     std::uint64_t response_packets = 0;
     std::uint64_t busy_cycles = 0;  // cycles with any transfer
-    std::uint64_t cycles = 0;
     // Request cells per opcode, indexed by static_cast<int>(Opcode). Feeds
     // the verif.opc.* traffic-mix counters in the obs metrics registry.
     std::array<std::uint64_t, stbus::kNumOpcodes> request_opcode_cells{};

@@ -1,7 +1,5 @@
 #include "verif/protocol_checker.h"
 
-#include <algorithm>
-
 #include "stbus/packet.h"
 
 namespace crve::verif {
@@ -38,6 +36,16 @@ void ProtocolChecker::report(std::uint64_t cycle, const std::string& rule,
   }
 }
 
+std::size_t ProtocolChecker::find_outstanding(std::uint8_t src,
+                                              std::uint8_t tid) const {
+  std::size_t at = 0;
+  while (at < outstanding_.size() &&
+         (outstanding_[at].tid != tid || outstanding_[at].src != src)) {
+    ++at;
+  }
+  return at;
+}
+
 namespace {
 
 bool same_payload(const RequestCell& a, const RequestCell& b) {
@@ -59,10 +67,6 @@ bool legal(Opcode opc) {
 
 void ProtocolChecker::observe(std::uint64_t cycle, const stbus::PortCycle& now,
                               const stbus::PortCycle& prev) {
-  // Idle now and before: nothing to hold, fire or stall, and the stall
-  // counters were reset on the first idle cycle.
-  if (now.idle() && prev.idle()) return;
-
   // HOLD rules: a stalled channel must not change its payload or retract.
   if (prev.req && !prev.gnt) {
     if (!now.req) {
@@ -192,19 +196,19 @@ void ProtocolChecker::check_request_fire(std::uint64_t cycle,
   if (cell.eop || (sized && beat + 1 >= expect_cells)) {
     // Packet complete (treat a bad-eop packet as complete to resync).
     if (type_ == stbus::ProtocolType::kType3) {
-      for (const auto& o : outstanding_) {
+      for (std::size_t k = 0; k < outstanding_.size(); ++k) {
+        const Outstanding& o = outstanding_[k];
         if (o.tid == cell.tid && o.src == req_pkt_.front().src) {
           report(cycle, "TID_REUSE",
                  "tid " + std::to_string(cell.tid) + " already outstanding");
         }
       }
     }
-    Outstanding o;
+    Outstanding& o = outstanding_.push();
     o.opc = req_pkt_.front().opc;
     o.src = req_pkt_.front().src;
     o.tid = req_pkt_.front().tid;
     o.rsp_cells = stbus::response_cells(o.opc, bus, type_);
-    outstanding_.push_back(o);
     chunk_target_.reset();
     if (cell.lck && map_ != nullptr) {
       chunk_target_ = map_->route(req_pkt_.front().add);
@@ -220,36 +224,36 @@ void ProtocolChecker::check_response_fire(std::uint64_t cycle,
     report(cycle, "RSP_OPC", "illegal r_opc encoding");
   }
 
+  const std::size_t none = outstanding_.size();
   if (rsp_pkt_.empty()) {
     // Start of a response packet: must match an outstanding request.
-    auto match = outstanding_.end();
+    std::size_t match = none;
     if (type_ == stbus::ProtocolType::kType3) {
-      match = std::find_if(outstanding_.begin(), outstanding_.end(),
-                           [&](const Outstanding& o) {
-                             return o.tid == cell.tid && o.src == cell.src;
-                           });
+      match = find_outstanding(cell.src, cell.tid);
     } else if (!outstanding_.empty()) {
       // Type2: strictly in order.
-      match = outstanding_.begin();
-      if (match->src != cell.src || match->tid != cell.tid) {
+      match = 0;
+      if (outstanding_.front().src != cell.src ||
+          outstanding_.front().tid != cell.tid) {
         report(cycle, "RSP_MATCH", "response out of order (src/tid mismatch)");
       }
     }
-    if (match == outstanding_.end()) {
+    if (match == none) {
       report(cycle, "RSP_SPUR", "response with no outstanding request");
       rsp_pkt_.push_back(cell);
       if (cell.eop) rsp_pkt_.clear();
       return;
     }
     rsp_pkt_.push_back(cell);
-    if (static_cast<int>(rsp_pkt_.size()) == match->rsp_cells) {
+    const int expect = outstanding_[match].rsp_cells;
+    if (static_cast<int>(rsp_pkt_.size()) == expect) {
       if (!cell.eop) report(cycle, "PKT_LEN", "missing r_eop on last cell");
       outstanding_.erase(match);
       rsp_pkt_.clear();
     } else if (cell.eop) {
       report(cycle, "PKT_LEN",
              "r_eop after " + std::to_string(rsp_pkt_.size()) + " of " +
-                 std::to_string(match->rsp_cells) + " cells");
+                 std::to_string(expect) + " cells");
       outstanding_.erase(match);
       rsp_pkt_.clear();
     }
@@ -259,23 +263,19 @@ void ProtocolChecker::check_response_fire(std::uint64_t cycle,
       report(cycle, "RSP_MATCH", "response packet interleaved (src/tid)");
     }
     // Find the packet's outstanding entry to know the expected length.
-    auto match = std::find_if(outstanding_.begin(), outstanding_.end(),
-                              [&](const Outstanding& o) {
-                                return o.tid == head.tid && o.src == head.src;
-                              });
+    const std::size_t match = find_outstanding(head.src, head.tid);
     rsp_pkt_.push_back(cell);
-    const int expect =
-        match != outstanding_.end() ? match->rsp_cells
-                                    : static_cast<int>(rsp_pkt_.size());
+    const int expect = match != none ? outstanding_[match].rsp_cells
+                                     : static_cast<int>(rsp_pkt_.size());
     if (static_cast<int>(rsp_pkt_.size()) == expect) {
       if (!cell.eop) report(cycle, "PKT_LEN", "missing r_eop on last cell");
-      if (match != outstanding_.end()) outstanding_.erase(match);
+      if (match != none) outstanding_.erase(match);
       rsp_pkt_.clear();
     } else if (cell.eop) {
       report(cycle, "PKT_LEN",
              "r_eop after " + std::to_string(rsp_pkt_.size()) + " of " +
                  std::to_string(expect) + " cells");
-      if (match != outstanding_.end()) outstanding_.erase(match);
+      if (match != none) outstanding_.erase(match);
       rsp_pkt_.clear();
     }
   }

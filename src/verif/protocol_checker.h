@@ -32,11 +32,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/ring.h"
 #include "sim/context.h"
 #include "stbus/config.h"
 #include "stbus/pins.h"
@@ -63,7 +63,8 @@ class ProtocolChecker {
 
   // One settled cycle of the port, called by its PortAgent: `now` carries
   // each requested channel's decoded cell, `prev` the previous cycle's view
-  // (all idle before the first cycle).
+  // (all idle before the first cycle). The agent skips quiet port-cycles,
+  // idle now and before, where no rule can fire.
   void observe(std::uint64_t cycle, const stbus::PortCycle& now,
                const stbus::PortCycle& prev);
 
@@ -96,6 +97,8 @@ class ProtocolChecker {
                            const stbus::ResponseCell& cell);
   void report(std::uint64_t cycle, const std::string& rule,
               const std::string& message);
+  // Index of the oldest outstanding (src, tid) request, or its size().
+  std::size_t find_outstanding(std::uint8_t src, std::uint8_t tid) const;
 
   std::string name_;
   sim::Context& ctx_;
@@ -111,7 +114,7 @@ class ProtocolChecker {
   std::vector<stbus::ResponseCell> rsp_pkt_;
 
   // Outstanding requests, in issue order (per port).
-  std::deque<Outstanding> outstanding_;
+  Ring<Outstanding> outstanding_;
   // Chunk continuation: target the next packet must route to.
   std::optional<int> chunk_target_;
 

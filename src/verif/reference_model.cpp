@@ -71,65 +71,58 @@ void ReferenceModel::fail(std::uint64_t cycle, const std::string& where,
 
 namespace {
 
-// Reassembles the logical Request from an observed packet.
-Request to_request(const ObservedRequest& pkt, int bus_bytes) {
-  const auto& head = pkt.cells.front();
-  Request req;
-  req.opc = head.opc;
-  req.add = head.add;
-  req.src = head.src;
-  req.tid = head.tid;
-  if (stbus::is_store(req.opc) || stbus::is_atomic(req.opc)) {
-    req.wdata =
-        stbus::extract_request_data(req.opc, req.add, pkt.cells, bus_bytes);
-  }
-  return req;
+// The data bytes an operation returns (loads and atomics), else none.
+std::size_t read_bytes(stbus::Opcode opc) {
+  return stbus::is_load(opc) || stbus::is_atomic(opc)
+             ? static_cast<std::size_t>(stbus::size_bytes(opc))
+             : 0;
 }
 
 }  // namespace
+
+void ReferenceModel::predict_error(Prediction& p,
+                                   const stbus::RequestCell& head) {
+  p.opc = head.opc;
+  p.add = head.add;
+  p.tid = head.tid;
+  p.status = RspOpcode::kError;
+  std::fill_n(p.rdata.begin(), read_bytes(head.opc), std::uint8_t{0});
+}
 
 void ReferenceModel::initiator_request(int id, const ObservedRequest& pkt) {
   const auto& head = pkt.cells.front();
   if (cfg_.route(head.add) >= 0) return;  // reaches a target port later
   // Decode error: predict the node-generated ERROR response.
-  Prediction p;
-  p.opc = head.opc;
-  p.add = head.add;
-  p.tid = head.tid;
-  p.status = RspOpcode::kError;
-  if (stbus::is_load(head.opc) || stbus::is_atomic(head.opc)) {
-    p.rdata.assign(static_cast<std::size_t>(stbus::size_bytes(head.opc)), 0);
-  }
-  pending_[static_cast<std::size_t>(id)].push_back(std::move(p));
+  predict_error(pending_[static_cast<std::size_t>(id)].push(), head);
 }
 
 void ReferenceModel::target_request(int id, const ObservedRequest& pkt) {
   const auto& head = pkt.cells.front();
   const int src = head.src;
   if (src < 0 || src >= cfg_.n_initiators) return;  // scoreboard's business
+  Prediction& p = pending_[static_cast<std::size_t>(src)].push();
   if (!stbus::lanes_legal(head.opc, head.add, cfg_.bus_bytes)) {
     // Corrupted geometry: the target answers ERROR; predict that.
-    Prediction p;
-    p.opc = head.opc;
-    p.add = head.add;
-    p.tid = head.tid;
-    p.status = RspOpcode::kError;
-    if (stbus::is_load(head.opc) || stbus::is_atomic(head.opc)) {
-      p.rdata.assign(static_cast<std::size_t>(stbus::size_bytes(head.opc)),
-                     0);
-    }
-    pending_[static_cast<std::size_t>(src)].push_back(std::move(p));
+    predict_error(p, head);
     return;
   }
-  const Request req = to_request(pkt, cfg_.bus_bytes);
-  const tlm::Completion c = model_.apply_at(id, req);
-  Prediction p;
+  // Reassemble the logical request, then apply it at this target.
+  Request& req = replay_;
+  req.opc = head.opc;
+  req.add = head.add;
+  req.src = head.src;
+  req.tid = head.tid;
+  req.wdata.clear();
+  if (stbus::is_store(req.opc) || stbus::is_atomic(req.opc)) {
+    req.wdata.resize(static_cast<std::size_t>(stbus::size_bytes(req.opc)));
+    stbus::extract_request_data(req.opc, req.add, pkt.cells, cfg_.bus_bytes,
+                                req.wdata);
+  }
   p.opc = req.opc;
   p.add = req.add;
   p.tid = req.tid;
-  p.status = c.status;
-  p.rdata = c.rdata;
-  pending_[static_cast<std::size_t>(src)].push_back(std::move(p));
+  p.status = model_.apply_at(
+      id, req, std::span(p.rdata.data(), read_bytes(req.opc)));
 }
 
 void ReferenceModel::initiator_response(int id, const ObservedResponse& pkt) {
@@ -137,28 +130,27 @@ void ReferenceModel::initiator_response(int id, const ObservedResponse& pkt) {
   const auto& head = pkt.cells.front();
 
   // Locate the matching prediction.
-  auto it = q.end();
+  std::size_t at = 0;
   if (cfg_.type == stbus::ProtocolType::kType3) {
-    it = std::find_if(q.begin(), q.end(), [&](const Prediction& p) {
-      return p.tid == head.tid;
-    });
+    while (at < q.size() && q[at].tid != head.tid) ++at;
   } else {
     // Type2: arrival order per initiator; responses can outrun predictions
     // only if the DUT invented them, so first match on shape.
     const int cells = static_cast<int>(pkt.cells.size());
-    it = std::find_if(q.begin(), q.end(), [&](const Prediction& p) {
-      return stbus::response_cells(p.opc, cfg_.bus_bytes, cfg_.type) == cells;
-    });
+    while (at < q.size() && stbus::response_cells(q[at].opc, cfg_.bus_bytes,
+                                                  cfg_.type) != cells) {
+      ++at;
+    }
   }
-  if (it == q.end()) {
+  if (at == q.size()) {
     fail(pkt.end_cycle(), "init" + std::to_string(id),
          "response with no prediction (tid " + std::to_string(head.tid) +
              ")");
     return;
   }
 
-  const Prediction p = *it;
-  q.erase(it);
+  const Prediction p = q[at];
+  q.erase(at);
   ++stats_.completions_checked;
 
   RspOpcode observed = RspOpcode::kOk;
@@ -174,15 +166,19 @@ void ReferenceModel::initiator_response(int id, const ObservedResponse& pkt) {
   }
   if ((stbus::is_load(p.opc) || stbus::is_atomic(p.opc)) &&
       observed == RspOpcode::kOk) {
-    const auto data = stbus::extract_response_data(p.opc, p.add, pkt.cells,
-                                                   cfg_.bus_bytes);
-    if (data != p.rdata) {
-      std::size_t byte = 0;
-      while (byte < data.size() && data[byte] == p.rdata[byte]) ++byte;
+    const std::size_t n = read_bytes(p.opc);
+    std::array<std::uint8_t, stbus::kMaxOpBytes> data;
+    stbus::extract_response_data(p.opc, p.add, pkt.cells, cfg_.bus_bytes,
+                                 std::span(data.data(), n));
+    const auto [got, want] =
+        std::mismatch(data.begin(), data.begin() + static_cast<long>(n),
+                      p.rdata.begin());
+    if (got != data.begin() + static_cast<long>(n)) {
       fail(pkt.end_cycle(), "init" + std::to_string(id),
            "load data differs from reference model at byte " +
-               std::to_string(byte) + " (" + stbus::to_string(p.opc) +
-               " @0x" + crve::Bits(32, p.add).to_hex_string() + ")");
+               std::to_string(got - data.begin()) + " (" +
+               stbus::to_string(p.opc) + " @0x" +
+               crve::Bits(32, p.add).to_hex_string() + ")");
       return;
     }
     ++stats_.loads_verified;

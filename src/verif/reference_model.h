@@ -21,13 +21,15 @@
 // == 0); the reference model cannot predict those.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/ring.h"
 #include "stbus/config.h"
+#include "stbus/packet.h"
 #include "tlm/model.h"
 #include "verif/monitor.h"
 
@@ -68,13 +70,17 @@ class ReferenceModel {
  private:
   friend class ReferenceTap;
 
+  // rdata holds size_bytes(opc) bytes for loads and atomics.
   struct Prediction {
     stbus::Opcode opc{};
     std::uint32_t add = 0;
     std::uint8_t tid = 0;
     stbus::RspOpcode status = stbus::RspOpcode::kOk;
-    std::vector<std::uint8_t> rdata;
+    std::array<std::uint8_t, stbus::kMaxOpBytes> rdata{};
   };
+
+  // An ERROR completion for `head`'s packet: read data all zero.
+  static void predict_error(Prediction& p, const stbus::RequestCell& head);
 
   void initiator_request(int id, const ObservedRequest& pkt);
   void initiator_response(int id, const ObservedResponse& pkt);
@@ -86,7 +92,9 @@ class ReferenceModel {
   stbus::NodeConfig cfg_;
   tlm::Node model_;
   // Outstanding predictions per initiator, in target-arrival order.
-  std::vector<std::deque<Prediction>> pending_;
+  std::vector<Ring<Prediction>> pending_;
+  // The request a target-port packet carries, rebuilt in place per packet.
+  stbus::Request replay_;
   std::vector<std::unique_ptr<MonitorListener>> taps_;
   std::vector<ReferenceError> errors_;
   std::uint64_t count_ = 0;

@@ -1,5 +1,7 @@
 #include "verif/scoreboard.h"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "stbus/packet.h"
@@ -36,15 +38,38 @@ class ScoreboardTap : public MonitorListener {
   bool initiator_;
 };
 
+namespace {
+
+// First byte lane on which `a` and `b` differ among the lanes `be` enables,
+// or -1 when they agree on all of them. Compares whole words.
+int first_enabled_lane_diff(const Bits& a, const Bits& b, const Bits& be) {
+  // be is at most 32 lanes wide: one word, eight lanes per data word.
+  const std::uint64_t enabled = be.to_u64();
+  const int words = (std::min(a.width(), b.width()) + 63) / 64;
+  for (int w = 0; w < words && (enabled >> (8 * w)) != 0; ++w) {
+    const auto lanes = static_cast<std::uint8_t>(enabled >> (8 * w));
+    std::uint64_t mask = 0;
+    for (int k = 0; k < 8; ++k) {
+      if ((lanes >> k) & 1u) mask |= std::uint64_t{0xff} << (8 * k);
+    }
+    if (const std::uint64_t diff = (a.word(w) ^ b.word(w)) & mask; diff != 0) {
+      return 8 * w + std::countr_zero(diff) / 8;
+    }
+  }
+  return -1;
+}
+
+}  // namespace
+
 Scoreboard::Scoreboard(const stbus::NodeConfig& cfg) : cfg_(cfg) {
   cfg_.validate_and_normalize();
   req_fifo_.assign(
       static_cast<std::size_t>(cfg_.n_initiators),
-      std::vector<std::deque<ObservedRequest>>(
+      std::vector<Ring<ObservedRequest>>(
           static_cast<std::size_t>(cfg_.n_targets)));
   rsp_fifo_.assign(
       static_cast<std::size_t>(cfg_.n_targets),
-      std::vector<std::deque<ObservedResponse>>(
+      std::vector<Ring<ObservedResponse>>(
           static_cast<std::size_t>(cfg_.n_initiators)));
   expected_errors_.resize(static_cast<std::size_t>(cfg_.n_initiators));
 }
@@ -90,11 +115,10 @@ bool Scoreboard::request_cells_equal(const RequestCell& a,
     return false;
   }
   // Data compared on enabled lanes only.
-  for (int i = 0; i < a.be.width(); ++i) {
-    if (a.be.bit(i) && a.data.byte(i) != b.data.byte(i)) {
-      *why = "data (lane " + std::to_string(i) + ")";
-      return false;
-    }
+  if (const int lane = first_enabled_lane_diff(a.data, b.data, a.be);
+      lane >= 0) {
+    *why = "data (lane " + std::to_string(lane) + ")";
+    return false;
   }
   return true;
 }
@@ -150,7 +174,9 @@ void Scoreboard::target_request(int id, const ObservedRequest& pkt) {
              " was never issued at the initiator port");
     return;
   }
-  const ObservedRequest expect = std::move(fifo.front());
+  // The front slot keeps its packet until the next push, which the checks
+  // below cannot reach.
+  const ObservedRequest& expect = fifo.front();
   fifo.pop_front();
   if (expect.cells.size() != pkt.cells.size()) {
     fail(pkt.end_cycle(), "targ" + std::to_string(id),

@@ -11,11 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/ring.h"
 #include "stbus/config.h"
 #include "verif/monitor.h"
 
@@ -78,12 +78,15 @@ class Scoreboard {
                                    std::string* why);
 
   stbus::NodeConfig cfg_;
+  // Rings reuse their slots' cell vectors (copying a packet into a slot
+  // allocates only past the longest packet the slot has held), so a warm
+  // scoreboard stores packets without allocating.
   // req_fifo_[initiator][target]: packets in flight toward a target.
-  std::vector<std::vector<std::deque<ObservedRequest>>> req_fifo_;
+  std::vector<std::vector<Ring<ObservedRequest>>> req_fifo_;
   // rsp_fifo_[target][initiator]: packets in flight back to an initiator.
-  std::vector<std::vector<std::deque<ObservedResponse>>> rsp_fifo_;
+  std::vector<std::vector<Ring<ObservedResponse>>> rsp_fifo_;
   // Node-generated error responses expected per initiator.
-  std::vector<std::deque<ExpectedError>> expected_errors_;
+  std::vector<Ring<ExpectedError>> expected_errors_;
 
   std::vector<std::unique_ptr<MonitorListener>> taps_;
   std::vector<ScoreboardError> errors_;

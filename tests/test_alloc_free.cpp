@@ -1,8 +1,9 @@
-// Steady-state allocation test: once traffic is idle, or a request is held
-// ungranted, a simulated cycle of either view inside the full environment
-// (monitors, protocol checkers, scoreboard, coverage, reference model)
-// performs no heap allocation. Counts every global operator new, so it is
-// its own executable.
+// Steady-state allocation test: once traffic is idle, a request is held
+// ungranted, or complete transactions flow after a warm-up, a simulated
+// cycle of either view inside the full environment (monitors, protocol
+// checkers, scoreboard, coverage, reference model) performs no heap
+// allocation. Counts every global operator new, so it is its own
+// executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -121,7 +122,68 @@ void expect_held_request_cycles_allocate_nothing(
   EXPECT_EQ(allocations_over(tb, 1000), 0u);
 }
 
+void expect_steady_traffic_allocates_nothing(stbus::NodeConfig shape,
+                                             ModelKind model) {
+  // Loads, stores and both atomics, each initiator confined to one 64-byte
+  // window per target: warm-up then writes every memory line the target
+  // BFMs and the reference model will hold, and grows every queue to its
+  // working depth. On the 4-byte bus every packet is one cell each way, so
+  // each reused buffer has held its longest packet after its first use
+  // (buffers grow to the longest packet they meet). The transaction budget
+  // outlasts the test.
+  verif::TestSpec spec = verif::t02_random_all_opcodes();
+  spec.n_transactions = 1000000;
+  spec.profile = [](const stbus::NodeConfig& cfg, int) {
+    verif::InitiatorProfile p;
+    for (const auto& r : cfg.address_map) {
+      p.windows.push_back({r.base, 64, r.target});
+    }
+    p.opcode_weights.assign(stbus::kNumOpcodes, 0);
+    for (const auto opc : {stbus::Opcode::kLd4, stbus::Opcode::kSt4,
+                           stbus::Opcode::kRmw4, stbus::Opcode::kSwap4}) {
+      p.opcode_weights[static_cast<std::size_t>(opc)] = 1;
+    }
+    p.chunk_permille = 50;
+    p.idle_permille = 250;
+    return p;
+  };
+  for (const auto type :
+       {stbus::ProtocolType::kType2, stbus::ProtocolType::kType3}) {
+    shape.type = type;
+    verif::Testbench tb(shape, spec, full_environment(model));
+    const stbus::NodeConfig& cfg = tb.config();
+    // Long enough for the target-side queues to reach the depth the
+    // initiators' outstanding limits allow.
+    tb.ctx().step(20000);
+    std::vector<int> completed;
+    for (int i = 0; i < cfg.n_initiators; ++i) {
+      completed.push_back(tb.initiator(i).completed());
+    }
+    std::vector<std::uint64_t> served;
+    for (int t = 0; t < cfg.n_targets; ++t) {
+      served.push_back(tb.target(t).stats().packets);
+    }
+    EXPECT_EQ(allocations_over(tb, 2000), 0u) << stbus::to_string(type);
+    // The window held whole transactions on every port: issued, granted,
+    // served by a target and answered.
+    for (int i = 0; i < cfg.n_initiators; ++i) {
+      EXPECT_GT(tb.initiator(i).completed(),
+                completed[static_cast<std::size_t>(i)] + 10)
+          << "init" << i;
+    }
+    for (int t = 0; t < cfg.n_targets; ++t) {
+      EXPECT_GT(tb.target(t).stats().packets,
+                served[static_cast<std::size_t>(t)] + 10)
+          << "targ" << t;
+    }
+  }
+}
+
 class AllocFree : public ::testing::TestWithParam<ModelKind> {};
+
+TEST_P(AllocFree, SteadyTrafficAllocatesNothing) {
+  expect_steady_traffic_allocates_nothing(c2_shape(), GetParam());
+}
 
 TEST_P(AllocFree, IdleCyclesAllocateNothing) {
   expect_idle_cycles_allocate_nothing(c2_shape(), GetParam());
@@ -137,6 +199,10 @@ class AllocFreePartialXbar : public ::testing::TestWithParam<ModelKind> {};
 
 TEST_P(AllocFreePartialXbar, IdleCyclesAllocateNothing) {
   expect_idle_cycles_allocate_nothing(partial_xbar_shape(), GetParam());
+}
+
+TEST_P(AllocFreePartialXbar, SteadyTrafficAllocatesNothing) {
+  expect_steady_traffic_allocates_nothing(partial_xbar_shape(), GetParam());
 }
 
 TEST_P(AllocFreePartialXbar, HeldRequestCyclesAllocateNothing) {

@@ -3,6 +3,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/bits.h"
 #include "common/rng.h"
@@ -74,6 +75,37 @@ TEST(Bits, ByteAccessCrossesWords) {
   b.set_byte(9, 0x7e);
   EXPECT_EQ(b.byte(9), 0x7e);
   EXPECT_EQ(b.word(1), 0x7e00ull);
+}
+
+// The word-at-a-time lane copies agree with byte-by-byte access for every
+// offset and length, across word boundaries, and leave other lanes alone.
+TEST(Bits, SetGetBytesMatchByteAccess) {
+  Rng rng(9);
+  for (int lo = 0; lo < 32; ++lo) {
+    for (int n = 0; lo + n <= 32; ++n) {
+      Bits b(256, 0);
+      for (int i = 0; i < 32; ++i) {
+        b.set_byte(i, static_cast<std::uint8_t>(rng.next_u64()));
+      }
+      Bits want = b;
+      std::vector<std::uint8_t> bytes(static_cast<std::size_t>(n));
+      for (int k = 0; k < n; ++k) {
+        bytes[static_cast<std::size_t>(k)] =
+            static_cast<std::uint8_t>(rng.next_u64());
+        want.set_byte(lo + k, bytes[static_cast<std::size_t>(k)]);
+      }
+      b.set_bytes(lo, bytes);
+      EXPECT_EQ(b, want) << lo << "+" << n;
+      std::vector<std::uint8_t> back(static_cast<std::size_t>(n));
+      b.get_bytes(lo, back);
+      EXPECT_EQ(back, bytes) << lo << "+" << n;
+    }
+  }
+  Bits narrow(32);
+  const std::uint8_t five[5] = {};
+  EXPECT_THROW(narrow.set_bytes(0, five), std::out_of_range);
+  std::uint8_t out[2];
+  EXPECT_THROW(narrow.get_bytes(3, out), std::out_of_range);
 }
 
 TEST(Bits, FromBytes) {

@@ -74,7 +74,6 @@ TEST(Monitor, AssemblesPacketsAndCountsCycles) {
   EXPECT_EQ(lst.pkt_sizes[0], 2u);
   EXPECT_EQ(mon.stats().request_cells, 2u);
   EXPECT_EQ(mon.stats().busy_cycles, 2u);
-  EXPECT_GT(mon.stats().cycles, 2u);
   EXPECT_FALSE(mon.request_in_progress());
 }
 
