@@ -117,11 +117,11 @@ void BM_StbaCompare(benchmark::State& state) {
 
 BENCHMARK(BM_StbaCompare)->Arg(50)->Arg(200)->Unit(benchmark::kMillisecond);
 
-// Triage deep-dive on a misaligned pair (grant_during_lock fault): the
-// full interval/window/in-flight analysis must stay in the same league as
-// the plain alignment compare, since it reuses the change-driven merge.
-// Run next to BM_StbaCompare at the same transaction count for the
-// overhead ratio reported in EXPERIMENTS.md.
+// What the regression runner does for a pair that misses sign-off
+// (grant_during_lock fault): one comparison that also fills the triage —
+// windows, per-signal intervals and in-flight cells from the same walk.
+// Run next to BM_StbaCompareFaultedPair for the overhead reported in
+// EXPERIMENTS.md.
 void BM_Triage(benchmark::State& state) {
   std::ostringstream rtl_os, bca_os;
   for (int m = 0; m < 2; ++m) {
@@ -143,9 +143,11 @@ void BM_Triage(benchmark::State& state) {
   for (int t = 0; t < 2; ++t) ports.push_back("tb.targ" + std::to_string(t));
   std::uint64_t windows = 0;
   for (auto _ : state) {
-    const auto rep = stba::Triage::analyze(ta, tb2, ports);
+    stba::TriageReport tri;
+    const auto rep = stba::Analyzer::compare(ta, tb2, ports, nullptr, &tri);
+    benchmark::DoNotOptimize(rep.ports.size());
     windows = 0;
-    for (const auto& p : rep.ports) windows += p.window_count;
+    for (const auto& p : tri.ports) windows += p.window_count;
     benchmark::DoNotOptimize(windows);
   }
   state.counters["cycles"] = static_cast<double>(ta.max_time() + 1);

@@ -427,6 +427,9 @@ struct Campaign {
     }
     const auto t0 = Clock::now();
     stba::AlignmentReport rep;
+    // Filled by the comparison itself when a missed sign-off is triaged.
+    stba::TriageReport tri;
+    const bool triage = to_disk && plan.run_triage;
     // The pair's recordings, released once the comparison (and triage)
     // is done with them.
     const vcd::Trace ta = std::move(traces[2 * pair]);
@@ -436,17 +439,18 @@ struct Campaign {
     try {
       rep = proof.proved ? stba::Analyzer::proved_report(
                                ta, ports, proof.port_fields, proof.cells)
-                         : stba::Analyzer::compare(ta, tb, ports);
+                         : stba::Analyzer::compare(ta, tb, ports, nullptr,
+                                                   triage ? &tri : nullptr);
       if (to_disk) {
         write_text(plan.out_dir + "/alignment_" +
                        sanitize_artifact_name(spec.name) + "_s" +
                        std::to_string(seed) + ".txt",
                    rep.summary(plan.alignment_threshold));
-        if (plan.run_triage && !rep.signed_off(plan.alignment_threshold)) {
+        if (triage && !rep.signed_off(plan.alignment_threshold)) {
           // This job finished the pair's second view, and the acq_rel
           // countdown in run_job ordered the other view's slot writes before
           // it: both outcome slots (and their txn span data) are final.
-          run_triage(spec.name, seed, ta, tb, ports,
+          run_triage(spec.name, seed, ta, tb, tri,
                      outcomes[2 * pair].result.txn,
                      outcomes[2 * pair + 1].result.txn);
         }
@@ -476,17 +480,26 @@ struct Campaign {
   }
 
   // Root-cause artifacts for a pair that missed sign-off: the triage report
-  // (divergence windows, per-signal interval lists, in-flight transaction
-  // context) plus windowed VCD excerpts of both views around the first
-  // divergence, all next to the pair's other artifacts (DESIGN.md section 11).
+  // its comparison filled (divergence windows, per-signal interval lists,
+  // in-flight transaction context) plus windowed VCD excerpts of both views
+  // around the first divergence, all next to the pair's other artifacts
+  // (DESIGN.md section 11).
   void run_triage(const std::string& test, std::uint64_t seed,
                   const vcd::Trace& ta, const vcd::Trace& tb,
-                  const std::vector<std::string>& ports,
+                  const stba::TriageReport& tri,
                   const obs::TxnTraceData& txn_a,
                   const obs::TxnTraceData& txn_b) const {
     CRVE_SPAN("triage");
-    if (obs::metrics_enabled()) obs::counter("regress.triages").inc();
-    const stba::TriageReport tri = stba::Triage::analyze(ta, tb, ports);
+    if (obs::metrics_enabled()) {
+      // Written triages only: a pair that differs but signs off counts none.
+      obs::counter("regress.triages").inc();
+      obs::counter("stba.triages").inc();
+      for (const stba::PortTriage& pt : tri.ports) {
+        obs::counter("stba.triage_ports").inc();
+        obs::counter("stba.triage_windows").add(pt.window_count);
+        obs::counter("stba.triage_diverged_cycles").add(pt.diverged_cycles);
+      }
+    }
     const std::string stem =
         sanitize_artifact_name(test) + "_s" + std::to_string(seed);
     std::vector<std::pair<std::string, std::string>> context = {

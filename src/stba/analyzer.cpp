@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -10,6 +11,7 @@
 #include "common/build_info.h"
 #include "common/json.h"
 #include "obs/metrics.h"
+#include "stba/triage.h"
 
 namespace crve::stba {
 
@@ -128,6 +130,27 @@ bool port_has_activity(const vcd::Trace& t, const std::vector<int>& idx) {
   return false;
 }
 
+// The vacuous-rate annotation of a port whose fields are `ia` in `a` and
+// `ib` in `b`, when one or both dumps show no activity on it; empty for a
+// healthy comparison.
+std::string activity_note(const vcd::Trace& a, const std::vector<int>& ia,
+                          const vcd::Trace& b, const std::vector<int>& ib) {
+  const bool a_active = port_has_activity(a, ia);
+  const bool b_active = port_has_activity(b, ib);
+  if (!a_active && !b_active) {
+    return "no activity on this port in either dump; rate is vacuous";
+  }
+  if (!a_active) {
+    return "dump A has no activity on this port; rate compares B "
+           "against all-zeros";
+  }
+  if (!b_active) {
+    return "dump B has no activity on this port; rate compares A "
+           "against all-zeros";
+  }
+  return "";
+}
+
 // A channel hands over a cell on every cycle its request and grant are
 // both a single 1.
 bool granted(const vcd::Value& req, const vcd::Value& gnt) {
@@ -144,45 +167,7 @@ std::vector<std::uint64_t> count_cells(
   return counter.cells(t.max_time());
 }
 
-// Content-wise diff of the two granted-cell streams: cells at the same
-// stream position are compared field by field, cycle stamps ignored.
-void diff_cells(const vcd::Trace& a, const std::vector<int>& ia,
-                const vcd::Trace& b, const std::vector<int>& ib,
-                PortAlignment& pa) {
-  CellCursor xa(a, ia);
-  CellCursor xb(b, ib);
-  bool ha = xa.next();
-  bool hb = xb.next();
-  for (; ha && hb; ha = xa.next(), hb = xb.next()) {
-    ++pa.cells_a;
-    ++pa.cells_b;
-    if (xa.cell().same_content(xb.cell())) ++pa.cells_matching;
-  }
-  for (; ha; ha = xa.next()) ++pa.cells_a;
-  for (; hb; hb = xb.next()) ++pa.cells_b;
-}
-
 }  // namespace
-
-std::string Analyzer::activity_note(const vcd::Trace& a,
-                                   const std::vector<int>& ia,
-                                   const vcd::Trace& b,
-                                   const std::vector<int>& ib) {
-  const bool a_active = port_has_activity(a, ia);
-  const bool b_active = port_has_activity(b, ib);
-  if (!a_active && !b_active) {
-    return "no activity on this port in either dump; rate is vacuous";
-  }
-  if (!a_active) {
-    return "dump A has no activity on this port; rate compares B "
-           "against all-zeros";
-  }
-  if (!b_active) {
-    return "dump B has no activity on this port; rate compares A "
-           "against all-zeros";
-  }
-  return "";
-}
 
 CellCounter::CellCounter(std::size_t n_vars,
                          const std::vector<std::vector<int>>& ports)
@@ -284,12 +269,114 @@ vcd::Value CellCursor::field(int f, std::uint64_t c) {
 
 namespace {
 
-// The RunWalker merge and the cell diff of one port.
+// `port.field` for every field whose bit is set in `differs`.
+std::vector<std::string> signal_names(const std::string& port,
+                                      std::uint32_t differs) {
+  std::vector<std::string> names;
+  const auto& fields = Analyzer::port_fields();
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    if (differs >> f & 1u) names.push_back(port + "." + fields[f]);
+  }
+  return names;
+}
+
+// Files diverged run `run` into an interval list: it extends the interval
+// the previous run left `open`, or opens a new one, counted always and
+// listed while fewer than `cap` are. Returns the newly listed interval.
+template <typename Interval>
+Interval* file_run(std::vector<Interval>& listed, std::uint64_t& count,
+                   bool open, const FieldRun& run, std::size_t cap) {
+  if (open) {
+    // The open interval is the last listed one unless the cap cut it.
+    if (!listed.empty() && listed.back().end == run.begin) {
+      listed.back().end = run.end;
+    }
+    return nullptr;
+  }
+  ++count;
+  if (listed.size() >= cap) return nullptr;
+  Interval& i = listed.emplace_back();
+  i.begin = run.begin;
+  i.end = run.end;
+  return &i;
+}
+
+// One view's in-flight cells: as the view's cell stream passes, each
+// listed window gets the last granted cell at or before its begin (on a
+// shared cycle the response cell, which the stream yields after the
+// request cell).
+class InFlightMarker {
+ public:
+  InFlightMarker(std::vector<DivergenceWindow>& windows,
+                 InFlightCell DivergenceWindow::*view)
+      : windows_(windows), view_(view) {}
+
+  // `cell` is the stream's next cell; null once the stream ended.
+  void pass(const CellView* cell) {
+    for (; next_ < windows_.size() &&
+           (cell == nullptr || windows_[next_].begin < cell->cycle);
+         ++next_) {
+      if (last_) windows_[next_].*view_ = InFlightCell::of(*last_);
+    }
+    if (cell != nullptr && next_ < windows_.size()) last_ = *cell;
+  }
+
+ private:
+  std::vector<DivergenceWindow>& windows_;
+  InFlightCell DivergenceWindow::*view_;
+  std::size_t next_ = 0;  // first window not yet marked
+  std::optional<CellView> last_;
+};
+
+// Content-wise diff of the two granted-cell streams: cells at the same
+// stream position are compared field by field, cycle stamps ignored. With
+// kTriage, each of `windows` also gets its in-flight cells.
+template <bool kTriage>
+void diff_cells(const vcd::Trace& a, const std::vector<int>& ia,
+                const vcd::Trace& b, const std::vector<int>& ib,
+                PortAlignment& pa, std::vector<DivergenceWindow>& windows) {
+  CellCursor xa(a, ia);
+  CellCursor xb(b, ib);
+  InFlightMarker fa(windows, &DivergenceWindow::in_flight_a);
+  InFlightMarker fb(windows, &DivergenceWindow::in_flight_b);
+  bool ha = xa.next();
+  bool hb = xb.next();
+  for (; ha && hb; ha = xa.next(), hb = xb.next()) {
+    ++pa.cells_a;
+    ++pa.cells_b;
+    if (xa.cell().same_content(xb.cell())) ++pa.cells_matching;
+    if constexpr (kTriage) {
+      fa.pass(&xa.cell());
+      fb.pass(&xb.cell());
+    }
+  }
+  for (; ha; ha = xa.next()) {
+    ++pa.cells_a;
+    if constexpr (kTriage) fa.pass(&xa.cell());
+  }
+  for (; hb; hb = xb.next()) {
+    ++pa.cells_b;
+    if constexpr (kTriage) fb.pass(&xb.cell());
+  }
+  if constexpr (kTriage) {
+    fa.pass(nullptr);
+    fb.pass(nullptr);
+  }
+}
+
+// The RunWalker merge and the cell diff of one port. With kTriage, the
+// same pass files every diverged run into `pt`'s windows and per-signal
+// intervals, and the cell diff marks each listed window's in-flight cells;
+// without, the comparison carries no triage code and `pt` is untouched.
+template <bool kTriage>
 void walk_port(const vcd::Trace& a, const std::vector<int>& ia,
                const vcd::Trace& b, const std::vector<int>& ib,
-               PortAlignment& pa, bool metrics) {
+               PortAlignment& pa, PortTriage& pt, bool metrics) {
   RunWalker walk(a, ia, b, ib, pa.total_cycles);
   std::uint64_t merge_events = 0;
+  // Per field, the diverged cycles and intervals the triage lists.
+  std::vector<SignalDivergence> sig(kTriage ? ia.size() : 0);
+  std::uint32_t open = 0;  // fields that differed on the previous run
   for (FieldRun run; walk.next(run);) {
     ++merge_events;
     const std::uint64_t len = run.end - run.begin;
@@ -298,16 +385,30 @@ void walk_port(const vcd::Trace& a, const std::vector<int>& ia,
       if (metrics) obs::histogram("stba.aligned_run_cycles").observe(len);
     } else if (!pa.diverged()) {
       pa.first_divergence = run.begin;
-      for (std::size_t f = 0; f < ia.size(); ++f) {
-        if (run.differs >> f & 1u) {
-          pa.diverged_signals.push_back(pa.port + "." +
-                                        Analyzer::port_fields()[f]);
-        }
+      pa.diverged_signals = signal_names(pa.port, run.differs);
+    }
+    if (kTriage && run.differs != 0) {
+      for (std::size_t f = 0; f < sig.size(); ++f) {
+        if ((run.differs >> f & 1u) == 0) continue;
+        sig[f].diverged_cycles += len;
+        file_run(sig[f].intervals, sig[f].interval_count, open >> f & 1u,
+                 run, Triage::kMaxIntervals);
+      }
+      // A port-level window runs on across the event boundary.
+      if (DivergenceWindow* w = file_run(pt.windows, pt.window_count,
+                                         open != 0, run, Triage::kMaxWindows)) {
+        w->signals = signal_names(pa.port, run.differs);
       }
     }
+    open = run.differs;
+  }
+  for (std::size_t f = 0; f < sig.size(); ++f) {
+    if (sig[f].diverged_cycles == 0) continue;
+    sig[f].signal = pa.port + "." + Analyzer::port_fields()[f];
+    pt.signals.push_back(std::move(sig[f]));
   }
   // Transaction-level diff (content compare, cycle-independent).
-  diff_cells(a, ia, b, ib, pa);
+  diff_cells<kTriage>(a, ia, b, ib, pa, pt.windows);
   if (metrics) {
     obs::counter("stba.merge_events").add(merge_events);
     obs::histogram("stba.merge_events_per_port").observe(merge_events);
@@ -332,31 +433,55 @@ void publish_compare(bool proved) {
 
 AlignmentReport compare_ports(const vcd::Trace& a, const vcd::Trace& b,
                               const std::vector<std::string>& ports,
-                              bool prove_equal, bool* recordings_equal) {
+                              bool prove_equal, bool* recordings_equal,
+                              TriageReport* triage) {
   // Equal recordings prove every port at once and share one variable
   // table: each port is aligned on every cycle, and its two cell streams
   // are one stream, so only its cells are counted.
   const bool equal = prove_equal && a == b;
   if (recordings_equal != nullptr) *recordings_equal = equal;
-  const auto fa = Analyzer::resolve_ports(a, ports);
-  if (equal) return Analyzer::proved_report(a, ports, fa, count_cells(a, fa));
-
-  AlignmentReport report;
-  const bool metrics = obs::metrics_enabled();
-  const std::uint64_t total = std::max(a.max_time(), b.max_time()) + 1;
-  const auto fb = Analyzer::resolve_ports(b, ports);
-  for (std::size_t p = 0; p < ports.size(); ++p) {
-    const std::vector<int>& ia = fa[p];
-    const std::vector<int>& ib = fb[p];
-    PortAlignment pa;
-    pa.port = ports[p];
-    pa.total_cycles = total;
-    pa.note = Analyzer::activity_note(a, ia, b, ib);
-    walk_port(a, ia, b, ib, pa, metrics);
-    if (metrics) publish_port(pa);
-    report.ports.push_back(std::move(pa));
+  if (triage != nullptr) {
+    *triage = TriageReport{};
+    triage->ports.resize(ports.size());
   }
-  if (metrics) publish_compare(/*proved=*/false);
+  const auto fa = Analyzer::resolve_ports(a, ports);
+  AlignmentReport report;
+  if (equal) {
+    report = Analyzer::proved_report(a, ports, fa, count_cells(a, fa));
+  } else {
+    const bool metrics = obs::metrics_enabled();
+    const std::uint64_t total = std::max(a.max_time(), b.max_time()) + 1;
+    const auto fb = Analyzer::resolve_ports(b, ports);
+    for (std::size_t p = 0; p < ports.size(); ++p) {
+      PortAlignment pa;
+      pa.port = ports[p];
+      pa.total_cycles = total;
+      pa.note = activity_note(a, fa[p], b, fb[p]);
+      if (triage != nullptr) {
+        walk_port<true>(a, fa[p], b, fb[p], pa, triage->ports[p], metrics);
+      } else {
+        PortTriage unused;
+        walk_port<false>(a, fa[p], b, fb[p], pa, unused, metrics);
+      }
+      if (metrics) publish_port(pa);
+      report.ports.push_back(std::move(pa));
+    }
+    if (metrics) publish_compare(/*proved=*/false);
+  }
+  // Each triage port's cycle accounting and note are its comparison's.
+  for (std::size_t p = 0; triage != nullptr && p < ports.size(); ++p) {
+    const PortAlignment& pa = report.ports[p];
+    PortTriage& pt = triage->ports[p];
+    pt.port = pa.port;
+    pt.total_cycles = pa.total_cycles;
+    pt.aligned_cycles = pa.aligned_cycles;
+    pt.diverged_cycles = pa.total_cycles - pa.aligned_cycles;
+    pt.note = pa.note;
+    if (pa.first_divergence < triage->first_divergence) {
+      triage->first_divergence = pa.first_divergence;
+      triage->first_port = pa.port;
+    }
+  }
   return report;
 }
 
@@ -364,14 +489,16 @@ AlignmentReport compare_ports(const vcd::Trace& a, const vcd::Trace& b,
 
 AlignmentReport Analyzer::compare(const vcd::Trace& a, const vcd::Trace& b,
                                   const std::vector<std::string>& ports,
-                                  bool* recordings_equal) {
-  return compare_ports(a, b, ports, /*prove_equal=*/true, recordings_equal);
+                                  bool* recordings_equal,
+                                  TriageReport* triage) {
+  return compare_ports(a, b, ports, /*prove_equal=*/true, recordings_equal,
+                       triage);
 }
 
 AlignmentReport Analyzer::compare_by_merge(
     const vcd::Trace& a, const vcd::Trace& b,
-    const std::vector<std::string>& ports) {
-  return compare_ports(a, b, ports, /*prove_equal=*/false, nullptr);
+    const std::vector<std::string>& ports, TriageReport* triage) {
+  return compare_ports(a, b, ports, /*prove_equal=*/false, nullptr, triage);
 }
 
 AlignmentReport Analyzer::proved_report(

@@ -21,6 +21,8 @@
 
 namespace crve::stba {
 
+struct TriageReport;  // stba/triage.h
+
 struct PortAlignment {
   std::string port;
   std::uint64_t total_cycles = 0;
@@ -97,16 +99,20 @@ class Analyzer {
   // When `recordings_equal` is given, it is set to whether the two traces
   // are equal: the one decision a caller needs to know that the two dumps
   // carry the same values on every recorded signal.
+  // When `triage` is given, the same walk also fills it (stba/triage.h):
+  // windows and per-signal intervals from the runs, in-flight cells from
+  // the cell diff; equal traces leave every port aligned and windowless.
   static AlignmentReport compare(const vcd::Trace& a, const vcd::Trace& b,
                                  const std::vector<std::string>& ports,
-                                 bool* recordings_equal = nullptr);
+                                 bool* recordings_equal = nullptr,
+                                 TriageReport* triage = nullptr);
 
   // compare() without the proof: every port takes the RunWalker merge and
-  // the cell diff. Its report equals compare()'s; it stays callable so
+  // the cell diff. Its reports equal compare()'s; it stays callable so
   // tests and benchmarks can hold the two side by side.
   static AlignmentReport compare_by_merge(
       const vcd::Trace& a, const vcd::Trace& b,
-      const std::vector<std::string>& ports);
+      const std::vector<std::string>& ports, TriageReport* triage = nullptr);
 
   // The report compare() gives `t` against an equal trace, from what the
   // proof needs beyond `t`'s change counts: `fields`, each port's fields
@@ -129,22 +135,13 @@ class Analyzer {
   // variable table; a field `port.f` resolves as Trace::find would resolve
   // it (the unique variable with that dotted suffix). Throws
   // std::runtime_error naming the field when it is absent, and listing the
-  // candidates when it is ambiguous. Shared by compare() and the Triage
-  // deep-dive so both resolve identically.
+  // candidates when it is ambiguous.
   static std::vector<std::vector<int>> resolve_ports(
       const vcd::Trace& t, const std::vector<std::string>& ports);
 
   // resolve_ports() for one port.
   static std::vector<int> resolve_port_fields(const vcd::Trace& t,
                                               const std::string& port);
-
-  // The vacuous-rate annotation compare() attaches when one or both dumps
-  // show no activity on the port whose fields are `ia` in `a` and `ib` in
-  // `b`; empty for a healthy comparison.
-  static std::string activity_note(const vcd::Trace& a,
-                                   const std::vector<int>& ia,
-                                   const vcd::Trace& b,
-                                   const std::vector<int>& ib);
 };
 
 // One run of a RunWalker: cycles [begin, end) on which every field of the
@@ -156,11 +153,12 @@ struct FieldRun {
   std::uint32_t differs = 0;
 };
 
-// The k-way merge over one port's field change lists in two traces, shared
-// by Analyzer::compare and Triage::analyze when the traces are not equal:
-// it hops from change event to change event over [0, total), so each run
-// is classified once. Runs end at every change on either side, even when
-// `differs` stays the same.
+// The k-way merge over one port's field change lists in two traces, which
+// Analyzer::compare walks once per port when the traces are not equal: it
+// hops from change event to change event over [0, total), so each run is
+// classified once, for the alignment count and, when asked, the triage.
+// Runs end at every change on either side, even when `differs` stays the
+// same.
 class RunWalker {
  public:
   // `ia`/`ib` are the port's fields as Analyzer::resolve_port_fields gives
@@ -247,7 +245,8 @@ struct CellView {
 // a single 1. A merge over the field change lists: between events every
 // field is constant, so the granted state and the cell content hold for
 // the whole run and only the cycle stamp varies. Analyzer::compare diffs
-// two streams in lockstep; Triage reads each window's in-flight cell.
+// two streams in lockstep and, for a triage, picks each window's in-flight
+// cell from them as they pass.
 class CellCursor {
  public:
   // `idx` is the port's fields as Analyzer::resolve_port_fields gives them

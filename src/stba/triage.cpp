@@ -1,11 +1,9 @@
 #include "stba/triage.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/build_info.h"
 #include "common/json.h"
-#include "obs/metrics.h"
 #include "obs/txn_trace.h"
 #include "stbus/opcode.h"
 
@@ -60,44 +58,6 @@ std::string decode_opc(bool response, const std::string& opc) {
   return "?";
 }
 
-// The transaction context a human wants when the views split: the most
-// recent granted cell at or before a window's first cycle. Windows come in
-// increasing order, so one cursor per view only moves forward, keeping the
-// last cell it passed; cells past the last window asked about are never
-// decoded.
-class InFlight {
- public:
-  InFlight(const vcd::Trace& t, const std::vector<int>& idx) : cur_(t, idx) {}
-
-  InFlightCell at(std::uint64_t cycle) {
-    if (!started_) {
-      started_ = true;
-      more_ = cur_.next();
-    }
-    for (; more_ && cur_.cell().cycle <= cycle; more_ = cur_.next()) {
-      last_ = cur_.cell();
-    }
-    InFlightCell ref;
-    if (!last_) return ref;  // nothing granted yet
-    const CellView& cell = *last_;
-    ref.valid = true;
-    ref.cycle = cell.cycle;
-    ref.response = cell.response;
-    ref.opc = cell.opc.text();
-    ref.opc_name = decode_opc(cell.response, ref.opc);
-    ref.add = cell.response ? "" : bin_to_hex(cell.add.text());
-    ref.src = bin_to_hex(cell.src.text());
-    ref.tid = bin_to_hex(cell.tid.text());
-    return ref;
-  }
-
- private:
-  CellCursor cur_;
-  bool started_ = false;
-  bool more_ = false;  // cur_ holds a cell not yet passed
-  std::optional<CellView> last_;
-};
-
 void render_cell(std::string& out, const char* key, const InFlightCell& c,
                  const std::string& in) {
   out += in + "\"" + key + "\": ";
@@ -116,133 +76,26 @@ void render_cell(std::string& out, const char* key, const InFlightCell& c,
   out += "}";
 }
 
-// Walks one port of two unequal dumps: every diverged run goes into pt's
-// windows and per-signal intervals, and into the report's earliest
-// divergence.
-void walk_port(const vcd::Trace& a, const std::vector<int>& ia,
-               const vcd::Trace& b, const std::vector<int>& ib,
-               PortTriage& pt, TriageReport& report) {
-  const auto& fields = Analyzer::port_fields();
-  const std::string& port = pt.port;
-  InFlight flight_a(a, ia);
-  InFlight flight_b(b, ib);
-
-  // Per-field interval accumulation state: the exclusive end of the last
-  // diverged run per field, to merge adjacent runs into one interval.
-  std::vector<SignalDivergence> sig(fields.size());
-  std::vector<std::uint64_t> sig_open_end(fields.size(), 0);
-  std::vector<bool> sig_seen(fields.size(), false);
-  bool window_open = false;
-  std::uint64_t window_end = 0;
-
-  // The merge compare() uses: each [c, run_end) run is classified once.
-  RunWalker walk(a, ia, b, ib, pt.total_cycles);
-  for (FieldRun run; walk.next(run);) {
-    const std::uint64_t c = run.begin;
-    const std::uint64_t run_end = run.end;
-    if (run.differs == 0) {
-      pt.aligned_cycles += run_end - c;
-      window_open = false;
-    } else {
-      pt.diverged_cycles += run_end - c;
-      for (std::size_t f = 0; f < fields.size(); ++f) {
-        if ((run.differs >> f & 1u) == 0) continue;
-        SignalDivergence& sd = sig[f];
-        sd.diverged_cycles += run_end - c;
-        if (sig_seen[f] && sig_open_end[f] == c) {
-          // Adjacent diverged run on the same signal: extend in place.
-          if (!sd.intervals.empty() && sd.intervals.back().end == c) {
-            sd.intervals.back().end = run_end;
-          }
-        } else {
-          ++sd.interval_count;
-          if (sd.intervals.size() < Triage::kMaxIntervals) {
-            sd.intervals.push_back({c, run_end});
-          }
-        }
-        sig_seen[f] = true;
-        sig_open_end[f] = run_end;
-      }
-      if (window_open && window_end == c) {
-        // Same port-level window continues across the event boundary.
-        if (!pt.windows.empty() && pt.windows.back().end == c) {
-          pt.windows.back().end = run_end;
-        }
-      } else {
-        ++pt.window_count;
-        if (pt.windows.size() < Triage::kMaxWindows) {
-          DivergenceWindow w;
-          w.begin = c;
-          w.end = run_end;
-          for (std::size_t f = 0; f < fields.size(); ++f) {
-            if (run.differs >> f & 1u) {
-              w.signals.push_back(port + "." + fields[f]);
-            }
-          }
-          w.in_flight_a = flight_a.at(c);
-          w.in_flight_b = flight_b.at(c);
-          pt.windows.push_back(std::move(w));
-        }
-      }
-      window_open = true;
-      window_end = run_end;
-      if (c < report.first_divergence) {
-        report.first_divergence = c;
-        report.first_port = port;
-      }
-    }
-  }
-
-  for (std::size_t f = 0; f < fields.size(); ++f) {
-    if (sig[f].diverged_cycles == 0) continue;
-    sig[f].signal = port + "." + fields[f];
-    pt.signals.push_back(std::move(sig[f]));
-  }
-}
-
-// Triage::analyze, with or without the whole-recording proof.
-TriageReport triage_ports(const vcd::Trace& a, const vcd::Trace& b,
-                          const std::vector<std::string>& ports,
-                          bool prove_equal) {
-  TriageReport report;
-  const bool metrics = obs::metrics_enabled();
-  const std::uint64_t total = std::max(a.max_time(), b.max_time()) + 1;
-  const auto fa = Analyzer::resolve_ports(a, ports);
-  const auto fb = Analyzer::resolve_ports(b, ports);
-  const bool equal = prove_equal && a == b;
-  for (std::size_t p = 0; p < ports.size(); ++p) {
-    PortTriage pt;
-    pt.port = ports[p];
-    pt.total_cycles = total;
-    pt.note = Analyzer::activity_note(a, fa[p], b, fb[p]);
-    if (equal) {
-      // Aligned on every cycle: no window, no transaction context needed.
-      pt.aligned_cycles = total;
-    } else {
-      walk_port(a, fa[p], b, fb[p], pt, report);
-    }
-    if (metrics) {
-      obs::counter("stba.triage_ports").inc();
-      obs::counter("stba.triage_windows").add(pt.window_count);
-      obs::counter("stba.triage_diverged_cycles").add(pt.diverged_cycles);
-    }
-    report.ports.push_back(std::move(pt));
-  }
-  if (metrics) obs::counter("stba.triages").inc();
-  return report;
-}
-
 }  // namespace
+
+InFlightCell InFlightCell::of(const CellView& cell) {
+  InFlightCell ref;
+  ref.valid = true;
+  ref.cycle = cell.cycle;
+  ref.response = cell.response;
+  ref.opc = cell.opc.text();
+  ref.opc_name = decode_opc(cell.response, ref.opc);
+  ref.add = cell.response ? "" : bin_to_hex(cell.add.text());
+  ref.src = bin_to_hex(cell.src.text());
+  ref.tid = bin_to_hex(cell.tid.text());
+  return ref;
+}
 
 TriageReport Triage::analyze(const vcd::Trace& a, const vcd::Trace& b,
                              const std::vector<std::string>& ports) {
-  return triage_ports(a, b, ports, /*prove_equal=*/true);
-}
-
-TriageReport Triage::analyze_by_merge(const vcd::Trace& a,
-                                      const vcd::Trace& b,
-                                      const std::vector<std::string>& ports) {
-  return triage_ports(a, b, ports, /*prove_equal=*/false);
+  TriageReport report;
+  Analyzer::compare(a, b, ports, nullptr, &report);
+  return report;
 }
 
 std::string TriageReport::json(
@@ -362,7 +215,7 @@ std::string txn_flight_json(const TriageReport& report,
              escape(s.opc) + "\", \"issue\": " + std::to_string(s.issue) +
              ", \"stage\": \"" + obs::txn_stage_at(s, cycle) + "\"}";
     }
-    out += n == 0 ? "]" : "]";
+    out += "]";
   };
 
   std::string out = "{\n";

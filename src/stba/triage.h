@@ -1,12 +1,13 @@
-// Divergence triage — the root-cause layer on top of the Analyzer.
+// Divergence triage — the root-cause output of the Analyzer's comparison.
 //
-// The Analyzer answers "is this port aligned and where did it first split";
-// sign-off needs no more. When a campaign FAILS, the debugging questions are
-// different: where are ALL the divergence windows, which signals carry each
-// one, and what transaction was in flight when the views split. Triage
-// answers those in one change-driven merge pass per port (the RunWalker
-// Analyzer::compare walks — no per-cycle strings), reading each window's
-// in-flight cell from one forward CellCursor per view, then the
+// The alignment report answers "is this port aligned and where did it first
+// split"; sign-off needs no more. When a campaign FAILS, the debugging
+// questions are different: where are ALL the divergence windows, which
+// signals carry each one, and what transaction was in flight when the views
+// split. Analyzer::compare answers those when handed a TriageReport, in the
+// one walk it makes anyway: each port's RunWalker runs fill its windows and
+// per-signal intervals as they are classified, and the two CellCursor
+// streams its cell diff advances give each window's in-flight cells. The
 // regression runner publishes the result as `triage_<test>_s<seed>.json`
 // plus a windowed VCD excerpt of both views around the first divergence.
 //
@@ -54,6 +55,9 @@ struct InFlightCell {
   std::string add;         // request address as hex ("" for response cells)
   std::string src;         // source id as hex
   std::string tid;         // transaction id as hex
+
+  // `cell` decoded for the report.
+  static InFlightCell of(const CellView& cell);
 };
 
 // One maximal run of consecutive cycles on which the port views differ.
@@ -74,7 +78,7 @@ struct PortTriage {
   std::vector<DivergenceWindow> windows;   // first kMaxWindows
   // Per-signal interval lists, port_fields() order, diverged signals only.
   std::vector<SignalDivergence> signals;
-  std::string note;  // Analyzer::activity_note for this port
+  std::string note;  // the comparison's activity note for this port
 
   double rate() const {
     return total_cycles == 0
@@ -124,19 +128,11 @@ class Triage {
   static constexpr std::size_t kMaxIntervals = 64;
   static constexpr std::size_t kMaxWindows = 64;
 
-  // Full divergence breakdown of the given ports between two dumps. Cycle
-  // accounting matches Analyzer::compare exactly: when the traces are
-  // equal every port is aligned on every cycle and nothing is walked or
-  // decoded; otherwise each port classifies the runs of one RunWalker over
-  // the same max(a,b)+1 cycle span.
+  // Full divergence breakdown of the given ports between two dumps: the
+  // triage Analyzer::compare fills on the way. Its cycle accounting is the
+  // comparison's.
   static TriageReport analyze(const vcd::Trace& a, const vcd::Trace& b,
                               const std::vector<std::string>& ports);
-
-  // analyze() without the proof: every port is walked. Its report equals
-  // analyze()'s (tests hold the two side by side).
-  static TriageReport analyze_by_merge(const vcd::Trace& a,
-                                       const vcd::Trace& b,
-                                       const std::vector<std::string>& ports);
 };
 
 }  // namespace crve::stba

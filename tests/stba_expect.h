@@ -1,7 +1,7 @@
 // Holds STBA's whole-recording proof to the merge it skips: for one trace
-// pair, Analyzer::compare must report every port exactly as
-// compare_by_merge does, and Triage::analyze exactly as analyze_by_merge
-// does. Also the test-side view of the cell decoder (cells_of).
+// pair, Analyzer::compare must report every port, and fill the triage,
+// exactly as compare_by_merge does. Also the test-side view of the cell
+// decoder (cells_of).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -36,8 +36,11 @@ inline bool expect_proof_matches_merge(
     const vcd::Trace& a, const vcd::Trace& b,
     const std::vector<std::string>& ports, const std::string& where) {
   bool equal = false;
-  const auto proved = stba::Analyzer::compare(a, b, ports, &equal);
-  const auto walked = stba::Analyzer::compare_by_merge(a, b, ports);
+  stba::TriageReport proved_triage, walked_triage;
+  const auto proved =
+      stba::Analyzer::compare(a, b, ports, &equal, &proved_triage);
+  const auto walked =
+      stba::Analyzer::compare_by_merge(a, b, ports, &walked_triage);
   EXPECT_EQ(proved.ports.size(), ports.size()) << where;
   EXPECT_EQ(walked.ports.size(), ports.size()) << where;
   for (std::size_t p = 0;
@@ -48,9 +51,7 @@ inline bool expect_proof_matches_merge(
   }
   // The triage JSON renders every PortTriage member, windows and in-flight
   // cells included.
-  EXPECT_EQ(stba::Triage::analyze(a, b, ports).json(),
-            stba::Triage::analyze_by_merge(a, b, ports).json())
-      << where;
+  EXPECT_EQ(proved_triage.json(), walked_triage.json()) << where;
   EXPECT_EQ(equal, a == b) << where;
   return equal;
 }

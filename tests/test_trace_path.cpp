@@ -110,8 +110,9 @@ class ReferenceWriter : public sim::Tracer {
   std::vector<std::string> last_;
 };
 
-// Per-cycle alignment scan over value_at() binary searches: the pre-change
-// Analyzer::compare body (cycle loop only; cell diff reuses extract).
+// Per-cycle alignment scan over value_at() binary searches: the cycle
+// accounting of the pre-merge Analyzer::compare. Cell counts are left at
+// zero; ExtractMatchesPerCycleReference holds the cell stream.
 stba::PortAlignment reference_compare_port(const vcd::Trace& a,
                                            const vcd::Trace& b,
                                            const std::string& port) {
