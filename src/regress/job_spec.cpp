@@ -1,6 +1,6 @@
 #include "regress/job_spec.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -53,35 +53,56 @@ verif::ModelKind view_from(const std::string& s) {
   throw std::runtime_error("pair payload: unknown view '" + s + "'");
 }
 
-// Required-member accessors over parsed payloads: a missing member is a
-// schema mismatch the caller turns into a cache invalidation, not a crash.
-const json::Value& member(const json::Value& v, const char* key) {
+using Kind = json::Value::Kind;
+
+std::runtime_error bad(const char* key, const char* what) {
+  return std::runtime_error(std::string("pair payload: '") + key + "' " +
+                            what);
+}
+
+// Required-member accessors over parsed payloads: a missing or mistyped
+// member is a schema mismatch the caller turns into a cache invalidation,
+// not a crash.
+const json::Value& member(const json::Value& v, const char* key, Kind kind) {
   const json::Value* m = v.find(key);
-  if (!m) {
-    throw std::runtime_error(std::string("pair payload: missing '") + key +
-                             "'");
-  }
+  if (!m) throw bad(key, "is missing");
+  if (m->kind != kind) throw bad(key, "has the wrong type");
   return *m;
 }
 
+// An object holds exactly the `n` members its reader takes, so no member
+// the encoder did not write (a misspelt optional one) goes unread.
+void expect_members(const json::Value& v, std::size_t n, const char* what) {
+  if (!v.is_object() || v.members.size() != n) {
+    throw bad(what, "does not hold the members the encoder writes");
+  }
+}
+
+// Exactly what json::hex writes: "0x" and lowercase hex digits without a
+// leading zero, the whole string.
 std::uint64_t u64_of(const json::Value& v, const char* key) {
-  const json::Value& m = member(v, key);
-  if (m.kind == json::Value::Kind::kString) {
-    return std::strtoull(m.str.c_str(), nullptr, 16);
+  const std::string& s = member(v, key, Kind::kString).str;
+  std::uint64_t n = 0;
+  const char* end = s.data() + s.size();
+  // Rendering the value back rejects what from_chars forgives: another
+  // prefix, upper case, leading zeros, an out-of-range value.
+  if (s.size() < 3 || std::from_chars(s.data() + 2, end, n, 16).ptr != end ||
+      json::hex(n) != '"' + s + '"') {
+    throw bad(key, "is not a hex literal");
   }
-  if (m.kind == json::Value::Kind::kNumber) {
-    return static_cast<std::uint64_t>(m.num);
-  }
-  throw std::runtime_error(std::string("pair payload: '") + key +
-                           "' is not a number");
+  return n;
 }
 
 bool bool_of(const json::Value& v, const char* key) {
-  return member(v, key).boolean;
+  return member(v, key, Kind::kBool).boolean;
+}
+
+double num_of(const json::Value& v, const char* key) {
+  return member(v, key, Kind::kNumber).num;
 }
 
 std::string str_of(const json::Value& v, const char* key) {
-  return member(v, key).str;
+  return member(v, key, Kind::kString).str;
 }
 
 void write_run(std::ostream& os, const TestOutcome& o) {
@@ -100,6 +121,7 @@ void write_run(std::ostream& os, const TestOutcome& o) {
 }
 
 TestOutcome read_run(const json::Value& v) {
+  expect_members(v, 12, "runs");
   TestOutcome o;
   o.test = str_of(v, "test");
   o.seed = u64_of(v, "seed");
@@ -110,9 +132,9 @@ TestOutcome read_run(const json::Value& v) {
   o.result.checker_violations = u64_of(v, "checker_violations");
   o.result.scoreboard_errors = u64_of(v, "scoreboard_errors");
   o.result.reference_mismatches = u64_of(v, "reference_mismatches");
-  o.result.coverage_percent = member(v, "coverage_percent").num;
+  o.result.coverage_percent = num_of(v, "coverage_percent");
   o.result.coverage_digest = u64_of(v, "coverage_digest");
-  o.wall_ms = v.number_or("wall_ms", 0.0);
+  o.wall_ms = num_of(v, "wall_ms");
   return o;
 }
 
@@ -183,16 +205,6 @@ bool set_fault_by_name(bca::Faults& f, const std::string& name) {
   return false;
 }
 
-bca::Faults faults_from_names(const std::vector<std::string>& names) {
-  bca::Faults f;
-  for (const std::string& n : names) {
-    if (!set_fault_by_name(f, n)) {
-      throw std::runtime_error("job spec: unknown fault '" + n + "'");
-    }
-  }
-  return f;
-}
-
 std::string format_job_specs(const std::vector<JobSpec>& specs) {
   std::ostringstream os;
   os << "{\n  \"version\": 1,\n  \"jobs\": [";
@@ -201,42 +213,6 @@ std::string format_job_specs(const std::vector<JobSpec>& specs) {
   }
   os << (specs.empty() ? "]" : "\n  ]") << "\n}\n";
   return os.str();
-}
-
-std::vector<JobSpec> parse_job_specs(const std::string& text) {
-  const json::Value doc = json::parse(text);
-  if (static_cast<int>(doc.number_or("version", 0.0)) != 1) {
-    throw std::runtime_error("job specs: unsupported version");
-  }
-  const json::Value& jobs = member(doc, "jobs");
-  if (!jobs.is_array()) {
-    throw std::runtime_error("job specs: 'jobs' is not an array");
-  }
-  std::vector<JobSpec> out;
-  out.reserve(jobs.items.size());
-  for (const json::Value& j : jobs.items) {
-    JobSpec s;
-    s.version = static_cast<int>(member(j, "v").num);
-    s.test = str_of(j, "test");
-    s.seed = u64_of(j, "seed");
-    s.n_transactions = static_cast<int>(member(j, "tx").num);
-    s.max_cycles = u64_of(j, "max_cycles");
-    s.run_alignment = bool_of(j, "alignment");
-    s.alignment_threshold = member(j, "threshold").num;
-    s.run_triage = bool_of(j, "triage");
-    s.triage_window = u64_of(j, "triage_window");
-    s.kernel = j.string_or("kernel", "compiled");
-    const json::Value& faults = member(j, "faults");
-    for (const json::Value& f : faults.items) s.faults.push_back(f.str);
-    const json::Value& b = member(j, "build");
-    s.git_hash = str_of(b, "git_hash");
-    s.compiler = str_of(b, "compiler");
-    s.build_type = str_of(b, "build_type");
-    s.sanitize = bool_of(b, "sanitize");
-    s.config_text = str_of(j, "config");
-    out.push_back(std::move(s));
-  }
-  return out;
 }
 
 std::string encode_pair_result(const PairResult& pr,
@@ -280,43 +256,46 @@ std::string encode_pair_result(const PairResult& pr,
 
 PairResult decode_pair_result(const std::string& text) {
   const json::Value doc = json::parse(text);
-  if (static_cast<int>(doc.number_or("version", 0.0)) != 1) {
-    throw std::runtime_error("pair payload: unsupported version");
-  }
+  if (num_of(doc, "version") != 1.0) throw bad("version", "is not 1");
+  const json::Value* al = doc.find("alignment");
+  expect_members(doc, al ? 5 : 4, "payload");
+  str_of(doc, "spec_hash");  // checked, not kept: the caller holds the key
   PairResult pr;
-  const json::Value& b = member(doc, "build");
+  const json::Value& b = member(doc, "build", Kind::kObject);
+  expect_members(b, 4, "build");
   pr.git_hash = str_of(b, "git_hash");
   pr.compiler = str_of(b, "compiler");
   pr.build_type = str_of(b, "build_type");
   pr.sanitize = bool_of(b, "sanitize");
-  const json::Value& runs = member(doc, "runs");
-  if (!runs.is_array() || runs.items.size() != 2) {
-    throw std::runtime_error("pair payload: expected exactly two runs");
-  }
+  const json::Value& runs = member(doc, "runs", Kind::kArray);
+  if (runs.items.size() != 2) throw bad("runs", "does not hold two runs");
   pr.rtl = read_run(runs.items[0]);
   pr.bca = read_run(runs.items[1]);
   if (pr.rtl.model != verif::ModelKind::kRtl ||
       pr.bca.model != verif::ModelKind::kBca) {
-    throw std::runtime_error("pair payload: runs out of (rtl, bca) order");
+    throw bad("runs", "is out of (rtl, bca) order");
   }
-  const json::Value* al = doc.find("alignment");
   if (al) {
+    expect_members(*al, 2, "alignment");
     pr.has_alignment = true;
     pr.alignment.test = pr.rtl.test;
     pr.alignment.seed = pr.rtl.seed;
-    pr.alignment.wall_ms = al->number_or("wall_ms", 0.0);
-    const json::Value& ports = member(*al, "ports");
-    for (const json::Value& pv : ports.items) {
+    pr.alignment.wall_ms = num_of(*al, "wall_ms");
+    for (const json::Value& pv : member(*al, "ports", Kind::kArray).items) {
+      expect_members(pv, 9, "ports");
       stba::PortAlignment p;
       p.port = str_of(pv, "port");
       p.total_cycles = u64_of(pv, "total_cycles");
       p.aligned_cycles = u64_of(pv, "aligned_cycles");
       p.first_divergence = u64_of(pv, "first_divergence");
-      const json::Value& sigs = member(pv, "diverged_signals");
-      for (const json::Value& s : sigs.items) {
+      for (const json::Value& s :
+           member(pv, "diverged_signals", Kind::kArray).items) {
+        if (s.kind != Kind::kString) {
+          throw bad("diverged_signals", "holds a non-string");
+        }
         p.diverged_signals.push_back(s.str);
       }
-      p.note = pv.string_or("note", "");
+      p.note = str_of(pv, "note");
       p.cells_a = u64_of(pv, "cells_a");
       p.cells_b = u64_of(pv, "cells_b");
       p.cells_matching = u64_of(pv, "cells_matching");
@@ -335,37 +314,6 @@ std::string pair_build_json(const PairResult& pr, const std::string& indent) {
       indent + "  \"build_type\": \"" + json_escape(pr.build_type) + "\",\n";
   out += indent + "  \"sanitize\": " + (pr.sanitize ? "true" : "false") + "\n";
   out += indent + "}";
-  return out;
-}
-
-std::string format_worker_results(
-    const std::vector<std::pair<std::string, std::string>>& hash_payloads) {
-  std::ostringstream os;
-  os << "{\n  \"version\": 1,\n  \"results\": [";
-  for (std::size_t i = 0; i < hash_payloads.size(); ++i) {
-    os << (i == 0 ? "\n    " : ",\n    ") << "{\"hash\": \""
-       << json_escape(hash_payloads[i].first) << "\", \"payload\": \""
-       << json_escape(hash_payloads[i].second) << "\"}";
-  }
-  os << (hash_payloads.empty() ? "]" : "\n  ]") << "\n}\n";
-  return os.str();
-}
-
-std::vector<std::pair<std::string, std::string>> parse_worker_results(
-    const std::string& text) {
-  const json::Value doc = json::parse(text);
-  if (static_cast<int>(doc.number_or("version", 0.0)) != 1) {
-    throw std::runtime_error("worker results: unsupported version");
-  }
-  const json::Value& results = member(doc, "results");
-  if (!results.is_array()) {
-    throw std::runtime_error("worker results: 'results' is not an array");
-  }
-  std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(results.items.size());
-  for (const json::Value& r : results.items) {
-    out.emplace_back(str_of(r, "hash"), str_of(r, "payload"));
-  }
   return out;
 }
 

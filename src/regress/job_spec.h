@@ -1,26 +1,26 @@
-// Canonical job specifications for the campaign cache and the
-// planner/worker protocol (DESIGN.md §13).
+// Canonical job specifications and pair payloads for the campaign cache
+// (DESIGN.md §13).
 //
 // One JobSpec describes one pair job — both views of (config, test, seed)
-// plus their alignment — precisely enough that any machine holding the
-// same build can execute it: the configuration travels as canonical
-// serialized content (not a filename), the test by its CATG suite name,
-// and the build provenance pins the binary flavour. canonical_json() is
-// the single serialization the SHA-256 cache key is computed over; its
-// field order and formatting are frozen (doubles in shortest round-trip
-// form, 64-bit values as hex strings), so the same job hashes identically
-// everywhere and any input change — a config edit, a new seed, a rebuild —
-// moves the key and misses the cache.
+// plus their alignment — down to every input its result depends on: the
+// configuration as canonical serialized content (not a filename), the test
+// by its CATG suite name, and the build provenance that pins the binary
+// flavour. canonical_json() is the single serialization the SHA-256 cache
+// key is computed over; its field order and formatting are frozen (doubles
+// in shortest round-trip form, 64-bit values as hex strings), so the same
+// job hashes identically everywhere and any input change — a config edit,
+// a new seed, a rebuild — moves the key and misses the cache.
 //
 // The pair-payload codec round-trips the deterministic slice of a pair's
 // results (every field the JSON report renders, including the original
 // wall-clock times) so a warm-cache campaign reduces to a report
 // byte-identical to the cold run modulo the `cached` provenance fields.
+// Payloads are read back from disk, so the decoder accepts only what the
+// encoder writes.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bca/faults.h"
@@ -65,21 +65,16 @@ JobSpec job_spec_for(const RunPlan& plan, const verif::TestSpec& test,
                      std::uint64_t seed);
 
 // --- BCA fault catalogue by name ------------------------------------------
-// Shared by the CLI (--fault) and the JobSpec serialization so both sides
-// of the worker protocol agree on fault identifiers.
+// Shared by the CLI (--fault) and the JobSpec serialization so both agree
+// on fault identifiers.
 std::vector<std::string> fault_names(const bca::Faults& f);
 bool set_fault_by_name(bca::Faults& f, const std::string& name);
-// Throws std::runtime_error on an unknown name.
-bca::Faults faults_from_names(const std::vector<std::string>& names);
 
-// --- Spec files (planner → worker) ----------------------------------------
-
+// The planner's dry run (--emit-specs):
 // {"version": 1, "jobs": [<canonical spec>, ...]}
 std::string format_job_specs(const std::vector<JobSpec>& specs);
-// Throws std::runtime_error on malformed input.
-std::vector<JobSpec> parse_job_specs(const std::string& text);
 
-// --- Pair payload codec (worker → cache/reducer) --------------------------
+// --- Pair payload codec (cache entries) -----------------------------------
 
 // The deterministic slice of one executed pair job.
 struct PairResult {
@@ -96,20 +91,14 @@ struct PairResult {
 
 std::string encode_pair_result(const PairResult& pr,
                                const std::string& spec_hash);
-// Throws std::runtime_error on malformed or wrong-version payloads.
+// Throws std::runtime_error ("pair payload: ...") on anything
+// encode_pair_result does not write: a missing, extra or mistyped member,
+// a 64-bit value that is not json::hex's lowercase form, a version other
+// than 1.
 PairResult decode_pair_result(const std::string& text);
 
 // The originating build stamp of a decoded pair as a pretty JSON object
 // (same shape as build_info_json), nested at `indent`.
 std::string pair_build_json(const PairResult& pr, const std::string& indent);
-
-// --- Results files (worker → planner ingest) ------------------------------
-
-// {"version": 1, "results": [{"hash": ..., "payload": {...}}, ...]}
-std::string format_worker_results(
-    const std::vector<std::pair<std::string, std::string>>& hash_payloads);
-// Returns (hash, payload-json) pairs; throws on malformed input.
-std::vector<std::pair<std::string, std::string>> parse_worker_results(
-    const std::string& text);
 
 }  // namespace crve::regress

@@ -38,24 +38,21 @@
 //                      and exit with its code (2) — the CI negative check
 //                      that the gate actually fails on a broken design
 //
-// Campaign cache and the planner/worker protocol (DESIGN.md §13):
+// Campaign cache (DESIGN.md §13):
 //   --cache-dir DIR    content-addressed result cache: pair jobs whose
 //                      JobSpec hash is present replay from DIR instead of
 //                      re-simulating; missing pairs are stored after they
 //                      run. A rebuild changes the hash, so a stale cache
-//                      degrades to misses, never to wrong results.
+//                      degrades to misses, never to wrong results. Writes
+//                      are atomic and the first writer wins, so several
+//                      campaigns may share one DIR.
 //   --cache-max-mb N   cache size budget (LRU eviction); 0 = unbounded;
 //                      at most 2^44 - 1, so the budget in bytes fits 64 bits
 //   --cache-stats FILE write {"build": ..., "cache": {hits, misses, ...}}
 //                      after the batch (requires --cache-dir)
-//   --emit-specs FILE  planner half only: probe the cache and write the
-//                      missing pair jobs as a spec file, run nothing
-//   --worker FILE      worker half: execute a spec file (no --configs
-//                      needed; configurations travel inside the specs)
-//   --results FILE     with --worker: write the executed payloads as a
-//                      results file a planner can --ingest
-//   --ingest FILE      load a worker results file into --cache-dir, so the
-//                      next planner run replays those pairs
+//   --emit-specs FILE  the planner's dry run: probe the cache, write the
+//                      pair jobs the campaign would simulate (with their
+//                      cache keys) to FILE, and run nothing
 //
 // Baseline drift gating (DESIGN.md §11):
 //   --baseline FILE    compare this batch's report against a stored
@@ -131,7 +128,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/cache.h"
 #include "common/build_info.h"
 #include "common/json.h"
 #include "common/log.h"
@@ -170,9 +166,6 @@ int usage() {
                "                    [--profile-out FILE] "
                "[--txn-trace-out FILE]\n"
                "                    [--progress-out FILE] [--progress]\n"
-               "       crve_regress --worker FILE [--results FILE]\n"
-               "                    [--out DIR] [--jobs N] [--cache-dir DIR]\n"
-               "       crve_regress --ingest FILE --cache-dir DIR\n"
                "       crve_regress --sample-configs DIR\n"
                "       crve_regress --design-selftest\n"
                "integer flags take decimal digits only; --jobs is at most "
@@ -287,7 +280,7 @@ int main(int argc, char** argv) {
   bool progress_tty = false;
   std::string baseline_path, diff_path;
   std::string cache_dir, cache_stats_path;
-  std::string emit_specs_path, worker_path, results_path, ingest_path;
+  std::string emit_specs_path;
   std::uint64_t cache_max_mb = 0;
   regress::DriftThresholds gates;
   std::size_t flight_lines = 0;  // 0 = no flight recorder
@@ -402,18 +395,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage();
       emit_specs_path = v;
-    } else if (arg == "--worker") {
-      const char* v = next();
-      if (!v) return usage();
-      worker_path = v;
-    } else if (arg == "--results") {
-      const char* v = next();
-      if (!v) return usage();
-      results_path = v;
-    } else if (arg == "--ingest") {
-      const char* v = next();
-      if (!v) return usage();
-      ingest_path = v;
     } else if (arg == "--triage-window") {
       const auto n = uint_flag("--triage-window", next(), kMaxU64);
       if (!n) return usage();
@@ -478,90 +459,6 @@ int main(int argc, char** argv) {
     const auto dres = crve::lint::lint_design_selftest();
     std::fprintf(stderr, "%s", crve::lint::render_text(dres.report).c_str());
     return dres.report.exit_code();
-  }
-
-  // Worker mode: execute a spec file. Standalone — the configurations
-  // travel inside the specs, so no --configs directory is involved.
-  if (!worker_path.empty()) {
-    std::ifstream is(worker_path);
-    if (!is) {
-      std::fprintf(stderr, "error: cannot read %s\n", worker_path.c_str());
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    try {
-      const auto specs = regress::parse_job_specs(buf.str());
-      regress::WorkerOptions wopts;
-      wopts.out_dir = out_dir;
-      wopts.jobs = jobs;
-      wopts.cache_dir = cache_dir;
-      wopts.cache_max_mb = cache_max_mb;
-      const auto outcomes = regress::Regression::run_worker(specs, wopts);
-      bool all_passed = true;
-      std::vector<std::pair<std::string, std::string>> hash_payloads;
-      hash_payloads.reserve(outcomes.size());
-      for (const auto& o : outcomes) {
-        all_passed = all_passed && o.passed;
-        hash_payloads.push_back({o.hash, o.payload});
-      }
-      if (!results_path.empty()) {
-        std::ofstream os(results_path);
-        os << regress::format_worker_results(hash_payloads);
-        if (!os) {
-          std::fprintf(stderr, "error: cannot write %s\n",
-                       results_path.c_str());
-          return 2;
-        }
-      }
-      std::printf("worker: executed %zu spec(s)%s\n", outcomes.size(),
-                  all_passed ? "" : ", some FAILED");
-      return all_passed ? 0 : 1;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-  }
-
-  // Ingest mode: load a worker results file into the cache so the next
-  // planner run replays those pairs.
-  if (!ingest_path.empty()) {
-    if (cache_dir.empty()) {
-      std::fprintf(stderr, "--ingest requires --cache-dir\n");
-      return usage();
-    }
-    std::ifstream is(ingest_path);
-    if (!is) {
-      std::fprintf(stderr, "error: cannot read %s\n", ingest_path.c_str());
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    try {
-      const auto results = regress::parse_worker_results(buf.str());
-      cache::CacheOptions copts;
-      copts.dir = cache_dir;
-      copts.max_bytes = cache_max_mb * 1024ULL * 1024ULL;
-      copts.git_hash = build_info().git_hash;
-      copts.sanitize = build_info().sanitize;
-      cache::Cache store(copts);
-      std::size_t stored = 0;
-      for (const auto& [hash, payload] : results) {
-        if (!cache::Cache::valid_key(hash)) {
-          std::fprintf(stderr, "warning: skipping malformed key %s\n",
-                       hash.c_str());
-          continue;
-        }
-        store.store(hash, payload, {});
-        ++stored;
-      }
-      std::printf("ingested %zu result(s) into %s\n", stored,
-                  cache_dir.c_str());
-      return 0;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
   }
 
   if (config_dir.empty()) return usage();
@@ -710,8 +607,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Planner half only: probe the cache, emit the missing pair jobs as a
-  // spec file for out-of-process workers, and run nothing.
+  // The planner's dry run: probe the cache, write the pair jobs the
+  // campaign would simulate, and run nothing.
   if (!emit_specs_path.empty()) {
     try {
       const auto mplan = regress::Regression::plan_matrix(configs, base);

@@ -18,7 +18,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "regress/config_file.h"
 #include "regress/html_report.h"
 #include "regress/job_spec.h"
 #include "regress/progress.h"
@@ -66,9 +65,13 @@ std::vector<std::string> alignment_ports(const stbus::NodeConfig& cfg) {
   return ports;
 }
 
+// Throws when the artifact could not be written in full, as the VCD
+// writers do (vcd::check_written): a lost report must not pass as written.
 void write_text(const std::string& path, const std::string& content) {
   std::ofstream os(path);
   os << content;
+  os.flush();
+  if (!os) throw std::runtime_error("cannot write " + path);
 }
 
 std::string run_report(const TestOutcome& o) {
@@ -93,23 +96,6 @@ std::string run_report(const TestOutcome& o) {
        << u.request_packets << " / " << u.response_packets << "\n";
   }
   return os.str();
-}
-
-// The test list a batch's campaigns share: the plan's, or the CATG suite
-// when it names none.
-std::shared_ptr<const std::vector<TestSpec>> batch_tests(const RunPlan& base) {
-  return std::make_shared<const std::vector<TestSpec>>(
-      base.tests.empty() ? verif::catg_test_suite() : base.tests);
-}
-
-// `base` as a campaign keeps it: without the test list (batch_tests) and
-// the design-health rows, which no campaign reads, so that a batch copies
-// neither once per configuration.
-RunPlan campaign_plan(const RunPlan& base) {
-  RunPlan plan = base;
-  plan.tests.clear();
-  plan.design_health.clear();
-  return plan;
 }
 
 // One configuration's expanded campaign while its jobs are in flight.
@@ -178,9 +164,6 @@ struct Campaign {
     for (std::size_t p = 0; p < n_pairs; ++p) {
       missing_units.push_back(2 * p);
       missing_units.push_back(2 * p + 1);
-    }
-    if (!plan.out_dir.empty()) {
-      std::filesystem::create_directories(plan.out_dir);
     }
   }
 
@@ -280,14 +263,8 @@ struct Campaign {
       }
     } catch (...) {
       // A job that throws (elaboration failure, resource exhaustion) never
-      // reaches the !passed() dump in finish_unit; preserve the
-      // flight-recorder context for it too, before the exception unwinds
-      // the pool.
-      dump_flight_recorder(spec.name, seed, view);
-      if (plan.progress) {
-        plan.progress->job_finish(plan.cfg.name, spec.name, seed, view,
-                                  "error", /*cached=*/false, ms_since(t0));
-      }
+      // reaches the !passed() dump in finish_unit.
+      job_failed(spec.name, seed, view, t0);
       throw;
     }
     // The Testbench is gone: the recorder is detached and the VCD artifact
@@ -407,6 +384,23 @@ struct Campaign {
     }
   }
 
+  // The forensics of a job that throws, before its exception unwinds the
+  // pool: the flight-recorder dump and the "error" job_finish event. A dump
+  // that cannot be written is logged, so that the job's own exception is
+  // the one that propagates.
+  void job_failed(const std::string& test, std::uint64_t seed,
+                  const std::string& view, Clock::time_point t0) const {
+    try {
+      dump_flight_recorder(test, seed, view);
+    } catch (const std::exception& e) {
+      log_error() << e.what();
+    }
+    if (plan.progress) {
+      plan.progress->job_finish(plan.cfg.name, test, seed, view, "error",
+                                /*cached=*/false, ms_since(t0));
+    }
+  }
+
   // Bus-accurate comparison (Fig. 4: after both views of the pair ran).
   void run_alignment(std::size_t pair) {
     const TestSpec& spec = spec_of(pair);
@@ -456,14 +450,9 @@ struct Campaign {
         }
       }
     } catch (...) {
-      // Same forensics contract as run_unit: a comparison that throws
-      // (a port missing from a trace, an artifact write) still dumps the
-      // flight recorder.
-      dump_flight_recorder(spec.name, seed, "align");
-      if (plan.progress) {
-        plan.progress->job_finish(plan.cfg.name, spec.name, seed, "align",
-                                  "error", /*cached=*/false, ms_since(t0));
-      }
+      // A comparison that throws (a port missing from a trace, an artifact
+      // write) gets the same forensics as a view job.
+      job_failed(spec.name, seed, "align", t0);
       throw;
     }
     AlignmentOutcome& out = aligns[pair];
@@ -514,7 +503,7 @@ struct Campaign {
       const std::uint64_t begin =
           tri.first_divergence > w ? tri.first_divergence - w : 0;
       // Saturating: a wrapped end would cut the divergence out of the
-      // excerpt (the window comes from the CLI or a worker spec file).
+      // excerpt (the window comes from the CLI).
       constexpr std::uint64_t kLast = std::numeric_limits<std::uint64_t>::max();
       const std::uint64_t end = w > kLast - tri.first_divergence
                                     ? kLast
@@ -637,8 +626,8 @@ struct CachePlanner {
 
   bool active() const { return store != nullptr; }
 
-  // Only suite tests reachable by name can be re-executed elsewhere, so
-  // only they are cacheable; ad-hoc TestSpecs (custom lambdas) always run.
+  // A JobSpec names its test only by suite name, so only the CATG suite's
+  // tests are cacheable; ad-hoc TestSpecs (custom lambdas) always run.
   static bool cacheable(const TestSpec& spec) {
     static const std::set<std::string> suite = [] {
       std::set<std::string> names;
@@ -648,23 +637,25 @@ struct CachePlanner {
     return suite.count(spec.name) > 0;
   }
 
-  // Probes every pair of `camp` and rewrites its missing lists to the
-  // cache misses. Returns the specs of the missing cacheable pairs in
-  // slot order (the worker protocol's job list).
-  std::vector<JobSpec> probe(Campaign& camp) {
-    std::vector<JobSpec> missing_specs;
-    if (!active()) return missing_specs;
+  // Probes every pair of `camp` and narrows its missing_units to the cache
+  // misses. With `missing` set, also appends the spec of every cacheable
+  // pair the cache cannot satisfy (all of them without a cache), in slot
+  // order.
+  void probe(Campaign& camp, std::vector<JobSpec>* missing = nullptr) {
+    if (!active() && !missing) return;
     camp.missing_units.clear();
     for (std::size_t p = 0; p < camp.n_pairs; ++p) {
       const TestSpec& spec = camp.spec_of(p);
       bool hit = false;
       if (cacheable(spec)) {
-        const JobSpec js = job_spec_for(camp.plan, spec, camp.seed_of(p));
-        const std::string key = js.hash();
-        if (std::optional<std::string> payload = store->fetch(key)) {
-          hit = replay(camp, p, key, *payload);
+        JobSpec js = job_spec_for(camp.plan, spec, camp.seed_of(p));
+        if (active()) {
+          const std::string key = js.hash();
+          if (std::optional<std::string> payload = store->fetch(key)) {
+            hit = replay(camp, p, key, *payload);
+          }
         }
-        if (!hit) missing_specs.push_back(js);
+        if (!hit && missing) missing->push_back(std::move(js));
       }
       if (hit) {
         camp.pair_cached[p] = 1;
@@ -673,7 +664,6 @@ struct CachePlanner {
         camp.missing_units.push_back(2 * p + 1);
       }
     }
-    return missing_specs;
   }
 
   // Decodes a payload into the pair's slots and re-materializes its
@@ -757,11 +747,11 @@ struct CachePlanner {
   }
 };
 
-void write_campaign_artifacts(const RunPlan& plan,
+void write_campaign_artifacts(const std::string& out_dir,
                               const RegressionResult& res) {
-  if (plan.out_dir.empty()) return;
-  write_text(plan.out_dir + "/summary.txt", res.summary());
-  write_text(plan.out_dir + "/report.json", res.json());
+  if (out_dir.empty()) return;
+  write_text(out_dir + "/summary.txt", res.summary());
+  write_text(out_dir + "/report.json", res.json());
 }
 
 // Campaign-level hotspot report (RunPlan::profile_out): the merged profile
@@ -798,12 +788,11 @@ std::size_t campaign_cached_jobs(const Campaign& camp) {
   return cached_pairs * (camp.plan.run_alignment ? 3u : 2u);
 }
 
-// The one job loop behind Regression::run, run_matrix and run_worker: the
-// missing view jobs of every campaign go onto the pool as one flat list, so
-// a slow configuration keeps all workers busy instead of gating the batch,
-// and each pair is aligned by the job that finishes its second view — no
-// barrier between simulation and alignment, and at most a few pairs'
-// recordings alive at once.
+// The one job loop: the missing view jobs of every campaign go onto the
+// pool as one flat list, so a slow configuration keeps all workers busy
+// instead of gating the batch, and each pair is aligned by the job that
+// finishes its second view — no barrier between simulation and alignment,
+// and at most a few pairs' recordings alive at once.
 void run_campaigns(ThreadPool& pool, std::span<Campaign> camps) {
   struct Ref {
     Campaign* camp;
@@ -826,7 +815,6 @@ void run_campaigns(ThreadPool& pool, std::span<Campaign> camps) {
 // here, straight after the probe: one job_finish per replayed unit with
 // cached=true and the original run's wall clock from the payload.
 void emit_cached_finishes(const Campaign& camp, ProgressTracker* progress) {
-  if (!progress) return;
   for (std::size_t p = 0; p < camp.n_pairs; ++p) {
     if (!camp.pair_cached[p]) continue;
     const TestSpec& spec = camp.spec_of(p);
@@ -849,56 +837,84 @@ void emit_cached_finishes(const Campaign& camp, ProgressTracker* progress) {
   }
 }
 
-}  // namespace
+// One campaign per configuration, each `base` for that configuration. The
+// campaigns share one test list (the plan's, or the CATG suite when it
+// names none); their plans drop the test list and the design-health rows,
+// which no campaign reads, so a batch copies neither per configuration.
+// Every campaign writes its artifacts to base.out_dir unless its caller
+// moves it; building touches no file.
+std::vector<Campaign> build_campaigns(
+    const std::vector<stbus::NodeConfig>& configs, const RunPlan& base) {
+  RunPlan shell = base;
+  shell.tests.clear();
+  shell.design_health.clear();
+  const auto tests = std::make_shared<const std::vector<TestSpec>>(
+      base.tests.empty() ? verif::catg_test_suite() : base.tests);
+  std::vector<Campaign> camps(configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    camps[i].plan = shell;
+    camps[i].plan.cfg = configs[i];
+    camps[i].prepare(tests);
+  }
+  return camps;
+}
 
-RegressionResult Regression::run(const RunPlan& plan) {
-  const auto t0 = Clock::now();
-  obs::SpanGuard campaign_span("campaign");
-  if (obs::tracing_enabled()) campaign_span.set_detail(plan.cfg.name);
-  Campaign camp;
-  camp.plan = campaign_plan(plan);
-  camp.prepare(batch_tests(plan));
-  CachePlanner planner(plan);
-  planner.probe(camp);  // no cache: the missing lists stay full
-  if (plan.progress) {
-    plan.progress->campaign_start(1, campaign_total_jobs(camp),
-                                  campaign_cached_jobs(camp));
-    emit_cached_finishes(camp, plan.progress);
+// What drive() hands back: one reduced result per campaign, in input
+// order, and the cache counters (CacheStats schema) when base has a cache.
+struct BatchRun {
+  std::vector<RegressionResult> results;
+  std::string cache_stats_json;
+};
+
+// The campaign driver behind Regression::run and run_matrix: probes the
+// cache, reports the start and the replayed finishes, runs the missing jobs
+// on one pool, stores the fresh pairs, reports evictions and reduces every
+// campaign in order. It writes no report: each caller writes its own.
+BatchRun drive(std::span<Campaign> camps, const RunPlan& base) {
+  for (const Campaign& camp : camps) {
+    if (!camp.plan.out_dir.empty()) {
+      std::filesystem::create_directories(camp.plan.out_dir);
+    }
+  }
+  CachePlanner planner(base);
+  for (Campaign& camp : camps) planner.probe(camp);
+  if (base.progress) {
+    std::size_t total = 0;
+    std::size_t cached = 0;
+    for (const Campaign& camp : camps) {
+      total += campaign_total_jobs(camp);
+      cached += campaign_cached_jobs(camp);
+    }
+    base.progress->campaign_start(camps.size(), total, cached);
+    for (const Campaign& camp : camps) {
+      emit_cached_finishes(camp, base.progress);
+    }
   }
 
-  ThreadPool pool(resolve_jobs(plan.jobs));
-  run_campaigns(pool, std::span<Campaign>(&camp, 1));
-  planner.store_results(camp);
-  if (plan.progress && planner.active()) {
-    plan.progress->evictions(planner.store->stats().evictions);
+  ThreadPool pool(resolve_jobs(base.jobs));
+  run_campaigns(pool, camps);
+  BatchRun batch;
+  for (const Campaign& camp : camps) planner.store_results(camp);
+  if (planner.active()) {
+    batch.cache_stats_json = planner.store->stats().json(
+        planner.store->entry_count(), planner.store->total_bytes());
+    if (base.progress) {
+      base.progress->evictions(planner.store->stats().evictions);
+    }
   }
-
-  RegressionResult res;
   {
     CRVE_SPAN("reduce");
-    res = camp.reduce();
+    batch.results.reserve(camps.size());
+    for (Campaign& camp : camps) batch.results.push_back(camp.reduce());
   }
   // Quiescent read: parallel_for returns when the last task body finishes,
   // but a worker may still be writing its own pool.* timing cells after
   // that. wait() drains in_flight_, which workers decrement only after
-  // those writes — the happens-before edge the merge needs.
+  // those writes — the happens-before edge the callers' metric snapshots
+  // need.
   pool.wait();
-  if (obs::metrics_enabled()) {
-    res.metrics_json = obs::registry().json(/*include_timing=*/false);
-  }
-  res.wall_ms = ms_since(t0);
-  write_campaign_artifacts(plan, res);
-  if (!plan.profile_out.empty()) {
-    write_profile_report(plan.profile_out, res.profile);
-  }
-  if (!plan.txn_trace_out.empty()) {
-    write_txn_report(plan.txn_trace_out, res.txn, res.txn_delta);
-  }
-  if (plan.progress) plan.progress->campaign_end(res.signed_off);
-  return res;
+  return batch;
 }
-
-namespace {
 
 MatrixResult run_matrix_with(const std::vector<stbus::NodeConfig>& configs,
                              const RunPlan& base, bool force_replay) {
@@ -907,76 +923,38 @@ MatrixResult run_matrix_with(const std::vector<stbus::NodeConfig>& configs,
   // both cover one whole campaign entry point, whichever was called, so
   // traces stay comparable across the two. crve-lint: allow(CRVE062)
   CRVE_SPAN("campaign", "matrix");
+  std::vector<Campaign> camps = build_campaigns(configs, base);
+  for (Campaign& camp : camps) {
+    if (!base.out_dir.empty()) {
+      camp.plan.out_dir = base.out_dir + "/" + camp.plan.cfg.name;
+    }
+    if (force_replay) {
+      camp.replays_bca = base.run_alignment && base.txn_trace_out.empty() &&
+                         base.profile_out.empty();
+    }
+  }
+  BatchRun batch = drive(camps, base);
+
   MatrixResult mres;
   mres.jobs = resolve_jobs(base.jobs);
   mres.design_health = base.design_health;
-
-  const RunPlan shell = campaign_plan(base);
-  const auto tests = batch_tests(base);
-  std::vector<Campaign> camps(configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    camps[i].plan = shell;
-    camps[i].plan.cfg = configs[i];
-    if (!base.out_dir.empty()) {
-      camps[i].plan.out_dir = base.out_dir + "/" + configs[i].name;
-    }
-    camps[i].prepare(tests);
-    if (force_replay) {
-      camps[i].replays_bca = base.run_alignment &&
-                             base.txn_trace_out.empty() &&
-                             base.profile_out.empty();
-    }
-  }
-  CachePlanner planner(base);
-  for (auto& camp : camps) planner.probe(camp);
-  if (base.progress) {
-    std::size_t total = 0;
-    std::size_t cached = 0;
-    for (const auto& camp : camps) {
-      total += campaign_total_jobs(camp);
-      cached += campaign_cached_jobs(camp);
-    }
-    base.progress->campaign_start(configs.size(), total, cached);
-    for (const auto& camp : camps) emit_cached_finishes(camp, base.progress);
-  }
-
-  ThreadPool pool(mres.jobs);
-  run_campaigns(pool, camps);
-  for (const auto& camp : camps) planner.store_results(camp);
-  if (planner.active()) {
-    mres.cache_stats_json = planner.store->stats().json(
-        planner.store->entry_count(), planner.store->total_bytes());
-    if (base.progress) {
-      base.progress->evictions(planner.store->stats().evictions);
-    }
-  }
-
+  mres.cache_stats_json = std::move(batch.cache_stats_json);
+  mres.results = std::move(batch.results);
   mres.all_signed_off = true;
-  mres.results.reserve(camps.size());
-  {
-    // Intentionally the same span name as Regression::run's reduce: both
-    // cover the one slot-ordered aggregation phase, whichever entry point
-    // ran it, so traces stay comparable across the two.
-    // crve-lint: allow(CRVE062)
-    CRVE_SPAN("reduce");
-    for (auto& camp : camps) {
-      RegressionResult res = camp.reduce();
-      // Batch mode: per-config wall is the summed job time (the configs ran
-      // interleaved, so a per-config elapsed time would be meaningless).
-      for (const auto& o : res.outcomes) res.wall_ms += o.wall_ms;
-      for (const auto& a : res.alignments) res.wall_ms += a.wall_ms;
-      write_campaign_artifacts(camp.plan, res);
-      mres.all_signed_off = mres.all_signed_off && res.signed_off;
-      if (!base.profile_out.empty()) mres.profile.merge(res.profile);
-      if (!base.txn_trace_out.empty()) {
-        mres.txn.merge(res.txn);
-        mres.txn_delta.merge(res.txn_delta);
-      }
-      mres.results.push_back(std::move(res));
+  for (std::size_t i = 0; i < camps.size(); ++i) {
+    RegressionResult& res = mres.results[i];
+    // Batch mode: per-config wall is the summed job time (the configs ran
+    // interleaved, so a per-config elapsed time would be meaningless).
+    for (const auto& o : res.outcomes) res.wall_ms += o.wall_ms;
+    for (const auto& a : res.alignments) res.wall_ms += a.wall_ms;
+    write_campaign_artifacts(camps[i].plan.out_dir, res);
+    mres.all_signed_off = mres.all_signed_off && res.signed_off;
+    if (!base.profile_out.empty()) mres.profile.merge(res.profile);
+    if (!base.txn_trace_out.empty()) {
+      mres.txn.merge(res.txn);
+      mres.txn_delta.merge(res.txn_delta);
     }
   }
-  // Quiescent read: drain the pool's post-task metric writes (see run()).
-  pool.wait();
   if (obs::metrics_enabled()) {
     mres.metrics_json = obs::registry().json(/*include_timing=*/false);
   }
@@ -995,8 +973,8 @@ MatrixResult run_matrix_with(const std::vector<stbus::NodeConfig>& configs,
     HtmlOptions hopts;
     hopts.triage_links = base.run_triage;
     hopts.flight_links = flight_recorder() != nullptr;
-    // Quiescent read: the pool drained above, so the tracker's record list
-    // is complete and stable for the timeline panel.
+    // Quiescent read: the pool drained, so the tracker's record list is
+    // complete and stable for the timeline panel.
     if (base.progress) hopts.timeline = &base.progress->records();
     if (obs::metrics_enabled()) {
       const obs::Registry::Snapshot snap =
@@ -1014,6 +992,27 @@ MatrixResult run_matrix_with(const std::vector<stbus::NodeConfig>& configs,
 
 }  // namespace
 
+RegressionResult Regression::run(const RunPlan& plan) {
+  const auto t0 = Clock::now();
+  obs::SpanGuard campaign_span("campaign");
+  if (obs::tracing_enabled()) campaign_span.set_detail(plan.cfg.name);
+  std::vector<Campaign> camps = build_campaigns({plan.cfg}, plan);
+  RegressionResult res = std::move(drive(camps, plan).results.front());
+  if (obs::metrics_enabled()) {
+    res.metrics_json = obs::registry().json(/*include_timing=*/false);
+  }
+  res.wall_ms = ms_since(t0);
+  write_campaign_artifacts(plan.out_dir, res);
+  if (!plan.profile_out.empty()) {
+    write_profile_report(plan.profile_out, res.profile);
+  }
+  if (!plan.txn_trace_out.empty()) {
+    write_txn_report(plan.txn_trace_out, res.txn, res.txn_delta);
+  }
+  if (plan.progress) plan.progress->campaign_end(res.signed_off);
+  return res;
+}
+
 MatrixResult Regression::run_matrix(
     const std::vector<stbus::NodeConfig>& configs, const RunPlan& base) {
   return run_matrix_with(configs, base, /*force_replay=*/false);
@@ -1028,124 +1027,14 @@ MatrixPlan Regression::plan_matrix(
     const std::vector<stbus::NodeConfig>& configs, const RunPlan& base) {
   MatrixPlan mplan;
   CachePlanner planner(base);
-  const RunPlan shell = campaign_plan(base);
-  const auto tests = batch_tests(base);
-  for (const auto& cfg : configs) {
-    Campaign camp;
-    camp.plan = shell;
-    camp.plan.cfg = cfg;
-    camp.plan.out_dir.clear();  // planning must not create artifact dirs
-    camp.prepare(tests);
+  std::vector<Campaign> camps = build_campaigns(configs, base);
+  for (Campaign& camp : camps) {
+    camp.plan.out_dir.clear();  // a dry run materializes no artifact
+    planner.probe(camp, &mplan.missing);
     mplan.total_pairs += camp.n_pairs;
-    if (!planner.active()) {
-      for (std::size_t p = 0; p < camp.n_pairs; ++p) {
-        const TestSpec& spec = camp.spec_of(p);
-        if (!CachePlanner::cacheable(spec)) continue;
-        mplan.missing.push_back(
-            job_spec_for(camp.plan, spec, camp.seed_of(p)));
-      }
-      continue;
-    }
-    std::vector<JobSpec> missing = planner.probe(camp);
     for (char c : camp.pair_cached) mplan.cached_pairs += c ? 1 : 0;
-    for (auto& js : missing) mplan.missing.push_back(std::move(js));
   }
   return mplan;
-}
-
-std::vector<WorkerOutcome> Regression::run_worker(
-    const std::vector<JobSpec>& specs, const WorkerOptions& opts) {
-  std::vector<WorkerOutcome> out;
-  out.reserve(specs.size());
-  std::unique_ptr<cache::Cache> store;
-  if (!opts.cache_dir.empty()) {
-    cache::CacheOptions copts;
-    copts.dir = opts.cache_dir;
-    copts.max_bytes = opts.cache_max_mb * 1024ULL * 1024ULL;
-    copts.git_hash = build_info().git_hash;
-    copts.sanitize = build_info().sanitize;
-    store = std::make_unique<cache::Cache>(copts);
-  }
-  // Every spec becomes a one-pair campaign; all of them then run through
-  // the shared job loop, so pairs overlap across the pool.
-  const std::vector<TestSpec> suite = verif::catg_test_suite();
-  std::vector<Campaign> camps(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const JobSpec& js = specs[i];
-    const TestSpec* spec = nullptr;
-    for (const auto& t : suite) {
-      if (t.name == js.test) {
-        spec = &t;
-        break;
-      }
-    }
-    if (!spec) throw std::runtime_error("worker: unknown test " + js.test);
-    if (js.git_hash != build_info().git_hash) {
-      log_warn() << "worker: spec " << js.hash().substr(0, 12)
-                 << " was planned for build " << js.git_hash
-                 << ", executing with " << build_info().git_hash;
-    }
-    RunPlan& plan = camps[i].plan;
-    {
-      std::istringstream is(js.config_text);
-      plan.cfg = parse_config(is, "jobspec");
-    }
-    plan.seeds = {js.seed};
-    plan.n_transactions = js.n_transactions;
-    plan.max_cycles = js.max_cycles;
-    plan.run_alignment = js.run_alignment;
-    plan.alignment_threshold = js.alignment_threshold;
-    plan.run_triage = js.run_triage;
-    plan.triage_window = js.triage_window;
-    plan.kernel = js.kernel == "interp" ? sim::KernelKind::kInterp
-                                        : sim::KernelKind::kCompiled;
-    plan.faults = faults_from_names(js.faults);
-    if (!opts.out_dir.empty()) {
-      plan.out_dir = opts.out_dir + "/" + js.hash().substr(0, 12);
-    }
-    camps[i].prepare(
-        std::make_shared<const std::vector<TestSpec>>(1, *spec));
-  }
-  ThreadPool pool(resolve_jobs(opts.jobs));
-  run_campaigns(pool, camps);
-  pool.wait();
-
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const JobSpec& js = specs[i];
-    const Campaign& camp = camps[i];
-    PairResult pr;
-    pr.rtl = camp.outcomes[0];
-    pr.bca = camp.outcomes[1];
-    pr.has_alignment = camp.plan.run_alignment;
-    if (pr.has_alignment) pr.alignment = camp.aligns[0];
-    const BuildInfo& bi = build_info();
-    pr.git_hash = bi.git_hash;
-    pr.compiler = bi.compiler;
-    pr.build_type = bi.build_type;
-    pr.sanitize = bi.sanitize;
-
-    WorkerOutcome wo;
-    wo.hash = js.hash();
-    wo.payload = encode_pair_result(pr, wo.hash);
-    wo.passed = pr.rtl.result.passed() && pr.bca.result.passed();
-    if (store) {
-      std::vector<std::pair<std::string, std::string>> files;
-      if (!camp.plan.out_dir.empty()) {
-        for (const std::string& name : pair_artifact_names(js.test, js.seed)) {
-          const std::string path = camp.plan.out_dir + "/" + name;
-          if (std::filesystem::exists(path)) files.push_back({name, path});
-        }
-      }
-      try {
-        store->store(wo.hash, wo.payload, files);
-      } catch (const std::exception& e) {
-        log_warn() << "worker: cache store failed for "
-                   << wo.hash.substr(0, 12) << ": " << e.what();
-      }
-    }
-    out.push_back(std::move(wo));
-  }
-  return out;
 }
 
 std::string RegressionResult::summary() const {

@@ -15,16 +15,14 @@
 // the serial run. Regression::run_matrix batches several configurations
 // (e.g. a whole configs/ directory) through one shared pool.
 //
-// With RunPlan::cache_dir set the runner becomes a planner/worker pipeline
-// over a content-addressed result cache (DESIGN.md §13): every pair job is
-// keyed by the SHA-256 of its canonical JobSpec (config content, test,
-// seed, views, build provenance); the planner replays cache hits into
-// their slots and schedules only the missing pairs onto the pool; the
-// existing slot-ordered reduce merges replayed and fresh results, so a
-// warm-cache report is byte-identical to the cold run modulo the `cached`
-// provenance fields. plan_matrix/run_worker expose the same split across
-// processes: a spec file emitted by the planner can be executed by
-// `crve_regress --worker` anywhere the same build exists.
+// With RunPlan::cache_dir set, every pair job is keyed by the SHA-256 of
+// its canonical JobSpec (config content, test, seed, views, build
+// provenance) in a content-addressed result cache (DESIGN.md §13): cache
+// hits replay into their slots, only the missing pairs run on the pool, and
+// the same slot-ordered reduce merges both, so a warm-cache report is
+// byte-identical to the cold run modulo the `cached` provenance fields.
+// plan_matrix is the planner's dry run: it lists the pairs a campaign would
+// simulate, with their cache keys, and runs nothing.
 #pragma once
 
 #include <cstdint>
@@ -215,30 +213,12 @@ struct MatrixResult {
 
 struct JobSpec;  // regress/job_spec.h
 
-// Planner-only view of a batch: which pair jobs the cache cannot satisfy.
+// The planner's dry run of a batch (Regression::plan_matrix): which pair
+// jobs the cache cannot satisfy.
 struct MatrixPlan {
   std::vector<JobSpec> missing;  // config order, then (test, seed) order
   std::size_t total_pairs = 0;
   std::size_t cached_pairs = 0;
-};
-
-// Options for executing a spec file out of process (crve_regress --worker).
-struct WorkerOptions {
-  // Artifact directory (per-job subdirectories); empty = in-memory runs
-  // with empty artifact manifests.
-  std::string out_dir;
-  unsigned jobs = 1;  // worker threads per pair job (0 = hardware threads)
-  // Non-empty: store each executed pair straight into this cache.
-  std::string cache_dir;
-  std::uint64_t cache_max_mb = 0;
-};
-
-// One executed spec: the content hash and the encoded pair payload.
-struct WorkerOutcome {
-  std::string hash;
-  std::string payload;
-  bool passed = false;  // both views passed (diagnostic only; workers
-                        // execute, the planner's reduce judges)
 };
 
 class Regression {
@@ -260,20 +240,12 @@ class Regression {
   static MatrixResult run_matrix_replay_for_testing(
       const std::vector<stbus::NodeConfig>& configs, const RunPlan& base);
 
-  // Planner half on its own: hash every pair job of the batch, probe the
-  // cache (base.cache_dir; an empty cache dir reports everything missing)
-  // and return the specs a fleet of workers would have to execute. Does
-  // not simulate anything.
+  // The planner's dry run: hash every pair job of the batch, probe the
+  // cache (base.cache_dir; without one everything is missing) and return
+  // the specs of the pairs a campaign would simulate. Simulates nothing
+  // and writes no artifact.
   static MatrixPlan plan_matrix(const std::vector<stbus::NodeConfig>& configs,
                                 const RunPlan& base);
-
-  // Worker half: execute the given specs (each reconstructs its
-  // configuration from canonical content and its test from the CATG suite
-  // by name) and return the encoded pair payloads, storing them into
-  // opts.cache_dir when set. Throws std::runtime_error on a spec naming an
-  // unknown test or fault.
-  static std::vector<WorkerOutcome> run_worker(
-      const std::vector<JobSpec>& specs, const WorkerOptions& opts);
 };
 
 }  // namespace crve::regress

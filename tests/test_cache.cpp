@@ -2,9 +2,10 @@
 // hashing, store/fetch/materialize round trips, LRU eviction by logical
 // tick, corrupted-entry quarantine (a damaged cache degrades to misses and
 // warnings, never to crashes or wrong results), concurrent writers, the
-// planner/worker spec protocol, and the end-to-end guarantee the whole
-// subsystem exists for: a warm-cache campaign reduces to results
-// byte-identical to the cold run, at any worker count.
+// planner's dry run, the pair-payload decoder under hostile input, and
+// the end-to-end guarantee the whole subsystem exists for: a warm-cache
+// campaign reduces to results byte-identical to the cold run, at any
+// worker count.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -16,6 +17,7 @@
 #include "cache/cache.h"
 #include "common/build_info.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "common/sha256.h"
 #include "lint/lint.h"
 #include "regress/baseline.h"
@@ -175,9 +177,10 @@ TEST(JobSpec, FaultCatalogueRoundTrips) {
   // Sorted for canonical serialization.
   EXPECT_EQ(names[0], "byte_enable_dropped");
   EXPECT_EQ(names[1], "grant_during_lock");
-  const bca::Faults g = regress::faults_from_names(names);
+  // Every catalogue name sets back the fault it names.
+  bca::Faults g;
+  for (const auto& n : names) EXPECT_TRUE(regress::set_fault_by_name(g, n));
   EXPECT_EQ(regress::fault_names(g), names);
-  EXPECT_THROW(regress::faults_from_names({"bogus"}), std::runtime_error);
 }
 
 TEST(JobSpec, SpecFileRoundTrips) {
@@ -186,28 +189,28 @@ TEST(JobSpec, SpecFileRoundTrips) {
   specs.push_back(regress::job_spec_for(plan, plan.tests[0], 1));
   specs.push_back(regress::job_spec_for(plan, plan.tests[1], 2));
   const std::string text = regress::format_job_specs(specs);
-  const auto parsed = regress::parse_job_specs(text);
-  ASSERT_EQ(parsed.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(parsed[i].hash(), specs[i].hash()) << i;
-    EXPECT_EQ(parsed[i].canonical_json(), specs[i].canonical_json()) << i;
+  const json::Value doc = json::parse(text);
+  EXPECT_EQ(doc.number_or("version", 0.0), 1.0);
+  const json::Value* jobs = doc.find("jobs");
+  ASSERT_TRUE(jobs && jobs->is_array());
+  EXPECT_EQ(jobs->items.size(), 2u);
+  // Each job is written as its spec's canonical form, one to a line, so it
+  // hashes to the spec's cache key.
+  std::vector<std::string> written;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("    {", 0) != 0) continue;
+    if (line.back() == ',') line.pop_back();
+    written.push_back(line.substr(4));
   }
-  EXPECT_THROW(regress::parse_job_specs("not json"), std::runtime_error);
-  EXPECT_THROW(regress::parse_job_specs("{\"version\": 99, \"jobs\": []}"),
-               std::runtime_error);
-}
-
-TEST(JobSpec, WorkerResultsFileRoundTrips) {
-  const std::string payload = "{\"version\": 1, \"answer\": [1, 2, 3]}";
-  const std::string text = regress::format_worker_results(
-      {{std::string(64, 'a'), payload}});
-  const auto parsed = regress::parse_worker_results(text);
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].first, std::string(64, 'a'));
-  // Lossless round trip: the payload comes back byte-identical, so its
-  // hash (and therefore any re-validation) is preserved.
-  EXPECT_EQ(parsed[0].second, payload);
-  EXPECT_THROW(regress::parse_worker_results("[]"), std::runtime_error);
+  ASSERT_EQ(written.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(written[i], specs[i].canonical_json()) << i;
+    EXPECT_EQ(sha256_hex(written[i]), specs[i].hash()) << i;
+  }
+  // Nothing to simulate is an empty job list.
+  EXPECT_EQ(regress::format_job_specs({}),
+            "{\n  \"version\": 1,\n  \"jobs\": []\n}\n");
 }
 
 // --- Cache store semantics -------------------------------------------------
@@ -519,10 +522,10 @@ TEST(CampaignCache, UndecodablePayloadInvalidatesAndReruns) {
   EXPECT_EQ(regress::Regression::run(plan).cached_pairs, 1u);
 }
 
-// --- Planner / worker protocol ---------------------------------------------
+// --- Planner dry run --------------------------------------------------------
 
-TEST(CampaignCache, PlanWorkerIngestRoundTrip) {
-  TempDir tmp("crve_cache_worker");
+TEST(CampaignCache, PlanColdRunPlanRoundTrip) {
+  TempDir tmp("crve_cache_plan");
   regress::RunPlan base = small_plan();
   base.cache_dir = tmp.sub("cache");
   const std::vector<stbus::NodeConfig> configs = {cfg32()};
@@ -533,26 +536,22 @@ TEST(CampaignCache, PlanWorkerIngestRoundTrip) {
   EXPECT_EQ(plan0.cached_pairs, 0u);
   ASSERT_EQ(plan0.missing.size(), 4u);
 
-  // Ship the specs through the wire format and execute them as a worker
-  // writing straight into the shared cache.
-  const auto specs =
-      regress::parse_job_specs(regress::format_job_specs(plan0.missing));
-  regress::WorkerOptions wopts;
-  wopts.cache_dir = base.cache_dir;
-  const auto outcomes = regress::Regression::run_worker(specs, wopts);
-  ASSERT_EQ(outcomes.size(), 4u);
-  for (const auto& o : outcomes) {
-    EXPECT_TRUE(o.passed);
-    EXPECT_TRUE(cache::Cache::valid_key(o.hash));
-    // The worker returns the payload it stored — decodable and matching.
-    const auto pr = regress::decode_pair_result(o.payload);
-    EXPECT_TRUE(pr.rtl.result.passed());
-    EXPECT_TRUE(pr.has_alignment);
+  // The cold campaign simulates and stores exactly the planned pairs,
+  // under the keys the plan listed.
+  const auto cold = regress::Regression::run_matrix(configs, base);
+  EXPECT_EQ(cold.results[0].cached_pairs, 0u);
+  EXPECT_TRUE(cold.all_signed_off);
+  {
+    cache::CacheOptions opts;
+    opts.dir = base.cache_dir;
+    cache::Cache store(opts);
+    for (const auto& js : plan0.missing) EXPECT_TRUE(store.contains(js.hash()));
   }
 
-  // Re-planning now finds a fully warmed cache, and the real campaign
+  // Re-planning now finds a fully warmed cache, and the warm campaign
   // replays every pair.
   const auto plan1 = regress::Regression::plan_matrix(configs, base);
+  EXPECT_EQ(plan1.total_pairs, 4u);
   EXPECT_EQ(plan1.cached_pairs, 4u);
   EXPECT_TRUE(plan1.missing.empty());
   const auto warm = regress::Regression::run_matrix(configs, base);
@@ -560,12 +559,132 @@ TEST(CampaignCache, PlanWorkerIngestRoundTrip) {
   EXPECT_TRUE(warm.all_signed_off);
 }
 
-TEST(CampaignCache, WorkerRejectsUnknownTest) {
+// --- Pair payload decoder: a cache entry is outside input -------------------
+
+// The payload the runner stores for one clean aligned pair.
+std::string real_payload() {
+  // One directory per test: ctest runs the tests of this suite at once.
+  TempDir tmp(std::string("crve_cache_payload_") +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name());
   regress::RunPlan plan = small_plan();
-  auto spec = regress::job_spec_for(plan, plan.tests[0], 1);
-  spec.test = "t99_no_such_test";
-  EXPECT_THROW(regress::Regression::run_worker({spec}, {}),
-               std::runtime_error);
+  plan.tests = {verif::t02_random_all_opcodes()};
+  plan.seeds = {1};
+  plan.cache_dir = tmp.sub("cache");
+  regress::Regression::run(plan);
+  for (const auto& e : fs::recursive_directory_iterator(plan.cache_dir)) {
+    if (e.path().filename() == "payload.json") return read_file(e.path());
+  }
+  ADD_FAILURE() << "no payload stored";
+  return "";
+}
+
+// `text` with the value of the first `"key": ` member replaced.
+std::string with_value(std::string text, const std::string& key,
+                       const std::string& value) {
+  const std::size_t at = text.find("\"" + key + "\": ");
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no member " << key;
+    return text;
+  }
+  const std::size_t begin = at + key.size() + 4;
+  const std::size_t end = text.find_first_of(",}\n", begin);
+  return text.replace(begin, end - begin, value);
+}
+
+void expect_rejected(const std::string& text, const std::string& key,
+                     const std::string& value) {
+  try {
+    regress::decode_pair_result(with_value(text, key, value));
+    ADD_FAILURE() << "accepted " << key << ": " << value;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("pair payload: '" + key + "'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PairPayload, AcceptsOnlyJsonHexForSixtyFourBitValues) {
+  const std::string payload = real_payload();
+  ASSERT_NO_THROW(regress::decode_pair_result(payload));
+  EXPECT_EQ(regress::decode_pair_result(
+                with_value(payload, "cycles", "\"0x1f\""))
+                .rtl.result.cycles,
+            0x1fu);
+  for (const char* bad :
+       {"\"zz\"", "\"\"", "\"0x\"", "\"1f\"", "\"0X1f\"", "\"0x1F\"",
+        "\"0x01f\"", "\"0x1g\"", "\" 0x1f\"", "\"0x1f \"",
+        "\"0x10000000000000000\"", "31", "-1", "1e300"}) {
+    expect_rejected(payload, "cycles", bad);
+  }
+}
+
+TEST(PairPayload, AcceptsOnlyBooleansForFlags) {
+  const std::string payload = real_payload();
+  for (const char* bad : {"1", "0", "\"true\"", "null"}) {
+    expect_rejected(payload, "completed", bad);
+  }
+}
+
+TEST(PairPayload, AcceptsOnlyVersionOne) {
+  const std::string payload = real_payload();
+  for (const char* bad : {"1.5", "0.5", "2", "\"1\"", "1e300", "-1e300"}) {
+    expect_rejected(payload, "version", bad);
+  }
+}
+
+bool same_json(const json::Value& a, const json::Value& b) {
+  if (a.kind != b.kind || a.boolean != b.boolean || a.num != b.num ||
+      a.str != b.str || a.items.size() != b.items.size() ||
+      a.members.size() != b.members.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.items.size(); ++i) {
+    if (!same_json(a.items[i], b.items[i])) return false;
+  }
+  for (std::size_t i = 0; i < a.members.size(); ++i) {
+    if (a.members[i].first != b.members[i].first ||
+        !same_json(a.members[i].second, b.members[i].second)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Seeded sweep over a real payload: every truncation and random byte
+// flips. Each input either throws std::runtime_error or decodes to a
+// result that encodes back to the same document (the same members in the
+// same order with equal values; whitespace and the spelling of a decimal
+// number are not payload content). Under ASan/UBSan no input may reach
+// undefined behaviour on the way.
+TEST(PairPayload, TruncatedAndFlippedPayloadsDecodeExactlyOrThrow) {
+  const std::string payload = real_payload();
+  std::vector<std::string> inputs;
+  for (std::size_t n = 0; n < payload.size(); ++n) {
+    inputs.push_back(payload.substr(0, n));
+  }
+  Rng rng(27);
+  for (int i = 0; i < 4000; ++i) {
+    std::string s = payload;
+    s[rng.index(s.size())] ^= static_cast<char>(rng.range(1, 255));
+    inputs.push_back(std::move(s));
+  }
+  std::size_t decoded = 0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    regress::PairResult pr;
+    try {
+      pr = regress::decode_pair_result(inputs[i]);
+    } catch (const std::runtime_error&) {
+      continue;
+    }
+    ++decoded;
+    const json::Value doc = json::parse(inputs[i]);
+    const std::string again =
+        regress::encode_pair_result(pr, doc.find("spec_hash")->str);
+    EXPECT_TRUE(same_json(doc, json::parse(again))) << "input " << i;
+  }
+  // Both outcomes occur: the sweep is not vacuous either way.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, inputs.size());
 }
 
 // --- Baseline differ: cache provenance is a note, not drift ----------------

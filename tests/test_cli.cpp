@@ -182,5 +182,37 @@ TEST(RegressCli, RejectsMisreadNumericFlagsWithUsageExit) {
   }
 }
 
+// A campaign whose dashboard cannot be written fails (exit 1, "error:
+// cannot write <path>") instead of signing off with the file missing.
+TEST(RegressCli, UnwritableArtifactFailsTheCampaign) {
+  const fs::path out = fs::temp_directory_path() / "crve_cli_unwritable";
+  fs::remove_all(out);
+  fs::create_directories(out / "dashboard.html");  // a directory in its place
+  const Outcome r = run(std::string(CRVE_REGRESS_BIN) +
+                        " --configs " CRVE_SOURCE_DIR
+                        "/configs --tests t02 --tx 3 --jobs 2 --out " +
+                        out.string());
+  EXPECT_EQ(r.status, 1) << r.output;
+  EXPECT_NE(r.output.find("error: cannot write " + out.string() +
+                          "/dashboard.html"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("ALL SIGNED OFF"), std::string::npos) << r.output;
+  fs::remove_all(out);
+}
+
+// The out-of-process worker protocol is gone: its flags are unknown flags
+// (usage, exit 2), and nothing runs.
+TEST(RegressCli, RetiredWorkerFlagsAreUnknown) {
+  for (const char* flag : {"--worker", "--results", "--ingest"}) {
+    const Outcome r = run(std::string(CRVE_REGRESS_BIN) + " " + flag +
+                          " specs.json --configs " CRVE_SOURCE_DIR "/configs");
+    EXPECT_EQ(r.status, 2) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find("usage: crve_regress"), std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("--worker"), std::string::npos) << r.output;
+  }
+}
+
 }  // namespace
 }  // namespace crve

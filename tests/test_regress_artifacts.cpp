@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/json.h"
+#include "common/log.h"
 #include "regress/runner.h"
 #include "verif/tests.h"
 
@@ -117,6 +118,60 @@ TEST(RegressArtifacts, TriageExcerptsCoverDivergenceAtWidestWindow) {
     EXPECT_LE(static_cast<double>(begin), first) << view;
     EXPECT_GE(static_cast<double>(end), first) << view;
   }
+  fs::remove_all(dir);
+}
+
+regress::RunPlan small_plan(const fs::path& dir) {
+  regress::RunPlan plan;
+  plan.cfg.n_initiators = 2;
+  plan.cfg.n_targets = 2;
+  plan.cfg.bus_bytes = 4;
+  plan.tests = {verif::t02_random_all_opcodes()};
+  plan.n_transactions = 10;
+  plan.out_dir = dir.string();
+  return plan;
+}
+
+// An artifact that cannot be written stops the campaign with its path: a
+// campaign never signs off with its report missing.
+TEST(RegressArtifacts, UnwritableArtifactThrowsNamingThePath) {
+  const fs::path dir = fs::temp_directory_path() / "crve_artifacts_unwritable";
+  fs::remove_all(dir);
+  fs::create_directories(dir / "summary.txt");  // a directory in its place
+  try {
+    regress::Regression::run(small_plan(dir));
+    ADD_FAILURE() << "run() signed off without its summary";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot write " + dir.string() +
+                                         "/summary.txt"),
+              std::string::npos)
+        << e.what();
+  }
+  fs::remove_all(dir);
+}
+
+// A job that throws dumps the flight recorder next to its artifacts; when
+// that dump cannot be written either, the job's own error still reaches
+// the caller.
+TEST(RegressArtifacts, UnwritableFlightDumpKeepsTheJobsOwnError) {
+  const fs::path dir = fs::temp_directory_path() / "crve_artifacts_flight";
+  fs::remove_all(dir);
+  fs::create_directories(dir / "flight_boom_s1_rtl.log");
+  regress::RunPlan plan = small_plan(dir);
+  plan.tests[0].name = "boom";
+  plan.tests[0].adjust = [](stbus::NodeConfig&) {
+    throw std::runtime_error("boom: no such configuration");
+  };
+  FlightRecorder fr(8);
+  set_flight_recorder(&fr, LogLevel::kInfo);
+  log_info() << "context before the failing job";
+  try {
+    regress::Regression::run(plan);
+    ADD_FAILURE() << "the failing job went unreported";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom: no such configuration");
+  }
+  set_flight_recorder(nullptr);
   fs::remove_all(dir);
 }
 
